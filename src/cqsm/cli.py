@@ -10,6 +10,7 @@ against the Boltzmann target).  Exit codes: 0 success, 1 config error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -60,6 +61,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def parallel_workers(requested: int, n_seeds: int) -> int:
+    """Worker processes for ``run --parallel``: the request, capped at one per
+    seed and one per CPU.  A request below 1 is a config error."""
+    if requested < 1:
+        raise ValueError(f"--parallel must be at least 1, got {requested}")
+    return min(requested, n_seeds, os.cpu_count() or 1)
+
+
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.seeds is not None:
@@ -67,7 +76,7 @@ def _cmd_run(args) -> int:
     if args.out is not None:
         cfg = replace(cfg, output_dir=args.out)
     cfg.validate()
-    summary = run_experiment(cfg, parallel=args.parallel)
+    summary = run_experiment(cfg, parallel=parallel_workers(args.parallel, cfg.n_seeds))
     print(f"seeds: {' '.join(str(s) for s in summary.seeds)}")
     if summary.failed_seeds:
         print(f"failed seeds: {' '.join(str(s) for s in summary.failed_seeds)}")

@@ -23,9 +23,9 @@ import numpy as np
 
 from ._version import __version__
 from .lq import LqParams, lq_dynamics, lq_reward_fn
-from .online import AlgoConfig, DivergenceError, LearningRecord, run_cqsm
+from .online import AlgoConfig, LearningRecord, run_cqsm
 from .policy import psi_v
-from .sde import simulate_batch
+from .sde import SimulationError, simulate_batch
 
 
 class ConfigError(ValueError):
@@ -237,8 +237,8 @@ def _run_seed(args):
     theta0, v0 = _initial_params(cfg, seed)
     try:
         return seed, run_cqsm(algo, cfg.lq, theta0, v0), None
-    except DivergenceError as exc:
-        return seed, None, str(exc)
+    except SimulationError as exc:
+        return seed, None, exc
 
 
 def _fmt(value: float) -> str:
@@ -287,8 +287,10 @@ def write_summary_csv(summary: RunSummary, path) -> None:
 def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> RunSummary:
     """Run n_seeds independent learning runs and write CSVs plus a manifest.
 
-    Seeds are base_seed..base_seed + n_seeds - 1.  A diverged seed is recorded
-    as failed rather than aborting the experiment.  Output is deterministic:
+    Seeds are base_seed..base_seed + n_seeds - 1.  A seed whose run raises a
+    SimulationError (a divergence, or a sampler or environment fault) is
+    recorded as failed rather than aborting the experiment; when every seed
+    fails, the first seed's error class is raised.  Output is deterministic:
     rerunning the same config (or its manifest) reproduces every CSV byte for
     byte.
     """
@@ -314,7 +316,8 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> RunSummary:
             write_record_csv(record, out / f"seed_{seed}.csv")
 
     if not records:
-        raise DivergenceError("every seed diverged: " + "; ".join(failures.values()))
+        errors = list(failures.values())
+        raise type(errors[0])("every seed failed: " + "; ".join(map(str, errors)))
 
     ok_seeds = sorted(records)
     first = records[ok_seeds[0]]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .lq import LqParams, lq_dynamics, lq_reward_fn
 from .online import AlgoConfig, DivergenceError, LearningRecord, initial_action, lr_schedule
-from .policy import psi_v, q_theta
+from .policy import psi_v, psi_v_fn, q_theta
 from .sde import NoiseSource, Trajectory, simulate_from
 
 
@@ -49,8 +49,7 @@ def rollout_episode(p: LqParams, v, cfg: AlgoConfig, noise: NoiseSource) -> Epis
     episode the action evolves continuously through its own SDE.
     """
     a0 = initial_action(cfg, v, cfg.x0, noise)
-    score = lambda x, a: psi_v(v, x, a)
-    traj = simulate_from(lq_dynamics(p, score), lq_reward_fn(p), cfg.x0, a0,
+    traj = simulate_from(lq_dynamics(p, psi_v_fn(v)), lq_reward_fn(p), cfg.x0, a0,
                          cfg.dt, cfg.n_steps, noise)
     return make_episode(traj, cfg.beta)
 

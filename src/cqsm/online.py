@@ -11,13 +11,13 @@ continuously through its own SDE ("direct_sde").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .lq import LqParams, env_step, lq_reward
-from .policy import grad_a_q, grad_theta_q, grad_v_psi, psi_v, q_theta
+from .policy import grad_a_q, grad_theta_q, grad_v_psi, psi_v, psi_v_fn, q_theta
 from .samplers import ddpm_sample, langevin_sample, make_linear_schedule
 from .sde import NoiseSource, SimulationError
 
@@ -164,7 +164,7 @@ def initial_action(cfg: AlgoConfig, v, x: float, noise: NoiseSource) -> float:
     """
     if cfg.sampler == "direct_sde":
         return cfg.a0
-    score = lambda xx, aa: psi_v(v, xx, aa)
+    score = psi_v_fn(v)
     if cfg.sampler == "ddpm":
         schedule = _ddpm_schedule(cfg.ddpm_steps, cfg.ddpm_beta_start, cfg.ddpm_beta_end)
         return ddpm_sample(score, x, schedule, noise)
@@ -176,7 +176,7 @@ def _next_action(cfg: AlgoConfig, v, x: float, a: float, x_next: float,
     if cfg.sampler == "direct_sde":
         # Euler-Maruyama step of the action SDE, evaluated at the pre-step pair
         return a + psi_v(v, x, a) * cfg.dt + math.sqrt(2.0 * cfg.dt) * noise.normal()
-    score = lambda xx, aa: psi_v(v, xx, aa)
+    score = psi_v_fn(v)
     if cfg.sampler == "ddpm":
         schedule = _ddpm_schedule(cfg.ddpm_steps, cfg.ddpm_beta_start, cfg.ddpm_beta_end)
         return ddpm_sample(score, x_next, schedule, noise)
@@ -205,8 +205,8 @@ def cqsm_step(state: LearnState, cfg: AlgoConfig, env, noise: NoiseSource) -> Le
     theta_next = theta + lr * cfg.alpha_theta * d_theta
     v_next = v + lr * cfg.alpha_v * d_v
 
-    finite = np.all(np.isfinite(theta_next)) and np.all(np.isfinite(v_next))
-    if not finite or max(np.max(np.abs(theta_next)), np.max(np.abs(v_next))) > DIVERGENCE_LIMIT:
+    # NaN and inf both fail the comparison
+    if not np.abs(np.concatenate((theta_next, v_next))).max() <= DIVERGENCE_LIMIT:
         raise DivergenceError(
             f"parameters diverged at step {state.step} (last delta {delta:.6g})"
         )
@@ -229,28 +229,28 @@ def run_cqsm(cfg: AlgoConfig, p: LqParams, theta0, v0) -> LearningRecord:
 
     noise = NoiseSource(cfg.seed)
     env = lambda x, a: env_step(p, x, a, cfg.dt, noise)
-    a_start = initial_action(cfg, v, cfg.x0, noise)
-    state = LearnState(theta, v, cfg.x0, float(a_start), 0, 0.0)
+    try:
+        a_start = initial_action(cfg, v, cfg.x0, noise)
+        state = LearnState(theta, v, cfg.x0, float(a_start), 0, 0.0)
 
-    steps = [0]
-    thetas = [state.theta.copy()]
-    vs = [state.v.copy()]
-    rates = [float(lq_reward(p, state.x, state.a))]
-    avgs = [0.0]
+        steps = [0]
+        thetas = [state.theta.copy()]
+        vs = [state.v.copy()]
+        rates = [float(lq_reward(p, state.x, state.a))]
+        avgs = [0.0]
 
-    for k in range(cfg.n_steps):
-        prev_cum = state.cumulative_reward
-        try:
+        for _ in range(cfg.n_steps):
+            prev_cum = state.cumulative_reward
             state = cqsm_step(state, cfg, env, noise)
-        except SimulationError as exc:
-            raise type(exc)(f"run with seed {cfg.seed}: {exc}") from exc
-        done = state.step
-        if done % cfg.record_every == 0 or done == cfg.n_steps:
-            steps.append(done)
-            thetas.append(state.theta.copy())
-            vs.append(state.v.copy())
-            rates.append((state.cumulative_reward - prev_cum) / cfg.dt)
-            avgs.append(state.cumulative_reward / (done * cfg.dt))
+            done = state.step
+            if done % cfg.record_every == 0 or done == cfg.n_steps:
+                steps.append(done)
+                thetas.append(state.theta.copy())
+                vs.append(state.v.copy())
+                rates.append((state.cumulative_reward - prev_cum) / cfg.dt)
+                avgs.append(state.cumulative_reward / (done * cfg.dt))
+    except SimulationError as exc:
+        raise type(exc)(f"run with seed {cfg.seed}: {exc}") from exc
 
     steps_arr = np.asarray(steps, dtype=int)
     return LearningRecord(

@@ -34,6 +34,19 @@ def psi_v(v, x, a):
     return -np.exp(v[0]) * a + v[1] * x + v[2]
 
 
+def psi_v_fn(v):
+    """psi_v at fixed v as a closure of (x, a), for samplers' inner loops.
+
+    v is unpacked into Python floats once; the closure then performs the
+    operations of psi_v in the same order, so it returns bitwise-equal values
+    (scalars or arrays) without numpy scalar arithmetic per call.
+    """
+    slope = float(-np.exp(v[0]))
+    v1 = float(v[1])
+    v2 = float(v[2])
+    return lambda x, a: slope * a + v1 * x + v2
+
+
 def grad_v_psi(v, x, a) -> np.ndarray:
     """Gradient of psi_v in v: (-exp(v0) a, x, 1)."""
     return np.array([-np.exp(v[0]) * a, x, 1.0])

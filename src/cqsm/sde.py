@@ -17,6 +17,8 @@ from typing import Callable
 
 import numpy as np
 
+TAPE = 1024  # scalar variates pre-drawn per refill of a NoiseSource tape
+
 
 class SimulationError(RuntimeError):
     """A drift, diffusion, score, or reward evaluation produced a non-finite value."""
@@ -27,15 +29,36 @@ class NoiseSource:
 
     Equal seeds produce bit-identical sequences.  A source is stateful and must
     not be shared between simulations that are meant to be independent.
+
+    Scalar draws are served from a tape of ``TAPE`` variates pre-drawn as one
+    block; a block draw first uses up what is left on the tape and then draws
+    from the generator.  The generator yields the same stream whether its
+    variates are drawn one at a time or in blocks, so every caller receives
+    the values it would receive from the generator directly, in the same order.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._rng = np.random.default_rng(self.seed)
+        self._tape = []  # unread pre-drawn variates, the next one last
 
     def normal(self, size=None):
-        """Standard normal draw; a scalar when ``size`` is None."""
-        return self._rng.standard_normal(size)
+        """Standard normal draw; a Python float when ``size`` is None."""
+        tape = self._tape
+        if size is None:
+            if not tape:
+                tape.extend(reversed(self._rng.standard_normal(TAPE).tolist()))
+            return tape.pop()
+        if not tape:
+            return self._rng.standard_normal(size)
+        out = np.empty(size)
+        flat = out.reshape(-1)
+        cut = max(0, len(tape) - flat.size)
+        head = tape[cut:][::-1]
+        del tape[cut:]
+        flat[:len(head)] = head
+        flat[len(head):] = self._rng.standard_normal(flat.size - len(head))
+        return out
 
     def __repr__(self):
         return f"NoiseSource(seed={self.seed})"

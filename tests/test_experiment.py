@@ -17,7 +17,8 @@ from cqsm import (
     run_experiment,
     running_avg_reward,
 )
-from cqsm.cli import main as cli_main
+from cqsm.cli import main as cli_main, parallel_workers
+from cqsm.sde import SimulationError
 from _oracles import two_pass_mean_std
 
 SMALL_CONFIG = """
@@ -188,6 +189,38 @@ def test_divergent_seed_recorded_not_fatal(tmp_path, monkeypatch, lq_ref):
     assert "# failed_seeds: 1" in manifest
 
 
+def test_sampler_fault_stays_inside_its_seed(tmp_path, monkeypatch):
+    real_run = experiment.run_cqsm
+
+    def faulty(algo, p, theta0, v0):
+        if algo.seed == 1:
+            raise SimulationError("sampler fault: non-finite action at step 47")
+        return real_run(algo, p, theta0, v0)
+
+    monkeypatch.setattr(experiment, "run_cqsm", faulty)
+    cfg = parse_config(SMALL_CONFIG.format(out=tmp_path / "run").replace(
+        "run.n_seeds = 2", "run.n_seeds = 3"))
+    summary = run_experiment(cfg)
+    assert summary.failed_seeds == (1,)
+    assert (tmp_path / "run" / "seed_0.csv").exists()
+    assert (tmp_path / "run" / "seed_2.csv").exists()
+    assert not (tmp_path / "run" / "seed_1.csv").exists()
+    assert "# failed_seeds: 1\n" in (tmp_path / "run" / "manifest.txt").read_text()
+
+
+def test_initial_sampler_fault_names_the_seed(tmp_path, capsys):
+    # v0 = 20 makes the initial Langevin chain blow up before the first step
+    path = tmp_path / "config.cfg"
+    path.write_text(SMALL_CONFIG.format(out=tmp_path / "run")
+                    + "algo.sampler = langevin\nalgo.langevin_steps = 50\n"
+                    + "run.v0_mode = explicit\nrun.v0 = 20,0,0\n")
+    assert cli_main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "every seed failed" in err
+    assert "run with seed 0: sampler fault" in err
+    assert "run with seed 1: sampler fault" in err
+
+
 def test_all_seeds_divergent_raises(tmp_path, monkeypatch):
     def always_fail(algo, p, theta0, v0):
         raise DivergenceError("boom")
@@ -259,6 +292,26 @@ def test_cli_run_and_overrides(tmp_path, capsys):
     assert (tmp_path / "cli_out" / "seed_1.csv").exists()
     out = capsys.readouterr().out
     assert "final mean running avg reward" in out
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_cli_run_rejects_parallel_below_one(tmp_path, capsys, value):
+    path = _write_config(tmp_path)
+    assert cli_main(["run", "--config", str(path), "--parallel", value]) == 1
+    assert f"--parallel must be at least 1, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_parallel_workers_clamped_to_seeds_and_cpus(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert parallel_workers(1, 5) == 1
+    assert parallel_workers(3, 5) == 3
+    assert parallel_workers(64, 5) == 4
+    assert parallel_workers(64, 2) == 2
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert parallel_workers(8, 5) == 1
+    with pytest.raises(ValueError):
+        parallel_workers(0, 5)
 
 
 def test_cli_check_martingale(tmp_path, capsys):

@@ -23,6 +23,7 @@ from cqsm import (
     simulate,
     td_delta,
 )
+from cqsm.online import DIVERGENCE_LIMIT
 from _oracles import SequenceNoise
 
 
@@ -143,6 +144,20 @@ def test_run_cqsm_divergence_guard(lq_ref):
     cfg = AlgoConfig(dt=0.1, n_steps=5000, alpha_theta=1e7, alpha_v=1e7, seed=0)
     with pytest.raises(DivergenceError):
         run_cqsm(cfg, lq_ref, np.zeros(6), np.array([0.5, 0.5, 0.5]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2e6])
+def test_cqsm_step_divergence_guard_rejects_nonfinite_and_large(lq_ref, bad):
+    cfg = AlgoConfig(dt=0.1, n_steps=1, sampler="direct_sde")
+    env = lambda x, a: (0.9, lq_reward(lq_ref, x, a))
+    for theta, v in ((np.full(6, bad), np.zeros(3)), (np.zeros(6), np.array([0.0, bad, 0.0]))):
+        state = LearnState(theta, v, 1.0, 0.0, 0, 0.0)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(DivergenceError, match="parameters diverged at step 0"):
+            cqsm_step(state, cfg, env, SequenceNoise([0.0]))
+    # at the limit itself the step goes through
+    state = LearnState(np.zeros(6), np.array([0.0, DIVERGENCE_LIMIT, 0.0]), 0.0, 0.0, 0, 0.0)
+    cqsm_step(state, cfg, lambda x, a: (0.0, 0.0), SequenceNoise([0.0]))
 
 
 def test_run_cqsm_rejects_bad_shapes(lq_ref):

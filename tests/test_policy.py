@@ -14,6 +14,7 @@ from cqsm import (
     q_theta,
     score_params_from_q,
 )
+from cqsm.policy import psi_v_fn
 from conftest import REF_THETA, REF_V
 from _oracles import central_diff_vec
 
@@ -115,3 +116,22 @@ def test_score_params_from_q_requires_concavity_in_a():
     theta = np.array([-1.0, 0.0, 0.5, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         score_params_from_q(theta, 0.1)
+
+
+def _bits(values):
+    """Bit patterns of float64 values, every NaN mapped to one canonical NaN."""
+    values = np.asarray(values, dtype=float)
+    return np.where(np.isnan(values), np.nan, values).view(np.uint64)
+
+
+@given(v=st.tuples(st.floats(-50, 800), finite, finite), x=finite, a=finite)
+@settings(max_examples=200, deadline=None)
+def test_psi_v_fn_is_bitwise_psi_v(v, x, a):
+    # v0 above ~709.8 overflows exp: both forms must then agree on inf/nan too
+    v = np.asarray(v)
+    xs = np.array([x, -x, 0.0, 1e3 * x])
+    as_ = np.array([a, 0.0, -a, a / 3])
+    with np.errstate(over="ignore", invalid="ignore"):
+        score = psi_v_fn(v)
+        assert np.array_equal(_bits(score(x, a)), _bits(psi_v(v, x, a)))
+        assert np.array_equal(_bits(score(xs, as_)), _bits(psi_v(v, xs, as_)))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqsm import (
     DynamicsSpec,
@@ -17,6 +19,7 @@ from cqsm import (
     simulate_from,
     write_trajectory_csv,
 )
+from cqsm.sde import TAPE
 
 ZERO_DYN = DynamicsSpec(
     state_drift=lambda x, a: 0.0 * x,
@@ -164,6 +167,42 @@ def test_noise_source_determinism():
     a = NoiseSource(99).normal(1000)
     b = NoiseSource(99).normal(1000)
     assert np.array_equal(a, b)
+
+
+def _draw_all(noise, sizes):
+    """Flatten the draws of ``sizes`` (None for a scalar) in stream order."""
+    out = []
+    for size in sizes:
+        value = noise.normal(size)
+        if size is None:
+            assert type(value) is float
+            out.append(value)
+        else:
+            assert value.shape == np.empty(size).shape
+            out.extend(np.ravel(value))
+    return np.array(out)
+
+
+def test_noise_source_tape_matches_raw_generator():
+    # scalars that start and refill the tape, blocks that straddle a refill
+    # or fit inside what is left, a tuple size, and size 0
+    sizes = ([None] * (TAPE - 10) + [25] + [None] * 5 + [(3, 4)] + [0]
+             + [None] * (TAPE + 3) + [TAPE] + [None] + [(0, 2)] + [7, ()])
+    got = _draw_all(NoiseSource(11), sizes)
+    want = np.random.default_rng(11).standard_normal(got.size)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@given(sizes=st.lists(st.one_of(
+    st.none(), st.integers(0, 3 * TAPE),
+    st.tuples(st.integers(0, 40), st.integers(0, 40))), max_size=40),
+       seed=st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_noise_source_stream_is_independent_of_draw_shapes(sizes, seed):
+    sizes = [None] * 3 + sizes  # start from a partly used tape
+    got = _draw_all(NoiseSource(seed), sizes)
+    want = np.random.default_rng(seed).standard_normal(got.size)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_simulate_supports_vector_states():
