@@ -13,7 +13,6 @@ from .sde import (
     NoiseSource,
     SimulationError,
     Trajectory,
-    TrajectoryBatch,
     em_step,
     simulate,
     simulate_batch,
@@ -86,7 +85,6 @@ from .experiment import (
     estimate_discounted_return,
     format_config,
     load_config,
-    optimal_policy_running_avg,
     parse_config,
     run_experiment,
     running_avg_reward,

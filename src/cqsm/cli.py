@@ -80,6 +80,8 @@ def _cmd_run(args) -> int:
     print(f"seeds: {' '.join(str(s) for s in summary.seeds)}")
     if summary.failed_seeds:
         print(f"failed seeds: {' '.join(str(s) for s in summary.failed_seeds)}")
+        for seed, reason in zip(summary.failed_seeds, summary.failure_reasons):
+            print(f"  seed {seed}: {reason}")
     print("final mean theta: " + " ".join("%.6g" % t for t in summary.theta_mean[-1]))
     print("final mean v:     " + " ".join("%.6g" % t for t in summary.v_mean[-1]))
     print("final mean running avg reward: %.6g" % summary.avg_reward_mean[-1])

@@ -23,8 +23,8 @@ import numpy as np
 
 from ._version import __version__
 from .lq import LqParams, lq_dynamics, lq_reward_fn
+from .offline import net_reward_flow
 from .online import AlgoConfig, LearningRecord, run_cqsm
-from .policy import psi_v
 from .sde import SimulationError, simulate_batch
 
 
@@ -199,7 +199,8 @@ class RunSummary:
 
     Standard deviations are sample standard deviations across successful
     seeds (zero when fewer than two succeeded); the CSV emits mean and
-    mean +/- 2 std bands.
+    mean +/- 2 std bands.  ``failure_reasons`` holds the error message of
+    each entry of ``failed_seeds``, in the same order.
     """
 
     seeds: tuple
@@ -217,6 +218,7 @@ class RunSummary:
     final_thetas: np.ndarray
     final_vs: np.ndarray
     final_avg_rewards: np.ndarray
+    failure_reasons: tuple = ()
 
 
 def _initial_params(cfg: ExperimentConfig, seed: int):
@@ -347,6 +349,7 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> RunSummary:
         final_thetas=thetas[:, -1, :],
         final_vs=vs[:, -1, :],
         final_avg_rewards=avgs[:, -1],
+        failure_reasons=tuple(str(failures[s]) for s in sorted(failures)),
     )
     write_summary_csv(summary, out / "summary.csv")
 
@@ -375,20 +378,6 @@ def estimate_discounted_return(p: LqParams, score, cfg: AlgoConfig, n_traj: int)
                            cfg.dt, cfg.n_steps, n_traj, cfg.seed)
     w = np.exp(-p.beta * batch.times[:-1])[:, None]
     psi = score(batch.states[:-1], batch.actions[:-1])
-    returns = (w * (batch.reward_rates - 0.5 * p.lam * psi ** 2) * batch.dt).sum(axis=0)
+    returns = net_reward_flow(w, batch.reward_rates, psi, batch.dt, p.lam).sum(axis=0)
     return float(returns.mean()), float(returns.std(ddof=1) / np.sqrt(n_traj))
 
-
-def optimal_policy_running_avg(p: LqParams, v_star, cfg: AlgoConfig, seeds) -> np.ndarray:
-    """Final running-average reward of the frozen score psi_v(v_star) per seed.
-
-    Baseline companion to a learning run: same horizon, same step, same seeds,
-    but no parameter updates.
-    """
-    score = lambda x, a: psi_v(v_star, x, a)
-    finals = []
-    for seed in seeds:
-        batch = simulate_batch(lq_dynamics(p, score), lq_reward_fn(p), cfg.x0, cfg.a0,
-                               cfg.dt, cfg.n_steps, 1, seed)
-        finals.append(running_avg_reward(batch.reward_rates[:, 0], cfg.dt)[-1])
-    return np.asarray(finals)

@@ -18,9 +18,9 @@ from typing import Callable
 import numpy as np
 
 from .lq import LqParams, lq_dynamics, lq_reward_fn
-from .offline import return_gaps
+from .offline import net_reward_flow, return_gaps
 from .online import AlgoConfig
-from .sde import TrajectoryBatch, simulate_batch
+from .sde import Trajectory, simulate_batch
 
 # A test process maps (times, states, actions) to per-step weights xi with one
 # entry per transition; xi[k] may depend on the path only up to index k.
@@ -77,7 +77,7 @@ def lagged_state_test(lag: int = 1, power: int = 2) -> TestProcess:
     return xi
 
 
-def orthogonality_statistics(batch: TrajectoryBatch, qfun, score, test_fn: TestProcess,
+def orthogonality_statistics(batch: Trajectory, qfun, score, test_fn: TestProcess,
                              beta: float, lam: float) -> np.ndarray:
     """Per-trajectory orthogonality sums over a simulated batch.
 
@@ -91,7 +91,7 @@ def orthogonality_statistics(batch: TrajectoryBatch, qfun, score, test_fn: TestP
     q_vals = qfun(batch.states, batch.actions)
     psi = score(batch.states[:-1], batch.actions[:-1])
     inc = (w[1:] * q_vals[1:] - w[:-1] * q_vals[:-1]
-           + w[:-1] * (batch.reward_rates - 0.5 * lam * psi ** 2) * dt)
+           + net_reward_flow(w[:-1], batch.reward_rates, psi, dt, lam))
     xi = test_fn(batch.times, batch.states, batch.actions)
     return np.atleast_1d((xi * inc).sum(axis=0))
 
@@ -124,7 +124,7 @@ def orthogonality_residual(qfun, score, test_fn: TestProcess, p: LqParams,
     return ResidualReport(estimate, se, n_traj, z)
 
 
-def trajectory_gaps(batch: TrajectoryBatch, qfun, score, beta: float,
+def trajectory_gaps(batch: Trajectory, qfun, score, beta: float,
                     lam: float) -> np.ndarray:
     """Return-to-go gaps G_k for every trajectory in a batch, shape (K, m)."""
     w = np.exp(-beta * batch.times)

@@ -54,6 +54,15 @@ def rollout_episode(p: LqParams, v, cfg: AlgoConfig, noise: NoiseSource) -> Epis
     return make_episode(traj, cfg.beta)
 
 
+def net_reward_flow(discount, reward_rates, psi_values, dt: float, lam: float):
+    """Discounted net-reward flow w_k (r_k - lam/2 Psi_k^2) dt, elementwise.
+
+    ``discount`` and ``psi_values`` are taken at the transitions' left end
+    points and broadcast against ``reward_rates``.
+    """
+    return discount * (reward_rates - 0.5 * lam * psi_values ** 2) * dt
+
+
 def return_gaps(discount, reward_rates, q_values, psi_values, dt: float,
                 lam: float) -> np.ndarray:
     """Return-to-go gaps G_k for k = 0..K-1 given precomputed value/score arrays.
@@ -66,7 +75,7 @@ def return_gaps(discount, reward_rates, q_values, psi_values, dt: float,
     w = np.asarray(discount, dtype=float)
     shape = (-1,) + (1,) * (np.ndim(q_values) - 1)
     w = w.reshape(shape)
-    flow = w[:-1] * (reward_rates - 0.5 * lam * np.asarray(psi_values)[:-1] ** 2) * dt
+    flow = net_reward_flow(w[:-1], reward_rates, np.asarray(psi_values)[:-1], dt, lam)
     suffix = np.flip(np.cumsum(np.flip(flow, axis=0), axis=0), axis=0)
     return suffix - w[:-1] * np.asarray(q_values)[:-1]
 

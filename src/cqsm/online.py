@@ -156,6 +156,20 @@ def _ddpm_schedule(t_steps: int, beta_start: float, beta_end: float):
     return make_linear_schedule(t_steps, beta_start, beta_end)
 
 
+def _sample_action(cfg: AlgoConfig, v, x: float, noise: NoiseSource) -> float:
+    """Draw an action at state x from the configured langevin or ddpm sampler.
+
+    A Langevin chain restarts from cfg.a0 at every state; the fixed start
+    also bounds how far one environment step can carry the action while the
+    score is still poorly fitted.
+    """
+    score = psi_v_fn(v)
+    if cfg.sampler == "ddpm":
+        schedule = _ddpm_schedule(cfg.ddpm_steps, cfg.ddpm_beta_start, cfg.ddpm_beta_end)
+        return ddpm_sample(score, x, schedule, noise)
+    return langevin_sample(score, x, cfg.a0, cfg.langevin_dt, cfg.langevin_steps, noise)
+
+
 def initial_action(cfg: AlgoConfig, v, x: float, noise: NoiseSource) -> float:
     """Draw the first action at state x according to the configured sampler.
 
@@ -164,11 +178,7 @@ def initial_action(cfg: AlgoConfig, v, x: float, noise: NoiseSource) -> float:
     """
     if cfg.sampler == "direct_sde":
         return cfg.a0
-    score = psi_v_fn(v)
-    if cfg.sampler == "ddpm":
-        schedule = _ddpm_schedule(cfg.ddpm_steps, cfg.ddpm_beta_start, cfg.ddpm_beta_end)
-        return ddpm_sample(score, x, schedule, noise)
-    return langevin_sample(score, x, cfg.a0, cfg.langevin_dt, cfg.langevin_steps, noise)
+    return _sample_action(cfg, v, x, noise)
 
 
 def _next_action(cfg: AlgoConfig, v, x: float, a: float, x_next: float,
@@ -176,14 +186,7 @@ def _next_action(cfg: AlgoConfig, v, x: float, a: float, x_next: float,
     if cfg.sampler == "direct_sde":
         # Euler-Maruyama step of the action SDE, evaluated at the pre-step pair
         return a + psi_v(v, x, a) * cfg.dt + math.sqrt(2.0 * cfg.dt) * noise.normal()
-    score = psi_v_fn(v)
-    if cfg.sampler == "ddpm":
-        schedule = _ddpm_schedule(cfg.ddpm_steps, cfg.ddpm_beta_start, cfg.ddpm_beta_end)
-        return ddpm_sample(score, x_next, schedule, noise)
-    # re-sample from scratch at the new state; the fixed start also bounds how
-    # far one environment step can carry the action while the score is still
-    # poorly fitted
-    return langevin_sample(score, x_next, cfg.a0, cfg.langevin_dt, cfg.langevin_steps, noise)
+    return _sample_action(cfg, v, x_next, noise)
 
 
 def cqsm_step(state: LearnState, cfg: AlgoConfig, env, noise: NoiseSource) -> LearnState:

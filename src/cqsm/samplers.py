@@ -15,7 +15,6 @@ import numpy as np
 
 from .sde import NoiseSource, SimulationError
 
-SQRT2 = math.sqrt(2.0)
 DDPM_EPS = 1e-12  # floor for 1 - alpha_bar in the reverse-chain divisor
 
 
@@ -114,22 +113,17 @@ def langevin_sample(score, x: float, a0: float, dt: float, n_steps: int,
 
 def langevin_chain(score, x: float, a0: float, dt: float, n_burn: int,
                    n_samples: int, thin: int, noise: NoiseSource) -> np.ndarray:
-    """Thinned samples from one Langevin chain after a burn-in."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    """Thinned samples from one Langevin chain after a burn-in.
+
+    The burn-in and each stretch of ``thin`` steps between samples are
+    :func:`langevin_sample` calls continuing the same chain.
+    """
     if n_samples < 1 or thin < 1 or n_burn < 0:
         raise ValueError("need n_samples >= 1, thin >= 1, n_burn >= 0")
-    a = float(a0)
-    root = math.sqrt(2.0 * dt)
-    for _ in range(n_burn):
-        a = a + score(x, a) * dt + root * noise.normal()
+    a = langevin_sample(score, x, a0, dt, n_burn, noise) if n_burn else float(a0)
     out = np.empty(n_samples)
     for i in range(n_samples):
-        for _ in range(thin):
-            a = a + score(x, a) * dt + root * noise.normal()
-        if not math.isfinite(a):
-            raise SimulationError("sampler fault: non-finite action in chain")
-        out[i] = a
+        a = out[i] = langevin_sample(score, x, a, dt, thin, noise)
     return out
 
 

@@ -7,12 +7,19 @@ The joint process is
 
 with two independent Brownian motions and scalar (or diagonal) diffusion
 amplitudes.  Everything is deterministic given a seed.
+
+One Euler-Maruyama loop, :func:`simulate_from`, runs single scalar
+trajectories on Python floats and vector states or batches of scalar
+trajectories on numpy arrays; :func:`simulate` and :func:`simulate_batch`
+only choose its start and noise source.  The loop checks nothing per step:
+one finiteness check over each finished rollout finds a fault and names the
+step and the field that caused it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -70,7 +77,8 @@ class DynamicsSpec:
 
     Each field maps (x, a) to a value broadcastable against x (state fields)
     or a (action fields).  Evaluations must stay finite on finite inputs;
-    a non-finite value aborts the step with a diagnostic naming the field.
+    a non-finite value aborts the simulation with a diagnostic naming the
+    step and the field.
     """
 
     state_drift: Callable
@@ -81,11 +89,13 @@ class DynamicsSpec:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One simulated rollout on a uniform time grid.
+    """Simulated rollouts on a uniform time grid.
 
     ``states`` and ``actions`` have one row per grid point; ``reward_rates``
-    has one entry per transition and is evaluated at the pre-step pair,
-    reward_rates[k] = reward(states[k], actions[k]).
+    has one row per transition and is evaluated at the pre-step pair,
+    reward_rates[k] = reward(states[k], actions[k]).  A batch of scalar
+    rollouts keeps one column per trajectory in all three arrays; a single
+    rollout (scalar or vector state) has one reward per transition.
     """
 
     times: np.ndarray
@@ -105,35 +115,30 @@ class Trajectory:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-
-@dataclass(frozen=True)
-class TrajectoryBatch:
-    """Many independent rollouts sharing one time grid (one column each)."""
-
-    times: np.ndarray
-    states: np.ndarray
-    actions: np.ndarray
-    reward_rates: np.ndarray
-    seed: int
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
     @property
     def n_trajectories(self) -> int:
-        return self.states.shape[1]
+        return 1 if self.reward_rates.ndim == 1 else self.reward_rates.shape[1]
 
 
-def _checked(name, fn, x, a):
-    value = fn(x, a)
+def _finite(value) -> bool:
     if isinstance(value, float):
-        ok = math.isfinite(value)
-    else:
-        ok = bool(np.all(np.isfinite(value)))
-    if not ok:
-        raise SimulationError(f"{name} evaluated to a non-finite value at x={x!r}, a={a!r}")
-    return value
+        return math.isfinite(value)
+    return bool(np.all(np.isfinite(value)))
+
+
+def _fault(dyn: DynamicsSpec, reward, x, a) -> str:
+    """Name the first of reward and the dynamics fields that is non-finite at (x, a)."""
+    named = [("reward", reward)] if reward is not None else []
+    named += [(f.name, getattr(dyn, f.name)) for f in fields(DynamicsSpec)]
+    for name, fn in named:
+        if not _finite(fn(x, a)):
+            return f"{name} evaluated to a non-finite value at x={x!r}, a={a!r}"
+    return f"the step from x={x!r}, a={a!r} overflowed to a non-finite state or action"
+
+
+def _advance(x, a, dyn: DynamicsSpec, dt: float, root: float, zx, za):
+    return (x + dyn.state_drift(x, a) * dt + dyn.state_diffusion(x, a) * root * zx,
+            a + dyn.action_score(x, a) * dt + dyn.action_diffusion(x, a) * root * za)
 
 
 def em_step(x, a, dyn: DynamicsSpec, dt: float, zx, za):
@@ -142,17 +147,15 @@ def em_step(x, a, dyn: DynamicsSpec, dt: float, zx, za):
     x' = x + state_drift(x, a) dt + state_diffusion(x, a) sqrt(dt) zx
     a' = a + action_score(x, a) dt + action_diffusion(x, a) sqrt(dt) za
 
-    Inputs are never mutated.  Raises SimulationError naming the field that
-    produced a non-finite value.
+    Inputs are never mutated.  A non-finite result raises SimulationError
+    naming the field that produced a non-finite value.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    drift_x = _checked("state_drift", dyn.state_drift, x, a)
-    diff_x = _checked("state_diffusion", dyn.state_diffusion, x, a)
-    score = _checked("action_score", dyn.action_score, x, a)
-    diff_a = _checked("action_diffusion", dyn.action_diffusion, x, a)
-    root = math.sqrt(dt)
-    return x + drift_x * dt + diff_x * root * zx, a + score * dt + diff_a * root * za
+    x_next, a_next = _advance(x, a, dyn, dt, math.sqrt(dt), zx, za)
+    if not (_finite(x_next) and _finite(a_next)):
+        raise SimulationError(_fault(dyn, None, x, a))
+    return x_next, a_next
 
 
 def simulate(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int, seed: int) -> Trajectory:
@@ -164,8 +167,15 @@ def simulate_from(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int,
                   noise: NoiseSource) -> Trajectory:
     """Like :func:`simulate` but drawing from an existing noise source.
 
-    States and actions may be scalars or 1-d vectors.  Per step the draw order
-    is: one state noise block, then one action noise block.
+    Scalar (x0, a0) run on Python floats.  1-d arrays are either one vector
+    state and action (``reward`` returns one value) or a batch of scalar
+    trajectories, one per entry (``reward`` returns one value per entry); the
+    shape of the first reward sets the shape of ``reward_rates``.  Per step
+    the draw order is: one state noise block, then one action noise block.
+
+    Finiteness is checked once, over the whole rollout, after the last step;
+    a non-finite value raises SimulationError naming the first faulty step
+    and the reward or dynamics field that produced it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -175,76 +185,62 @@ def simulate_from(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int,
     a_arr = np.asarray(a0, dtype=float)
     if x_arr.ndim > 1 or a_arr.ndim > 1:
         raise ValueError("states and actions must be scalars or 1-d vectors")
-    scalar = x_arr.ndim == 0 and a_arr.ndim == 0
-
-    if scalar:
+    if x_arr.ndim == 0 and a_arr.ndim == 0:
         x, a = float(x_arr), float(a_arr)
-        states = np.empty(n_steps + 1)
-        actions = np.empty(n_steps + 1)
         zx_size = za_size = None
     else:
         x, a = np.atleast_1d(x_arr).copy(), np.atleast_1d(a_arr).copy()
-        states = np.empty((n_steps + 1, x.size))
-        actions = np.empty((n_steps + 1, a.size))
         zx_size, za_size = x.size, a.size
 
-    rates = np.empty(n_steps)
-    states[0] = x
-    actions[0] = a
-    for k in range(n_steps):
-        r = reward(x, a)
-        if not np.all(np.isfinite(r)):
-            raise SimulationError(f"step {k}: reward evaluated to a non-finite value")
-        rates[k] = r
-        zx = noise.normal(zx_size)
-        za = noise.normal(za_size)
-        try:
-            x, a = em_step(x, a, dyn, dt, zx, za)
-        except SimulationError as exc:
-            raise SimulationError(f"step {k}: {exc}") from exc
-        states[k + 1] = x
-        actions[k + 1] = a
-    times = np.arange(n_steps + 1) * dt
-    return Trajectory(times, states, actions, rates, noise.seed)
-
-
-def simulate_batch(dyn: DynamicsSpec, reward, x0: float, a0: float, dt: float,
-                   n_steps: int, n_traj: int, seed: int) -> TrajectoryBatch:
-    """Simulate many scalar trajectories at once (vectorized across columns).
-
-    All trajectories start from the same (x0, a0) and draw from a single seeded
-    stream, one state block and one action block per step.  Dynamics and reward
-    callables must accept numpy arrays elementwise.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if n_steps < 1 or n_traj < 1:
-        raise ValueError("n_steps and n_traj must be at least 1")
-    noise = NoiseSource(seed)
-    x = np.full(n_traj, float(x0))
-    a = np.full(n_traj, float(a0))
-    states = np.empty((n_steps + 1, n_traj))
-    actions = np.empty((n_steps + 1, n_traj))
-    rates = np.empty((n_steps, n_traj))
+    states = np.empty((n_steps + 1,) + np.shape(x))
+    actions = np.empty((n_steps + 1,) + np.shape(a))
+    rates = np.empty((n_steps,) + np.shape(reward(x, a)))
     states[0] = x
     actions[0] = a
     root = math.sqrt(dt)
     for k in range(n_steps):
         rates[k] = reward(x, a)
-        drift_x = dyn.state_drift(x, a)
-        diff_x = dyn.state_diffusion(x, a)
-        score = dyn.action_score(x, a)
-        diff_a = dyn.action_diffusion(x, a)
-        x = x + drift_x * dt + diff_x * root * noise.normal(n_traj)
-        a = a + score * dt + diff_a * root * noise.normal(n_traj)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(a))):
-            raise SimulationError(f"step {k}: non-finite state or action in batch")
+        zx = noise.normal(zx_size)
+        za = noise.normal(za_size)
+        x, a = _advance(x, a, dyn, dt, root, zx, za)
         states[k + 1] = x
         actions[k + 1] = a
-    if not np.all(np.isfinite(rates)):
-        raise SimulationError("non-finite reward in batch")
+    if not (np.isfinite(states).all() and np.isfinite(actions).all()
+            and np.isfinite(rates).all()):
+        raise SimulationError(_first_fault(dyn, reward, states, actions, rates))
     times = np.arange(n_steps + 1) * dt
-    return TrajectoryBatch(times, states, actions, rates, seed)
+    return Trajectory(times, states, actions, rates, noise.seed)
+
+
+def _first_fault(dyn: DynamicsSpec, reward, states, actions, rates) -> str:
+    """Diagnose the first transition whose reward or end point is non-finite."""
+    def ok(rows):
+        return np.isfinite(rows).reshape(len(rows), -1).all(axis=1)
+
+    points = ok(states) & ok(actions)
+    k = int(np.argmax(~(ok(rates) & points[:-1] & points[1:])))
+    x, a = states[k], actions[k]
+    if states.ndim == 1:
+        x, a = float(x), float(a)
+    return f"step {k}: {_fault(dyn, reward, x, a)}"
+
+
+def simulate_batch(dyn: DynamicsSpec, reward, x0: float, a0: float, dt: float,
+                   n_steps: int, n_traj: int, seed: int) -> Trajectory:
+    """Simulate ``n_traj`` scalar trajectories at once, one column each.
+
+    All trajectories start from the same (x0, a0) and draw from a single seeded
+    stream, one state block and one action block per step.  Dynamics and reward
+    callables must accept numpy arrays elementwise and return one value per
+    trajectory.
+    """
+    if n_traj < 1:
+        raise ValueError("n_traj must be at least 1")
+    traj = simulate_from(dyn, reward, np.full(n_traj, float(x0)), np.full(n_traj, float(a0)),
+                         dt, n_steps, NoiseSource(seed))
+    if traj.reward_rates.shape != (n_steps, n_traj):
+        raise ValueError("reward must return one value per trajectory")
+    return traj
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

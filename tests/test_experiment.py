@@ -189,7 +189,7 @@ def test_divergent_seed_recorded_not_fatal(tmp_path, monkeypatch, lq_ref):
     assert "# failed_seeds: 1" in manifest
 
 
-def test_sampler_fault_stays_inside_its_seed(tmp_path, monkeypatch):
+def test_sampler_fault_stays_inside_its_seed(tmp_path, monkeypatch, capsys):
     real_run = experiment.run_cqsm
 
     def faulty(algo, p, theta0, v0):
@@ -198,14 +198,20 @@ def test_sampler_fault_stays_inside_its_seed(tmp_path, monkeypatch):
         return real_run(algo, p, theta0, v0)
 
     monkeypatch.setattr(experiment, "run_cqsm", faulty)
-    cfg = parse_config(SMALL_CONFIG.format(out=tmp_path / "run").replace(
+    path = tmp_path / "config.cfg"
+    path.write_text(SMALL_CONFIG.format(out=tmp_path / "run").replace(
         "run.n_seeds = 2", "run.n_seeds = 3"))
-    summary = run_experiment(cfg)
+    summary = run_experiment(parse_config(path.read_text()))
     assert summary.failed_seeds == (1,)
+    assert summary.failure_reasons == ("sampler fault: non-finite action at step 47",)
     assert (tmp_path / "run" / "seed_0.csv").exists()
     assert (tmp_path / "run" / "seed_2.csv").exists()
     assert not (tmp_path / "run" / "seed_1.csv").exists()
     assert "# failed_seeds: 1\n" in (tmp_path / "run" / "manifest.txt").read_text()
+    # the CLI names the reason under the failed seed
+    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "cli")]) == 0
+    out = capsys.readouterr().out
+    assert "failed seeds: 1\n  seed 1: sampler fault: non-finite action at step 47\n" in out
 
 
 def test_initial_sampler_fault_names_the_seed(tmp_path, capsys):

@@ -31,12 +31,12 @@ def test_zero_everything_gives_exact_zero():
     # zero reward, zero score, zero value model: the integrand is identically
     # zero regardless of the visited states
     rng = np.random.default_rng(0)
-    from cqsm import TrajectoryBatch
+    from cqsm import Trajectory
 
-    batch = TrajectoryBatch(times=np.arange(21) * 0.1,
-                            states=rng.normal(size=(21, 30)),
-                            actions=rng.normal(size=(21, 30)),
-                            reward_rates=np.zeros((20, 30)), seed=0)
+    batch = Trajectory(times=np.arange(21) * 0.1,
+                       states=rng.normal(size=(21, 30)),
+                       actions=rng.normal(size=(21, 30)),
+                       reward_rates=np.zeros((20, 30)), seed=0)
     stats = orthogonality_statistics(batch, lambda x, a: 0.0 * x,
                                      lambda x, a: 0.0 * a, constant_test(),
                                      beta=1.0, lam=0.1)
@@ -130,13 +130,13 @@ def test_statistics_with_gradient_test_process(k_ref, lq_ref):
 
 
 def test_martingale_loss_zero_case():
-    from cqsm import TrajectoryBatch
+    from cqsm import Trajectory
 
     rng = np.random.default_rng(1)
-    batch = TrajectoryBatch(times=np.arange(11) * 0.1,
-                            states=rng.normal(size=(11, 5)),
-                            actions=rng.normal(size=(11, 5)),
-                            reward_rates=np.zeros((10, 5)), seed=0)
+    batch = Trajectory(times=np.arange(11) * 0.1,
+                       states=rng.normal(size=(11, 5)),
+                       actions=rng.normal(size=(11, 5)),
+                       reward_rates=np.zeros((10, 5)), seed=0)
     gaps = trajectory_gaps(batch, lambda x, a: 0.0 * x, lambda x, a: 0.0 * a,
                            beta=1.0, lam=0.1)
     assert 0.5 * float(np.mean(gaps ** 2)) * batch.dt == 0.0

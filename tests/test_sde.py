@@ -226,6 +226,41 @@ def test_simulate_batch_deterministic_and_shaped(lq_ref, k_ref):
     assert b1.states.shape == (51, 20)
     assert b1.reward_rates.shape == (50, 20)
     assert np.array_equal(b1.states, b2.states)
+    with pytest.raises(ValueError, match="one value per trajectory"):
+        simulate_batch(dyn, lambda x, a: 0.0, 0.0, 0.0, 0.1, 50, 20, seed=8)
+
+
+# x_k = k on a drift-only grid of dt 1, so the drift turns NaN exactly at step 3
+NAN_AT_3 = DynamicsSpec(
+    state_drift=lambda x, a: np.where(x >= 3.0, np.nan, 1.0),
+    state_diffusion=lambda x, a: 0.0 * x,
+    action_score=lambda x, a: 0.0 * a,
+    action_diffusion=lambda x, a: 0.0 * a,
+)
+
+
+@pytest.mark.parametrize("run", [
+    lambda dyn, reward: simulate(dyn, reward, 0.0, 0.0, 1.0, 6, seed=0),
+    lambda dyn, reward: simulate_batch(dyn, reward, 0.0, 0.0, 1.0, 6, 4, seed=0),
+], ids=["simulate", "simulate_batch"])
+def test_non_finite_field_names_step_and_field(run):
+    with pytest.raises(SimulationError, match=r"^step 3: state_drift evaluated"):
+        run(NAN_AT_3, lambda x, a: 0.0 * x)
+    nan_reward = lambda x, a: np.where(x >= 2.0, np.nan, 0.0 * x)
+    with pytest.raises(SimulationError, match=r"^step 2: reward evaluated"):
+        run(NAN_AT_3, nan_reward)
+
+
+def test_batch_of_one_matches_single_trajectory_bitwise(lq_ref, k_ref):
+    dyn = lq_dynamics(lq_ref, lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a))
+    reward = lq_reward_fn(lq_ref)
+    for seed in (0, 5, 17):
+        single = simulate(dyn, reward, 0.4, -0.2, 0.1, 3 * TAPE, seed=seed)
+        batch = simulate_batch(dyn, reward, 0.4, -0.2, 0.1, 3 * TAPE, 1, seed=seed)
+        for got, want in ((batch.states, single.states), (batch.actions, single.actions),
+                          (batch.reward_rates, single.reward_rates)):
+            assert np.array_equal(got[:, 0].view(np.uint64), want.view(np.uint64))
+        assert batch.n_trajectories == single.n_trajectories == 1
 
 
 def test_trajectory_validation():
