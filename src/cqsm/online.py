@@ -11,18 +11,20 @@ continuously through its own SDE ("direct_sde").
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .lq import LqParams, env_step, lq_reward
-from .policy import grad_a_q, grad_theta_q, grad_v_psi, psi_v, psi_v_fn, q_theta
+from .policy import grad_a_q, psi_features, psi_v, q_features, q_theta, score_fn
 from .samplers import ddpm_sample, langevin_sample, make_linear_schedule
 from .sde import NoiseSource, SimulationError
 
 SAMPLERS = ("direct_sde", "langevin", "ddpm")
 DIVERGENCE_LIMIT = 1e6
+EXP_LIMIT = math.log(sys.float_info.max)  # largest v0 whose exp(v0) is finite
 
 
 class DivergenceError(SimulationError):
@@ -145,10 +147,13 @@ def td_delta(theta, v, x, a, x_next, a_next, r, dt, beta, lam) -> float:
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    q_here = q_theta(theta, x, a)
-    psi = psi_v(v, x, a)
-    return (q_theta(theta, x_next, a_next) - q_here + r * dt
-            - 0.5 * lam * psi * psi * dt - beta * q_here * dt)
+    return _td(q_theta(theta, x, a), q_theta(theta, x_next, a_next), psi_v(v, x, a),
+               r, dt, beta, lam)
+
+
+def _td(q_here, q_next, psi, r, dt, beta, lam):
+    """The formula of :func:`td_delta` from Q(x, a), Q(x', a') and Psi(x, a)."""
+    return q_next - q_here + r * dt - 0.5 * lam * psi * psi * dt - beta * q_here * dt
 
 
 @lru_cache(maxsize=8)
@@ -156,14 +161,24 @@ def _ddpm_schedule(t_steps: int, beta_start: float, beta_end: float):
     return make_linear_schedule(t_steps, beta_start, beta_end)
 
 
-def _sample_action(cfg: AlgoConfig, v, x: float, noise: NoiseSource) -> float:
+def _score(v0: float, v1: float, v2: float, step: int):
+    """The score slope -exp(v0) and the score closure of v = (v0, v1, v2).
+
+    Raises DivergenceError, before any sampling, when exp(v0) overflows.
+    """
+    if v0 > EXP_LIMIT:
+        raise DivergenceError(f"score slope -exp(v0) overflows at step {step} (v0 = {v0:.6g})")
+    slope = float(-np.exp(v0))
+    return slope, score_fn(slope, v1, v2)
+
+
+def _sample_action(cfg: AlgoConfig, score, x: float, noise: NoiseSource) -> float:
     """Draw an action at state x from the configured langevin or ddpm sampler.
 
     A Langevin chain restarts from cfg.a0 at every state; the fixed start
     also bounds how far one environment step can carry the action while the
     score is still poorly fitted.
     """
-    score = psi_v_fn(v)
     if cfg.sampler == "ddpm":
         schedule = _ddpm_schedule(cfg.ddpm_steps, cfg.ddpm_beta_start, cfg.ddpm_beta_end)
         return ddpm_sample(score, x, schedule, noise)
@@ -178,15 +193,8 @@ def initial_action(cfg: AlgoConfig, v, x: float, noise: NoiseSource) -> float:
     """
     if cfg.sampler == "direct_sde":
         return cfg.a0
-    return _sample_action(cfg, v, x, noise)
-
-
-def _next_action(cfg: AlgoConfig, v, x: float, a: float, x_next: float,
-                 noise: NoiseSource) -> float:
-    if cfg.sampler == "direct_sde":
-        # Euler-Maruyama step of the action SDE, evaluated at the pre-step pair
-        return a + psi_v(v, x, a) * cfg.dt + math.sqrt(2.0 * cfg.dt) * noise.normal()
-    return _sample_action(cfg, v, x_next, noise)
+    _, score = _score(*np.asarray(v, dtype=float).tolist(), 0)
+    return _sample_action(cfg, score, x, noise)
 
 
 def cqsm_step(state: LearnState, cfg: AlgoConfig, env, noise: NoiseSource) -> LearnState:
@@ -196,24 +204,35 @@ def cqsm_step(state: LearnState, cfg: AlgoConfig, env, noise: NoiseSource) -> Le
     by the configured sampler (the state noise is drawn first inside ``env``,
     then the action noise).  The transition pair (x', a') becomes the next
     iterate's (x, a), so each action is sampled once and reused.
-    """
-    theta, v, x, a = state.theta, state.v, state.x, state.a
-    x_next, r = env(x, a)
-    a_next = _next_action(cfg, v, x, a, x_next, noise)
 
-    delta = td_delta(theta, v, x, a, x_next, a_next, r, cfg.dt, cfg.beta, cfg.lam)
+    The step runs on Python floats: theta and v are unpacked once, exp(v0) is
+    taken once, and one score closure gives Psi(x, a) and drives the sampler.
+    """
+    theta, v, x, a = state.theta.tolist(), state.v.tolist(), state.x, state.a
+    slope, score = _score(*v, state.step)
+    psi = score(x, a)
+    x_next, r = env(x, a)
+    if cfg.sampler == "direct_sde":
+        # Euler-Maruyama step of the action SDE, evaluated at the pre-step pair
+        a_next = a + psi * cfg.dt + math.sqrt(2.0 * cfg.dt) * noise.normal()
+    else:
+        a_next = _sample_action(cfg, score, x_next, noise)
+
+    delta = _td(q_theta(theta, x, a), q_theta(theta, x_next, a_next), psi,
+                r, cfg.dt, cfg.beta, cfg.lam)
     lr = lr_schedule(state.step * cfg.dt)
-    d_theta = grad_theta_q(theta, x, a) * delta
-    d_v = (grad_a_q(theta, x, a) / cfg.lam - psi_v(v, x, a)) * grad_v_psi(v, x, a)
-    theta_next = theta + lr * cfg.alpha_theta * d_theta
-    v_next = v + lr * cfg.alpha_v * d_v
+    rate_theta = lr * cfg.alpha_theta
+    theta_next = [t + rate_theta * (g * delta) for t, g in zip(theta, q_features(x, a))]
+    mismatch = grad_a_q(theta, x, a) / cfg.lam - psi
+    rate_v = lr * cfg.alpha_v
+    v_next = [w + rate_v * (mismatch * g) for w, g in zip(v, psi_features(slope, x, a))]
 
     # NaN and inf both fail the comparison
-    if not np.abs(np.concatenate((theta_next, v_next))).max() <= DIVERGENCE_LIMIT:
+    if not all(abs(p) <= DIVERGENCE_LIMIT for p in theta_next + v_next):
         raise DivergenceError(
             f"parameters diverged at step {state.step} (last delta {delta:.6g})"
         )
-    return LearnState(theta_next, v_next, x_next, a_next, state.step + 1,
+    return LearnState(np.array(theta_next), np.array(v_next), x_next, a_next, state.step + 1,
                       state.cumulative_reward + r * cfg.dt)
 
 

@@ -19,9 +19,19 @@ def q_theta(theta, x, a):
             + theta[3] * a + theta[4] * x * a + theta[5])
 
 
+def q_features(x, a):
+    """Gradient of q_theta in theta as a tuple: (x^2/2, x, a^2/2, a, xa, 1), theta-free."""
+    return 0.5 * x * x, x, 0.5 * a * a, a, x * a, 1.0
+
+
+def psi_features(slope, x, a):
+    """Gradient of psi_v in v as a tuple: (slope a, x, 1), where slope = -exp(v0)."""
+    return slope * a, x, 1.0
+
+
 def grad_theta_q(theta, x, a) -> np.ndarray:
-    """Gradient of q_theta in theta: (x^2/2, x, a^2/2, a, xa, 1), theta-free."""
-    return np.array([0.5 * x * x, x, 0.5 * a * a, a, x * a, 1.0])
+    """Gradient of q_theta in theta as an array (see :func:`q_features`)."""
+    return np.array(q_features(x, a))
 
 
 def grad_a_q(theta, x, a):
@@ -34,6 +44,11 @@ def psi_v(v, x, a):
     return -np.exp(v[0]) * a + v[1] * x + v[2]
 
 
+def score_fn(slope: float, v1: float, v2: float):
+    """The score slope * a + v1 x + v2 as a closure of (x, a)."""
+    return lambda x, a: slope * a + v1 * x + v2
+
+
 def psi_v_fn(v):
     """psi_v at fixed v as a closure of (x, a), for samplers' inner loops.
 
@@ -41,15 +56,12 @@ def psi_v_fn(v):
     operations of psi_v in the same order, so it returns bitwise-equal values
     (scalars or arrays) without numpy scalar arithmetic per call.
     """
-    slope = float(-np.exp(v[0]))
-    v1 = float(v[1])
-    v2 = float(v[2])
-    return lambda x, a: slope * a + v1 * x + v2
+    return score_fn(float(-np.exp(v[0])), float(v[1]), float(v[2]))
 
 
 def grad_v_psi(v, x, a) -> np.ndarray:
-    """Gradient of psi_v in v: (-exp(v0) a, x, 1)."""
-    return np.array([-np.exp(v[0]) * a, x, 1.0])
+    """Gradient of psi_v in v as an array (see :func:`psi_features`)."""
+    return np.array(psi_features(-np.exp(v[0]), x, a))
 
 
 def score_params_from_q(theta, lam: float) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +54,19 @@ class NoiseSchedule:
     def n_steps(self) -> int:
         return len(self.betas)
 
+    @cached_property
+    def reverse_steps(self) -> tuple:
+        """(t, coef, sqrt(alpha_t), sqrt(beta_t)) as Python floats for t = T-1..0.
+
+        coef = (1 - alpha_t) / sqrt(max(1 - alpha_bar_t, DDPM_EPS)); computed
+        once per schedule for :func:`ddpm_sample`.
+        """
+        rows = zip(range(self.n_steps), self.alphas.tolist(), self.alpha_bars.tolist(),
+                   self.betas.tolist())
+        return tuple((t, (1.0 - alpha) / math.sqrt(max(1.0 - alpha_bar, DDPM_EPS)),
+                      math.sqrt(alpha), math.sqrt(beta))
+                     for t, alpha, alpha_bar, beta in rows)[::-1]
+
 
 def make_linear_schedule(t_steps: int, beta_start: float = 1e-3,
                          beta_end: float = 0.19) -> NoiseSchedule:
@@ -80,10 +94,8 @@ def ddpm_sample(score, x: float, schedule: NoiseSchedule, noise: NoiseSource) ->
     environment state stays frozen while the chain runs.
     """
     a = float(noise.normal())
-    for t in range(schedule.n_steps - 1, -1, -1):
-        alpha = schedule.alphas[t]
-        coef = (1.0 - alpha) / math.sqrt(max(1.0 - schedule.alpha_bars[t], DDPM_EPS))
-        a = (a + coef * score(x, a)) / math.sqrt(alpha) + math.sqrt(schedule.betas[t]) * noise.normal()
+    for t, coef, sqrt_alpha, sqrt_beta in schedule.reverse_steps:
+        a = (a + coef * score(x, a)) / sqrt_alpha + sqrt_beta * noise.normal()
         if not math.isfinite(a):
             raise SimulationError(f"sampler fault: non-finite action at reverse step {t}")
     return a

@@ -126,14 +126,22 @@ def _finite(value) -> bool:
     return bool(np.all(np.isfinite(value)))
 
 
-def _fault(dyn: DynamicsSpec, reward, x, a) -> str:
-    """Name the first of reward and the dynamics fields that is non-finite at (x, a)."""
+def _fault(dyn: DynamicsSpec, reward, x, a, column=None) -> str:
+    """Name the first of reward and the dynamics fields that is non-finite at (x, a).
+
+    With ``column`` set, (x, a) are rows of a batch: the fields are evaluated
+    on the rows, and only that trajectory's value and point are reported.
+    """
     named = [("reward", reward)] if reward is not None else []
     named += [(f.name, getattr(dyn, f.name)) for f in fields(DynamicsSpec)]
+    at_x, at_a = (x, a) if column is None else (float(x[column]), float(a[column]))
     for name, fn in named:
-        if not _finite(fn(x, a)):
-            return f"{name} evaluated to a non-finite value at x={x!r}, a={a!r}"
-    return f"the step from x={x!r}, a={a!r} overflowed to a non-finite state or action"
+        value = fn(x, a)
+        if column is not None:
+            value = np.broadcast_to(value, np.shape(x))[column]
+        if not _finite(value):
+            return f"{name} evaluated to a non-finite value at x={at_x!r}, a={at_a!r}"
+    return f"the step from x={at_x!r}, a={at_a!r} overflowed to a non-finite state or action"
 
 
 def _advance(x, a, dyn: DynamicsSpec, dt: float, root: float, zx, za):
@@ -213,12 +221,23 @@ def simulate_from(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int,
 
 
 def _first_fault(dyn: DynamicsSpec, reward, states, actions, rates) -> str:
-    """Diagnose the first transition whose reward or end point is non-finite."""
-    def ok(rows):
-        return np.isfinite(rows).reshape(len(rows), -1).all(axis=1)
+    """Diagnose the first transition whose reward or end point is non-finite.
+
+    In a batch (one reward column per trajectory) the first faulty trajectory
+    of that transition is named, with its own scalar state and action.
+    """
+    batch = rates.ndim == 2
+
+    def ok(rows):  # finite per row, or per row and trajectory in a batch
+        flags = np.isfinite(rows)
+        return flags if batch else flags.reshape(len(rows), -1).all(axis=1)
 
     points = ok(states) & ok(actions)
-    k = int(np.argmax(~(ok(rates) & points[:-1] & points[1:])))
+    good = ok(rates) & points[:-1] & points[1:]
+    k = int(np.argmax(~good.reshape(len(good), -1).all(axis=1)))
+    if batch:
+        j = int(np.argmax(~good[k]))
+        return f"step {k}, trajectory {j}: {_fault(dyn, reward, states[k], actions[k], j)}"
     x, a = states[k], actions[k]
     if states.ndim == 1:
         x, a = float(x), float(a)

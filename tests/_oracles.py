@@ -3,12 +3,18 @@
 Everything here is computed by a route independent of the code under test:
 finite differences for gradients, direct linear solves for policy evaluation,
 affine-map composition for the denoising chain's output law, and plain
-two-pass statistics.
+two-pass statistics.  The ``reference_*`` functions keep earlier numpy-scalar
+versions of the sampler and learner steps, against which the float versions
+are checked bit for bit.
 """
+
+import math
 
 import numpy as np
 
-from cqsm import LqParams
+from cqsm import LqParams, LearnState, langevin_sample, make_linear_schedule
+from cqsm.online import DIVERGENCE_LIMIT, DivergenceError, lr_schedule
+from cqsm.sde import SimulationError
 
 
 def central_diff(f, x: float, h: float = 1e-5) -> float:
@@ -104,3 +110,61 @@ def random_admissible_params(rng, force_d_zero: bool = False) -> LqParams:
         R=rng.uniform(-2.0, 2.0), P=rng.uniform(-2.0, 2.0), Pp=rng.uniform(-2.0, 2.0),
         beta=rng.uniform(lo, lo + 2.0), lam=rng.uniform(0.05, 1.0),
     )
+
+
+def reference_ddpm_sample(score, x: float, schedule, noise) -> float:
+    """The reverse denoising chain on numpy scalars, the schedule re-read per step."""
+    a = float(noise.normal())
+    for t in range(schedule.n_steps - 1, -1, -1):
+        alpha = schedule.alphas[t]
+        coef = (1.0 - alpha) / math.sqrt(max(1.0 - schedule.alpha_bars[t], 1e-12))
+        a = (a + coef * score(x, a)) / math.sqrt(alpha) + math.sqrt(schedule.betas[t]) * noise.normal()
+        if not math.isfinite(a):
+            raise SimulationError(f"sampler fault: non-finite action at reverse step {t}")
+    return a
+
+
+def _ref_q(theta, x, a):
+    return (0.5 * theta[0] * x * x + theta[1] * x + 0.5 * theta[2] * a * a
+            + theta[3] * a + theta[4] * x * a + theta[5])
+
+
+def _ref_psi(v, x, a):
+    return -np.exp(v[0]) * a + v[1] * x + v[2]
+
+
+def reference_sample_action(cfg, v, x, noise) -> float:
+    """A fresh action at x from the configured langevin or ddpm sampler."""
+    slope, v1, v2 = float(-np.exp(v[0])), float(v[1]), float(v[2])
+    score = lambda x, a: slope * a + v1 * x + v2
+    if cfg.sampler == "ddpm":
+        schedule = make_linear_schedule(cfg.ddpm_steps, cfg.ddpm_beta_start, cfg.ddpm_beta_end)
+        return reference_ddpm_sample(score, x, schedule, noise)
+    return langevin_sample(score, x, cfg.a0, cfg.langevin_dt, cfg.langevin_steps, noise)
+
+
+def reference_cqsm_step(state, cfg, env, noise):
+    """One online learner iteration on numpy scalars and 6- and 3-wide arrays."""
+    theta, v, x, a = state.theta, state.v, state.x, state.a
+    x_next, r = env(x, a)
+    if cfg.sampler == "direct_sde":
+        a_next = a + _ref_psi(v, x, a) * cfg.dt + math.sqrt(2.0 * cfg.dt) * noise.normal()
+    else:
+        a_next = reference_sample_action(cfg, v, x_next, noise)
+
+    q_here = _ref_q(theta, x, a)
+    psi = _ref_psi(v, x, a)
+    delta = (_ref_q(theta, x_next, a_next) - q_here + r * cfg.dt
+             - 0.5 * cfg.lam * psi * psi * cfg.dt - cfg.beta * q_here * cfg.dt)
+    lr = lr_schedule(state.step * cfg.dt)
+    d_theta = np.array([0.5 * x * x, x, 0.5 * a * a, a, x * a, 1.0]) * delta
+    grad_a = theta[2] * a + theta[3] + theta[4] * x
+    d_v = (grad_a / cfg.lam - _ref_psi(v, x, a)) * np.array([-np.exp(v[0]) * a, x, 1.0])
+    theta_next = theta + lr * cfg.alpha_theta * d_theta
+    v_next = v + lr * cfg.alpha_v * d_v
+    if not np.abs(np.concatenate((theta_next, v_next))).max() <= DIVERGENCE_LIMIT:
+        raise DivergenceError(
+            f"parameters diverged at step {state.step} (last delta {delta:.6g})"
+        )
+    return LearnState(theta_next, v_next, x_next, a_next, state.step + 1,
+                      state.cumulative_reward + r * cfg.dt)

@@ -1,0 +1,51 @@
+"""Golden SHA-256 digests of short reference-shaped experiments.
+
+A change that leaves the arithmetic and the draw order alone must leave
+every byte of the seed and summary CSVs alone too; these digests pin them.
+``manifest.txt`` is not pinned because its bytes include ``output_dir``.
+
+The values assume the numpy (2.4.6) and libm of the machine they were
+recorded on (CPython 3.11.7, x86-64); another platform may round
+``exp``/``sqrt`` differently and fail here without any change in the code.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from cqsm import parse_config, run_experiment
+
+REFERENCE = (Path(__file__).resolve().parent.parent / "configs" / "reference.cfg").read_text()
+
+CASES = {
+    "langevin": ("algo.n_steps = 2000\nalgo.record_every = 100\n", {
+        "summary.csv": "4ed8e84d2abf07257c4d9ee8465993c1f70b7955fe6f62d1a381212890555450",
+        "seed_0.csv": "87c54a5a57580f41e9b73ff0bc0cccb5e96577f540ce62e813edcb1a77208ea2",
+        "seed_1.csv": "042e1d9aa65aacb365f9396175adf8d0cf7f3493151ff5df6b5f90883a5a0fd6",
+        "seed_2.csv": "87eeb5c284af8cc6965ca8d916177a041d526dfed02449a8ba86a4b3eae5b350",
+        "seed_3.csv": "49b0518b630cb12f6ef3a92674c1673aa5bcebd9cd451b175292ee57ab99fa28",
+        "seed_4.csv": "2cfde8b5a15aec1563aec9041f7e8e3a96b48bd6e096086ba08b6dcf90f26696",
+    }),
+    "ddpm": ("algo.n_steps = 2000\nalgo.record_every = 100\nalgo.sampler = ddpm\n"
+             "run.n_seeds = 1\n", {
+        "summary.csv": "2ac89773634c31062f6e9573b09ee518f2758c844bc7db8e5c09bf8d841c90fe",
+        "seed_0.csv": "5c9f4cf29a25f731bcb46fb5f0aa13ecd8e37fee0f5d36dd2e68bcefc12e710b",
+    }),
+    "direct_sde": ("algo.n_steps = 2000\nalgo.record_every = 100\nalgo.sampler = direct_sde\n"
+                   "run.n_seeds = 1\n", {
+        "summary.csv": "cdcb391a75cfbc45bd4160d83e17a92db2191a1211d3b45c5f8cff5e2326aafa",
+        "seed_0.csv": "0a4227adf4cc60756970f2d1694fefe3626419ad24dc4dd20deaf2a3a03135b4",
+    }),
+}
+
+
+@pytest.mark.parametrize("sampler", sorted(CASES))
+def test_reference_shaped_run_matches_golden_digests(tmp_path, sampler):
+    overrides, golden = CASES[sampler]
+    cfg = parse_config(REFERENCE + overrides + f"run.output_dir = {tmp_path}\n")
+    summary = run_experiment(cfg)
+    assert summary.failed_seeds == ()
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in golden}
+    assert digests == golden

@@ -1,13 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqsm import (
     AlgoConfig,
     DivergenceError,
     LearnState,
+    NoiseSource,
     cqsm_step,
+    env_step,
     grad_a_q,
     grad_v_psi,
     k_to_optimal_params,
@@ -16,15 +21,19 @@ from cqsm import (
     lq_reward_fn,
     lr_schedule,
     optimal_score,
+    parse_config,
     psi_v,
     q_star,
     q_theta,
     run_cqsm,
+    run_experiment,
     simulate,
     td_delta,
 )
-from cqsm.online import DIVERGENCE_LIMIT
-from _oracles import SequenceNoise
+import cqsm.experiment as experiment
+from cqsm.online import DIVERGENCE_LIMIT, EXP_LIMIT, SAMPLERS
+from cqsm.sde import SimulationError
+from _oracles import SequenceNoise, reference_cqsm_step, reference_sample_action
 
 
 def test_lr_schedule_values():
@@ -182,3 +191,100 @@ def test_record_running_average_consistency(lq_ref):
     assert rec.steps[-1] == 300
     assert len(rec.steps) == 4  # 0, 100, 200, 300
     assert rec.final_running_avg == pytest.approx(rec.running_avg[-1])
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _step_outcome(step, state, cfg, p, seed):
+    """The state after one step from a fresh NoiseSource(seed), or the error raised."""
+    noise = NoiseSource(seed)
+    env = lambda x, a: env_step(p, x, a, cfg.dt, noise)
+    try:
+        with np.errstate(all="ignore"):
+            return step(state, cfg, env, noise)
+    except SimulationError as exc:
+        return type(exc), str(exc)
+
+
+_ENTRY = st.one_of(st.floats(-40.0, 40.0), st.floats(-1e4, 1e4),
+                   st.sampled_from([math.nan, math.inf, -math.inf, 2e6, -2e6, 0.0]))
+
+
+@given(sampler=st.sampled_from(SAMPLERS), seed=st.integers(0, 2 ** 32 - 1),
+       theta=st.lists(_ENTRY, min_size=6, max_size=6),
+       v=st.lists(_ENTRY, min_size=3, max_size=3),
+       x=_ENTRY, a=_ENTRY, step=st.integers(0, 10 ** 6))
+@settings(max_examples=300, deadline=None)
+def test_cqsm_step_bitwise_equals_numpy_reference(lq_ref, sampler, seed, theta, v, x, a, step):
+    cfg = AlgoConfig(dt=0.1, sampler=sampler, langevin_steps=20, ddpm_steps=10,
+                     alpha_theta=0.05, alpha_v=0.05)
+    state = LearnState(np.array(theta), np.array(v), x, a, step, 0.25)
+    got = _step_outcome(cqsm_step, state, cfg, lq_ref, seed)
+    if v[0] > EXP_LIMIT:
+        assert got == (DivergenceError,
+                       f"score slope -exp(v0) overflows at step {step} (v0 = {v[0]:.6g})")
+        return
+    want = _step_outcome(reference_cqsm_step, state, cfg, lq_ref, seed)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, LearnState)
+    for field in ("theta", "v", "x", "a", "cumulative_reward"):
+        assert _bits(getattr(got, field)) == _bits(getattr(want, field)), field
+    assert got.step == want.step == step + 1
+    assert got.theta.shape == (6,) and got.v.shape == (3,)
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_run_cqsm_bitwise_equals_reference_loop(lq_ref, sampler):
+    cfg = AlgoConfig(dt=0.1, n_steps=300, seed=12, sampler=sampler, record_every=1,
+                     langevin_steps=50, x0=0.3, a0=-0.2)
+    theta0, v0 = np.zeros(6), np.array([0.4, 0.7, 0.1])
+    rec = run_cqsm(cfg, lq_ref, theta0, v0)
+
+    noise = NoiseSource(cfg.seed)
+    env = lambda x, a: env_step(lq_ref, x, a, cfg.dt, noise)
+    a_start = cfg.a0 if sampler == "direct_sde" else reference_sample_action(cfg, v0, cfg.x0, noise)
+    state = LearnState(theta0, v0, cfg.x0, float(a_start), 0, 0.0)
+    thetas, vs, cums = [theta0], [v0], [0.0]
+    for _ in range(cfg.n_steps):
+        state = reference_cqsm_step(state, cfg, env, noise)
+        thetas.append(state.theta)
+        vs.append(state.v)
+        cums.append(state.cumulative_reward)
+    assert _bits(rec.thetas) == _bits(thetas)
+    assert _bits(rec.vs) == _bits(vs)
+    assert _bits(rec.running_avg[1:]) == _bits(np.array(cums[1:]) / (rec.steps[1:] * cfg.dt))
+
+
+def test_score_slope_limit_is_the_largest_finite_exponent():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(np.exp(EXP_LIMIT))
+    with np.errstate(over="ignore"):
+        assert np.exp(np.nextafter(EXP_LIMIT, math.inf)) == math.inf
+
+
+@pytest.mark.parametrize("sampler", ["direct_sde", "langevin"])
+def test_overflowing_score_slope_fails_its_seed_by_name(tmp_path, monkeypatch, lq_ref, sampler):
+    message = "score slope -exp(v0) overflows at step 0 (v0 = 800)"
+    cfg = AlgoConfig(dt=0.1, n_steps=5, sampler=sampler, langevin_steps=50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        with pytest.raises(DivergenceError) as info:
+            run_cqsm(cfg, lq_ref, np.zeros(6), np.array([800.0, 0.0, 0.0]))
+    assert str(info.value) == "run with seed 0: " + message
+
+    # seed 0 starts from a sane score, so the run completes and names seed 1's fault
+    real_run = experiment.run_cqsm
+    monkeypatch.setattr(experiment, "run_cqsm", lambda algo, p, theta0, v0: real_run(
+        algo, p, theta0, np.array([0.5, 0.5, 0.5]) if algo.seed == 0 else v0))
+    config = parse_config(f"algo.sampler = {sampler}\nalgo.n_steps = 20\n"
+                          "algo.langevin_steps = 50\nrun.n_seeds = 2\n"
+                          "run.v0_mode = explicit\nrun.v0 = 800,0,0\n"
+                          f"run.output_dir = {tmp_path}\n")
+    summary = run_experiment(config)
+    assert summary.failed_seeds == (1,)
+    assert summary.failure_reasons == ("run with seed 1: " + message,)

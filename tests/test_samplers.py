@@ -15,7 +15,8 @@ from cqsm import (
     make_linear_schedule,
     optimal_score,
 )
-from _oracles import SequenceNoise, ddpm_affine_law
+from cqsm.sde import SimulationError
+from _oracles import SequenceNoise, ddpm_affine_law, reference_ddpm_sample
 
 
 def test_single_step_schedule():
@@ -86,6 +87,31 @@ def test_ddpm_deterministic_given_seed(k_ref, lq_ref):
     a1 = ddpm_sample(score, 0.3, sched, NoiseSource(5))
     a2 = ddpm_sample(score, 0.3, sched, NoiseSource(5))
     assert a1 == a2
+
+
+@pytest.mark.parametrize("steps, beta_start, beta_end", [
+    (20, 1e-3, 0.19), (1, 0.07, 0.07), (7, 0.01, 0.5), (50, 1e-4, 0.02)])
+@pytest.mark.parametrize("seed", [0, 3, 41])
+def test_ddpm_sample_bitwise_equals_numpy_scalar_chain(k_ref, lq_ref, steps, beta_start,
+                                                       beta_end, seed):
+    sched = make_linear_schedule(steps, beta_start, beta_end)
+    scores = (lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a),
+              lambda x, a: math.sin(3.0 * a) - x)
+    for score in scores:
+        got_noise, want_noise = NoiseSource(seed), NoiseSource(seed)
+        for x in np.linspace(-2.0, 2.0, 25).tolist():
+            got = ddpm_sample(score, x, sched, got_noise)
+            want = reference_ddpm_sample(score, x, sched, want_noise)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_ddpm_fault_names_the_reverse_step():
+    sched = make_linear_schedule(5, 0.01, 0.2)
+    blow_up = lambda x, a: math.inf if a > 1e3 else 1e300 * (1.0 + abs(a))
+    with pytest.raises(SimulationError, match="non-finite action at reverse step 4"):
+        ddpm_sample(lambda x, a: math.nan, 0.0, sched, NoiseSource(0))
+    with pytest.raises(SimulationError, match="non-finite action at reverse step 3"):
+        ddpm_sample(blow_up, 0.0, sched, SequenceNoise([0.0]))
 
 
 def test_langevin_ou_moments():
