@@ -16,12 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .experiment import (
-    estimate_discounted_return,
-    load_config,
-    run_experiment,
-    running_avg_reward,
-)
+from .experiment import load_config, run_experiment
 from .lq_analytic import coefficient_residuals, k_to_optimal_params, optimal_score, q_star, solve_lq
 from .martingale import constant_test, orthogonality_residual
 from .online import AlgoConfig

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .sde import DynamicsSpec, NoiseSource, SimulationError
 
 SQRT2 = math.sqrt(2.0)

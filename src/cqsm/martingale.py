@@ -20,6 +20,7 @@ import numpy as np
 from .lq import LqParams, lq_dynamics, lq_reward_fn
 from .offline import net_reward_flow, return_gaps
 from .online import AlgoConfig
+from .policy import q_features
 from .sde import Trajectory, simulate_batch
 
 # A test process maps (times, states, actions) to per-step weights xi with one
@@ -53,9 +54,7 @@ def q_gradient_test(component: int) -> TestProcess:
 
     def xi(times, states, actions):
         x = states[:-1]
-        a = actions[:-1]
-        comps = (0.5 * x * x, x, 0.5 * a * a, a, x * a, np.ones_like(x))
-        return comps[component]
+        return np.broadcast_to(q_features(x, actions[:-1])[component], x.shape)
 
     return xi
 

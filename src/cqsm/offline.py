@@ -6,20 +6,22 @@ point the discounted return-to-go gap
     G_k = -w_k Q(x_k, a_k) + sum_{i>=k} w_i (r_i - lam/2 Psi_i^2) dt
 
 (with w_k = exp(-beta t_k)) measures how far the value model is from the
-realized discounted net reward; one full-episode gradient step moves theta
-along sum_k (dQ/dtheta)_k G_k dt and v along the accumulated score
-sensitivities weighted by the same gaps.
+realized discounted net reward.  One training step per episode moves theta
+along sum_k (dQ/dtheta)_k G_k dt, then moves v along the discounted
+score-gradient integral sum_k w_k (dQ/da - lam Psi)_k (dPsi/dv)_k dt at the
+new theta, whose stationary point is the exact fit of the critic's scaled
+action gradient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .lq import LqParams, lq_dynamics, lq_reward_fn
 from .online import AlgoConfig, DivergenceError, LearningRecord, initial_action, lr_schedule
-from .policy import psi_v, psi_v_fn, q_theta
+from .policy import grad_a_q, psi_features, psi_v, psi_v_fn, q_features, q_theta
 from .sde import NoiseSource, Trajectory, simulate_from
 
 
@@ -96,39 +98,31 @@ def episode_return_to_go(ep: Episode, theta, v, lam: float, k: int) -> float:
 
 
 def offline_update(ep: Episode, theta, v, cfg: AlgoConfig, episode_index: int):
-    """One full-episode gradient step; returns (theta', v').
+    """One training step on one episode; returns new arrays (theta', v').
 
-    ``episode_index`` is the 1-based episode counter feeding the learning-rate
-    schedule.  A zero-length episode leaves the parameters unchanged.
+    The critic steps along sum_k (dQ/dtheta)(x_k, a_k) G_k dt; the score then
+    steps along :func:`score_gradient_residual` at the new theta.  The score
+    does not follow its own gap-weighted sensitivities, because that rule
+    drifts away from the critic's action-gradient fit when started far from
+    it.  ``episode_index`` is the 1-based episode counter feeding the
+    learning-rate schedule.  A zero-length episode leaves the parameters
+    unchanged.
     """
     theta = np.asarray(theta, dtype=float)
     v = np.asarray(v, dtype=float)
-    K = ep.n_transitions
-    if K == 0:
+    if ep.n_transitions == 0:
         return theta.copy(), v.copy()
     traj = ep.trajectory
-    dt = traj.dt
-    xs = traj.states[:-1]
-    as_ = traj.actions[:-1]
     gaps = _episode_gaps(ep, theta, v, cfg.lam)
-
-    # critic: sum_k (dQ/dtheta)(x_k, a_k) G_k dt
-    grads = np.stack([0.5 * xs * xs, xs, 0.5 * as_ * as_, as_, xs * as_,
-                      np.ones_like(xs)], axis=1)
-    d_theta = dt * grads.T @ gaps
-
-    # actor: sum_k [sum_{i>=k} lam Psi_i (dPsi/dv)_i dt] G_k dt
-    psi_vals = psi_v(v, xs, as_)
-    sens = np.stack([-np.exp(v[0]) * as_, xs, np.ones_like(xs)], axis=1)
-    inner = cfg.lam * psi_vals[:, None] * sens * dt
-    suffix = np.flip(np.cumsum(np.flip(inner, axis=0), axis=0), axis=0)
-    d_v = dt * (suffix * gaps[:, None]).sum(axis=0)
-
+    grads = np.stack(np.broadcast_arrays(*q_features(traj.states[:-1], traj.actions[:-1])),
+                     axis=1)
     lr = lr_schedule(float(episode_index))
-    theta_next = theta + lr * cfg.alpha_theta * d_theta
-    v_next = v + lr * cfg.alpha_v * d_v
-    if not (np.all(np.isfinite(theta_next)) and np.all(np.isfinite(v_next))):
+    theta_next = theta + lr * cfg.alpha_theta * (traj.dt * grads.T @ gaps)
+    if not np.all(np.isfinite(theta_next)):
         raise DivergenceError(f"offline update diverged at episode {episode_index}")
+    v_next = v + lr * cfg.alpha_v * score_gradient_residual(theta_next, v, cfg.lam, ep)
+    if not np.all(np.isfinite(v_next)):
+        raise DivergenceError(f"offline score update diverged at episode {episode_index}")
     return theta_next, v_next
 
 
@@ -139,26 +133,21 @@ def score_gradient_residual(theta, v, lam: float, ep: Episode) -> np.ndarray:
     action gradient; otherwise its sign points back toward that fit.
     """
     traj = ep.trajectory
-    K = ep.n_transitions
-    if K == 0:
+    if ep.n_transitions == 0:
         return np.zeros(3)
     xs = traj.states[:-1]
     as_ = traj.actions[:-1]
     w = ep.discount_weights[:-1]
-    gap = (theta[2] * as_ + theta[3] + theta[4] * xs) - lam * psi_v(v, xs, as_)
-    sens = np.stack([-np.exp(v[0]) * as_, xs, np.ones_like(xs)], axis=1)
+    gap = grad_a_q(theta, xs, as_) - lam * psi_v(v, xs, as_)
+    sens = np.stack(np.broadcast_arrays(*psi_features(-np.exp(v[0]), xs, as_)), axis=1)
     return traj.dt * ((w * gap)[:, None] * sens).sum(axis=0)
 
 
 def run_offline(cfg: AlgoConfig, p: LqParams, theta0, v0, n_episodes: int) -> LearningRecord:
     """Train over ``n_episodes`` episodes of cfg.n_steps transitions each.
 
-    The critic takes the full-episode gap-weighted step of
-    :func:`offline_update`; the score moves along the discounted
-    score-gradient integral of :func:`score_gradient_residual`, whose
-    stationary point is the exact fit of the critic's scaled action gradient.
-    (The gap-weighted score rule drifts away from that fit when started far
-    from it, so it is not used for training.)
+    Each episode is rolled out under the current score and then takes one
+    :func:`offline_update` step.
 
     Episode seeds derive deterministically from cfg.seed.  The returned record
     uses the episode index as the step column; the reward-rate column holds
@@ -168,15 +157,15 @@ def run_offline(cfg: AlgoConfig, p: LqParams, theta0, v0, n_episodes: int) -> Le
     cfg.validate()
     if n_episodes < 0:
         raise ValueError("n_episodes must be nonnegative")
+    # offline_update returns fresh arrays, so the recorded ones are never aliased
     theta = np.array(theta0, dtype=float, copy=True)
     v = np.array(v0, dtype=float, copy=True)
-    critic_cfg = replace(cfg, alpha_v=0.0)
     master = np.random.default_rng(cfg.seed)
     episode_time = cfg.n_steps * cfg.dt
 
     steps = [0]
-    thetas = [theta.copy()]
-    vs = [v.copy()]
+    thetas = [theta]
+    vs = [v]
     rates = [0.0]
     avgs = [0.0]
     total_reward = 0.0
@@ -184,15 +173,12 @@ def run_offline(cfg: AlgoConfig, p: LqParams, theta0, v0, n_episodes: int) -> Le
     for j in range(1, n_episodes + 1):
         noise = NoiseSource(int(master.integers(2 ** 63)))
         ep = rollout_episode(p, v, cfg, noise)
-        theta, _ = offline_update(ep, theta, v, critic_cfg, j)
-        v = v + lr_schedule(float(j)) * cfg.alpha_v * score_gradient_residual(theta, v, cfg.lam, ep)
-        if not np.all(np.isfinite(v)):
-            raise DivergenceError(f"offline score update diverged at episode {j}")
+        theta, v = offline_update(ep, theta, v, cfg, j)
         total_reward += float(ep.trajectory.reward_rates.sum()) * cfg.dt
         if j % cfg.record_every == 0 or j == n_episodes:
             steps.append(j)
-            thetas.append(theta.copy())
-            vs.append(v.copy())
+            thetas.append(theta)
+            vs.append(v)
             rates.append(float(ep.trajectory.reward_rates.mean()))
             avgs.append(total_reward / (j * episode_time))
 

@@ -37,8 +37,8 @@ class AlgoConfig:
 
     The horizon is n_steps * dt.  ``sampler`` selects how actions are drawn:
     "direct_sde" evolves the action by its own SDE alongside the state,
-    "langevin" re-equilibrates a Langevin chain at each new state (warm-started
-    from the previous action), "ddpm" denoises a fresh Gaussian draw each step.
+    "langevin" re-equilibrates a Langevin chain at each new state (restarted
+    from a0), "ddpm" denoises a fresh Gaussian draw each step.
     ``record_every`` thins the recorded time series.
     """
 

@@ -1,7 +1,8 @@
 """Golden SHA-256 digests of short reference-shaped experiments.
 
 A change that leaves the arithmetic and the draw order alone must leave
-every byte of the seed and summary CSVs alone too; these digests pin them.
+every byte of the seed and summary CSVs alone too; these digests pin them,
+and the record CSVs of short offline runs.
 ``manifest.txt`` is not pinned because its bytes include ``output_dir``.
 
 The values assume the numpy (2.4.6) and libm of the machine they were
@@ -12,9 +13,10 @@ recorded on (CPython 3.11.7, x86-64); another platform may round
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cqsm import parse_config, run_experiment
+from cqsm import AlgoConfig, parse_config, run_experiment, run_offline, write_record_csv
 
 REFERENCE = (Path(__file__).resolve().parent.parent / "configs" / "reference.cfg").read_text()
 
@@ -49,3 +51,22 @@ def test_reference_shaped_run_matches_golden_digests(tmp_path, sampler):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in golden}
     assert digests == golden
+
+
+# Shape of test_offline_training_reaches_reference_optimum, cut to 50 episodes.
+OFFLINE_CASES = {
+    ("direct_sde", 0): "b7cec3c3cb3995ab4153a485cf5eea7aa5998d4fa7cf4fd880709fa3d61c31e2",
+    ("direct_sde", 1): "dc45bc3797a19b5711dc00a8284da305a6ac2957c7be73ef3b01aafc2b6684e0",
+    ("langevin", 0): "a42f6ba0716f45436f789029b1c2542639d94a9468f8fcbf5b6f46a5ec70b96f",
+}
+
+
+@pytest.mark.parametrize("sampler,seed", sorted(OFFLINE_CASES))
+def test_offline_run_matches_golden_digest(tmp_path, lq_ref, sampler, seed):
+    cfg = AlgoConfig(dt=0.1, n_steps=500, alpha_theta=0.02, alpha_v=0.3, seed=seed,
+                     sampler=sampler, langevin_steps=50, record_every=5)
+    v0 = np.random.default_rng((seed, 1)).uniform(0.0, 1.0, 3)
+    rec = run_offline(cfg, lq_ref, np.zeros(6), v0, n_episodes=50)
+    write_record_csv(rec, tmp_path / "record.csv")
+    digest = hashlib.sha256((tmp_path / "record.csv").read_bytes()).hexdigest()
+    assert digest == OFFLINE_CASES[sampler, seed]

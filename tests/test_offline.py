@@ -7,18 +7,22 @@ from hypothesis import strategies as st
 
 from cqsm import (
     AlgoConfig,
+    DivergenceError,
     Episode,
+    NoiseSource,
     Trajectory,
     episode_return_to_go,
     k_to_optimal_params,
     lq_dynamics,
     lq_reward_fn,
+    lr_schedule,
     make_episode,
     offline_update,
     optimal_score,
     psi_v,
     q_theta,
     return_gaps,
+    rollout_episode,
     run_offline,
     score_gradient_residual,
     simulate_batch,
@@ -105,6 +109,55 @@ def test_offline_update_zero_length_episode(lq_ref):
     theta, v = offline_update(ep, theta0, v0, cfg, episode_index=1)
     np.testing.assert_array_equal(theta, theta0)
     np.testing.assert_array_equal(v, v0)
+
+
+def _rollout(lq_ref, seed=5):
+    cfg = AlgoConfig(dt=0.1, n_steps=200, alpha_theta=0.02, alpha_v=0.3,
+                     sampler="direct_sde")
+    v = np.array([0.4, 0.2, -0.3])
+    return cfg, v, rollout_episode(lq_ref, v, cfg, NoiseSource(seed))
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_offline_update_score_step_is_residual_at_new_theta(lq_ref, seed):
+    cfg, v, ep = _rollout(lq_ref, seed)
+    theta0 = np.linspace(-0.5, 0.4, 6)
+    theta, v_next = offline_update(ep, theta0, v, cfg, episode_index=4)
+    critic_only, _ = offline_update(ep, theta0, v, AlgoConfig(
+        dt=0.1, n_steps=200, alpha_theta=0.02, alpha_v=0.0), episode_index=4)
+    assert np.array_equal(theta, critic_only)
+    expected = v + lr_schedule(4.0) * cfg.alpha_v * score_gradient_residual(
+        theta, v, cfg.lam, ep)
+    assert np.array_equal(v_next, expected)
+    assert not np.array_equal(v_next, v)
+
+
+@pytest.mark.parametrize("alphas,message", [
+    ((1e308, 0.3), "offline update diverged at episode 3"),
+    ((0.02, 1e308), "offline score update diverged at episode 3"),
+])
+def test_offline_update_divergence_messages(lq_ref, alphas, message):
+    _, v, ep = _rollout(lq_ref)
+    cfg = AlgoConfig(dt=0.1, n_steps=200, alpha_theta=alphas[0], alpha_v=alphas[1])
+    theta0 = np.linspace(-50.0, 40.0, 6)  # far from any fit, so the steps are large
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DivergenceError, match=f"^{message}$"):
+        offline_update(ep, theta0, v, cfg, episode_index=3)
+
+
+@pytest.mark.parametrize("empty", [True, False])
+def test_offline_update_returns_fresh_arrays(lq_ref, empty):
+    _, v, ep = _rollout(lq_ref)
+    if empty:
+        ep = make_episode(Trajectory(np.array([0.0]), np.array([0.4]), np.array([-0.2]),
+                                     np.empty(0), seed=0), lq_ref.beta)
+    cfg = AlgoConfig(dt=0.1, alpha_theta=0.0, alpha_v=0.0)
+    theta0 = np.linspace(-0.5, 0.4, 6)
+    theta, v_next = offline_update(ep, theta0, v, cfg, episode_index=1)
+    assert not np.shares_memory(theta, theta0)
+    assert not np.shares_memory(v_next, v)
+    np.testing.assert_array_equal(theta, theta0)
+    np.testing.assert_array_equal(v_next, v)
 
 
 def test_offline_update_single_step_hand_value(lq_ref):
