@@ -10,6 +10,7 @@ against the Boltzmann target).  Exit codes: 0 success, 1 config error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -107,6 +108,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_martingale(args) -> int:
+    for flag, value in (("--dt", args.dt), ("--horizon", args.horizon)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{flag} must be positive and finite, got {value}")
     cfg = load_config(args.config)
     p = cfg.lq
     k = solve_lq(p)
@@ -128,6 +132,8 @@ def _cmd_martingale(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.n < 2:
+        raise ValueError(f"--n must be at least 2 for a sample variance, got {args.n}")
     cfg = load_config(args.config)
     p = cfg.lq
     k = solve_lq(p)

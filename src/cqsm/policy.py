@@ -45,8 +45,16 @@ def psi_v(v, x, a):
 
 
 def score_fn(slope: float, v1: float, v2: float):
-    """The score slope * a + v1 x + v2 as a closure of (x, a)."""
-    return lambda x, a: slope * a + v1 * x + v2
+    """The score slope * a + v1 x + v2 as a closure of (x, a).
+
+    The closure carries ``coefficients = (slope, v1, v2)``, from which
+    :func:`samplers.langevin_sample` runs the affine chain without calling
+    it.  It stays a plain function: a class with ``__call__`` costs about
+    twice as much per call.
+    """
+    score = lambda x, a: slope * a + v1 * x + v2
+    score.coefficients = (slope, v1, v2)
+    return score
 
 
 def psi_v_fn(v):

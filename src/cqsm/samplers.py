@@ -109,15 +109,41 @@ def langevin_sample(score, x: float, a0: float, dt: float, n_steps: int,
     Gaussian with mode at the value maximizer; the default step size 0.01 with
     a burn-in of about 2000 steps and thinning 10 keeps successive retained
     samples weakly correlated.
+
+    One kernel for every score.  The chain's n_steps variates are drawn as one
+    list (:meth:`NoiseSource.normals`) and finiteness is checked once, after
+    the loop: a non-finite iterate stays non-finite, because every step adds
+    to it.  A score from :func:`policy.score_fn` carries its ``coefficients``
+    (slope, v1, v2); the chain then runs on them with v1 x taken once, in the
+    closure's operation order, so bitwise equal to calling it.  Any other
+    score is called at every step.  On a fault (or an ArithmeticError or
+    ValueError raised by the score) the same draws are replayed with a check
+    per step, which names the first non-finite step.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    a = float(a0)
+    a = start = float(a0)
     root = math.sqrt(2.0 * dt)
-    for k in range(n_steps):
-        a = a + score(x, a) * dt + root * noise.normal()
+    draws = noise.normals(n_steps)
+    coefficients = getattr(score, "coefficients", None)
+    try:
+        if coefficients is None:
+            for z in draws:
+                a = a + score(x, a) * dt + root * z
+        else:
+            slope, v1, v2 = coefficients
+            c = v1 * x
+            for z in draws:
+                a = a + (slope * a + c + v2) * dt + root * z
+    except (ArithmeticError, ValueError):
+        a = math.nan  # what math raises for a score evaluated past a fault
+    if math.isfinite(a):
+        return a
+    a = start
+    for k, z in enumerate(draws):
+        a = a + score(x, a) * dt + root * z
         if not math.isfinite(a):
             raise SimulationError(f"sampler fault: non-finite action at step {k}")
     return a

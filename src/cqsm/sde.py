@@ -42,6 +42,8 @@ class NoiseSource:
     from the generator.  The generator yields the same stream whether its
     variates are drawn one at a time or in blocks, so every caller receives
     the values it would receive from the generator directly, in the same order.
+    :meth:`normals` hands out k scalar draws as one list, sliced off the tape
+    and refilled in ``TAPE`` blocks as k calls of :meth:`normal` would be.
     """
 
     def __init__(self, seed: int):
@@ -65,6 +67,25 @@ class NoiseSource:
         del tape[cut:]
         flat[:len(head)] = head
         flat[len(head):] = self._rng.standard_normal(flat.size - len(head))
+        return out
+
+    def normals(self, k: int) -> list:
+        """k standard normal draws as a list of Python floats.
+
+        Equal to k calls of :meth:`normal` and leaves the tape as they would.
+        """
+        tape = self._tape
+        cut = len(tape) - k
+        if cut >= 0:
+            out = tape[cut:]
+            del tape[cut:]
+            out.reverse()
+            return out
+        out = tape[::-1]
+        need = -cut
+        fresh = self._rng.standard_normal(-(-need // TAPE) * TAPE).tolist()
+        out += fresh[:need]
+        tape[:] = reversed(fresh[need:])
         return out
 
     def __repr__(self):

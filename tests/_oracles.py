@@ -3,16 +3,16 @@
 Everything here is computed by a route independent of the code under test:
 finite differences for gradients, direct linear solves for policy evaluation,
 affine-map composition for the denoising chain's output law, and plain
-two-pass statistics.  The ``reference_*`` functions keep earlier numpy-scalar
-versions of the sampler and learner steps, against which the float versions
-are checked bit for bit.
+two-pass statistics.  The ``reference_*`` functions keep earlier versions of
+the sampler and learner steps (numpy scalars, a draw and a check per Langevin
+step), against which the current ones are checked bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from cqsm import LqParams, LearnState, langevin_sample, make_linear_schedule
+from cqsm import LqParams, LearnState, make_linear_schedule
 from cqsm.online import DIVERGENCE_LIMIT, DivergenceError, lr_schedule
 from cqsm.sde import SimulationError
 
@@ -96,6 +96,9 @@ class SequenceNoise:
             raise ValueError("SequenceNoise only supports scalar draws")
         return self._values.pop(0) if self._values else 0.0
 
+    def normals(self, k):
+        return [self.normal() for _ in range(k)]
+
 
 def random_admissible_params(rng, force_d_zero: bool = False) -> LqParams:
     """Draw one instance from the randomized admissible family."""
@@ -124,6 +127,22 @@ def reference_ddpm_sample(score, x: float, schedule, noise) -> float:
     return a
 
 
+def reference_langevin_sample(score, x: float, a0: float, dt: float, n_steps: int,
+                              noise) -> float:
+    """The Langevin chain with one scalar draw and one finiteness check per step."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
+    a = float(a0)
+    root = math.sqrt(2.0 * dt)
+    for k in range(n_steps):
+        a = a + score(x, a) * dt + root * noise.normal()
+        if not math.isfinite(a):
+            raise SimulationError(f"sampler fault: non-finite action at step {k}")
+    return a
+
+
 def _ref_q(theta, x, a):
     return (0.5 * theta[0] * x * x + theta[1] * x + 0.5 * theta[2] * a * a
             + theta[3] * a + theta[4] * x * a + theta[5])
@@ -140,7 +159,8 @@ def reference_sample_action(cfg, v, x, noise) -> float:
     if cfg.sampler == "ddpm":
         schedule = make_linear_schedule(cfg.ddpm_steps, cfg.ddpm_beta_start, cfg.ddpm_beta_end)
         return reference_ddpm_sample(score, x, schedule, noise)
-    return langevin_sample(score, x, cfg.a0, cfg.langevin_dt, cfg.langevin_steps, noise)
+    return reference_langevin_sample(score, x, cfg.a0, cfg.langevin_dt, cfg.langevin_steps,
+                                     noise)
 
 
 def reference_cqsm_step(state, cfg, env, noise):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -328,6 +330,31 @@ def test_cli_check_martingale(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "z_score" in out
     assert "estimate,std_error,n_trajectories,z_score" in out
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--dt", "0"), ("--dt", "-0.01"), ("--dt", "nan"), ("--dt", "inf"),
+    ("--horizon", "0"), ("--horizon", "-5"), ("--horizon", "nan"), ("--horizon", "inf")])
+def test_cli_check_martingale_rejects_bad_grid(tmp_path, capsys, flag, value):
+    path = _write_config(tmp_path)
+    code = cli_main(["check-martingale", "--config", str(path), "--traj", "5", flag, value])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"config error: {flag} must be positive and finite, "
+                            f"got {float(value)}\n")
+
+
+@pytest.mark.parametrize("n", ["1", "0", "-4"])
+def test_cli_sample_actions_rejects_fewer_than_two(tmp_path, capsys, n):
+    path = _write_config(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli_main(["sample-actions", "--config", str(path), "--n", n])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: --n must be at least 2 for a sample variance, got {n}\n"
 
 
 def test_cli_sample_actions(tmp_path, capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cqsm import (
@@ -15,8 +15,13 @@ from cqsm import (
     make_linear_schedule,
     optimal_score,
 )
-from cqsm.sde import SimulationError
-from _oracles import SequenceNoise, ddpm_affine_law, reference_ddpm_sample
+from cqsm.online import EXP_LIMIT
+from cqsm.policy import score_fn
+from cqsm.sde import TAPE, SimulationError
+from _oracles import (SequenceNoise, ddpm_affine_law, reference_ddpm_sample,
+                      reference_langevin_sample)
+
+SLOPE_LIMIT = -math.exp(EXP_LIMIT)  # the steepest slope online._score lets through
 
 
 def test_single_step_schedule():
@@ -166,3 +171,77 @@ def test_langevin_validates_arguments():
         langevin_sample(lambda x, a: -a, 0.0, 0.0, 0.01, 0, NoiseSource(0))
     with pytest.raises(ValueError):
         langevin_chain(lambda x, a: -a, 0.0, 0.0, 0.01, -1, 10, 1, NoiseSource(0))
+
+
+def _outcome(fn, *args):
+    """The result of fn(*args) as its bytes, or the class and message it raised."""
+    try:
+        return np.float64(fn(*args)).tobytes()
+    except (SimulationError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _scores(kind, slope, v1, v2):
+    if kind == "score_fn":
+        return score_fn(slope, v1, v2)
+    if kind == "lambda":
+        return lambda x, a: slope * a + v1 * x + v2
+
+    def strict(x, a):  # a generic score that rejects a non-finite action
+        if not math.isfinite(a):
+            raise ValueError("score evaluated at a non-finite action")
+        return slope * a + v1 * x + v2
+    return strict
+
+
+@given(kind=st.sampled_from(["score_fn", "lambda", "strict"]),
+       slope=st.one_of(st.floats(-50.0, -1e-3), st.floats(SLOPE_LIMIT, 0.999 * SLOPE_LIMIT),
+                       st.floats(allow_nan=True, allow_infinity=True)),
+       v1=st.one_of(st.floats(-5.0, 5.0), st.floats(-1e300, 1e300)),
+       v2=st.floats(-1e6, 1e6),
+       x=st.one_of(st.floats(-3.0, 3.0), st.floats(-1e300, 1e300),
+                   st.sampled_from([math.nan, math.inf, -math.inf])),
+       a0=st.one_of(st.floats(-3.0, 3.0), st.floats(allow_nan=True, allow_infinity=True)),
+       dt=st.one_of(st.sampled_from([1e-4, 0.01, 0.1]), st.floats(-1.0, 2.0)),
+       n_steps=st.sampled_from([0, 1, 50, 2000]),
+       used=st.integers(0, TAPE + 5), seed=st.integers(0, 2 ** 32))
+@example(kind="score_fn", slope=SLOPE_LIMIT, v1=-1.5, v2=-3.6, x=0.3, a0=0.5, dt=0.01,
+         n_steps=50, used=0, seed=0)
+@example(kind="score_fn", slope=-4.6, v1=1e300, v2=0.0, x=1e300, a0=0.0, dt=0.01,
+         n_steps=2000, used=TAPE - 3, seed=1)
+@example(kind="score_fn", slope=-100.0, v1=0.0, v2=0.0, x=0.0, a0=1e300, dt=0.1,
+         n_steps=50, used=0, seed=3)
+@example(kind="strict", slope=-1e305, v1=0.0, v2=0.0, x=0.0, a0=1.0, dt=0.1,
+         n_steps=50, used=7, seed=2)
+@settings(max_examples=300, deadline=None)
+def test_langevin_sample_bitwise_equals_per_step_reference(kind, slope, v1, v2, x, a0, dt,
+                                                           n_steps, used, seed):
+    score = _scores(kind, slope, v1, v2)
+    got_noise, want_noise = NoiseSource(seed), NoiseSource(seed)
+    for noise in (got_noise, want_noise):
+        noise.normal(used)  # start from a partly drained tape (or a fresh one)
+    got = _outcome(langevin_sample, score, x, a0, dt, n_steps, got_noise)
+    want = _outcome(reference_langevin_sample, score, x, a0, dt, n_steps, want_noise)
+    assert got == want
+    if isinstance(want, bytes) or dt <= 0 or n_steps < 1:
+        assert got_noise.normal() == want_noise.normal()
+        assert np.array_equal(got_noise.normal(TAPE + 2), want_noise.normal(TAPE + 2))
+    else:
+        # after a fault the kernel has used all n_steps draws; the loop stopped at the fault
+        stream = np.random.default_rng(seed).standard_normal(used + n_steps + 1)
+        assert got_noise.normal() == stream[-1]
+
+
+@pytest.mark.parametrize("n_steps", [1, 50, 2000])
+def test_langevin_affine_path_runs_on_the_coefficients(n_steps):
+    score = score_fn(-4.6, -1.5, -3.6)
+    assert score.coefficients == (-4.6, -1.5, -3.6)
+
+    def uncallable(x, a):
+        raise AssertionError("the affine path must not call the score")
+    uncallable.coefficients = score.coefficients
+    for seed in range(3):
+        got = langevin_sample(uncallable, 0.7, 0.0, 0.01, n_steps, NoiseSource(seed))
+        want = reference_langevin_sample(score, 0.7, 0.0, 0.01, n_steps, NoiseSource(seed))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+

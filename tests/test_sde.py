@@ -170,9 +170,16 @@ def test_noise_source_determinism():
 
 
 def _draw_all(noise, sizes):
-    """Flatten the draws of ``sizes`` (None for a scalar) in stream order."""
+    """Flatten the draws of ``sizes`` in stream order: None for a scalar,
+    ``[k]`` for ``noise.normals(k)``, anything else a block size."""
     out = []
     for size in sizes:
+        if isinstance(size, list):
+            value = noise.normals(size[0])
+            assert type(value) is list and len(value) == size[0]
+            assert all(type(z) is float for z in value)
+            out.extend(value)
+            continue
         value = noise.normal(size)
         if size is None:
             assert type(value) is float
@@ -195,7 +202,8 @@ def test_noise_source_tape_matches_raw_generator():
 
 @given(sizes=st.lists(st.one_of(
     st.none(), st.integers(0, 3 * TAPE),
-    st.tuples(st.integers(0, 40), st.integers(0, 40))), max_size=40),
+    st.tuples(st.integers(0, 40), st.integers(0, 40)),
+    st.lists(st.integers(0, 3 * TAPE), min_size=1, max_size=1)), max_size=40),
        seed=st.integers(0, 2 ** 32))
 @settings(max_examples=60, deadline=None)
 def test_noise_source_stream_is_independent_of_draw_shapes(sizes, seed):
@@ -203,6 +211,21 @@ def test_noise_source_stream_is_independent_of_draw_shapes(sizes, seed):
     got = _draw_all(NoiseSource(seed), sizes)
     want = np.random.default_rng(seed).standard_normal(got.size)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("k", [0, 1, 50, TAPE, TAPE + 1, 2500])
+@pytest.mark.parametrize("used", [0, 3, TAPE - 10])
+def test_noise_source_normals_equal_k_scalar_draws(k, used):
+    # from a fresh or partly drained tape, between scalar and block draws
+    sizes = [None] * used + [[k], None, [k], 25, [k], (3, 4), None]
+    got = _draw_all(NoiseSource(12), sizes)
+    want = np.random.default_rng(12).standard_normal(got.size)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    lists, scalars = NoiseSource(5), NoiseSource(5)
+    for _ in range(used):
+        lists.normal(), scalars.normal()
+    assert lists.normals(k) == [scalars.normal() for _ in range(k)]
+    assert lists._tape == scalars._tape  # the tape is left as by k scalar draws
 
 
 def test_simulate_supports_vector_states():
