@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .sde import NoiseSource, SimulationError
+from .sde import TAPE, NoiseSource, SimulationError
 
 DDPM_EPS = 1e-12  # floor for 1 - alpha_bar in the reverse-chain divisor
 
@@ -110,42 +110,38 @@ def langevin_sample(score, x: float, a0: float, dt: float, n_steps: int,
     a burn-in of about 2000 steps and thinning 10 keeps successive retained
     samples weakly correlated.
 
-    One kernel for every score.  The chain's n_steps variates are drawn as one
-    list (:meth:`NoiseSource.normals`) and finiteness is checked once, after
-    the loop: a non-finite iterate stays non-finite, because every step adds
-    to it.  A score from :func:`policy.score_fn` carries its ``coefficients``
-    (slope, v1, v2); the chain then runs on them with v1 x taken once, in the
-    closure's operation order, so bitwise equal to calling it.  Any other
-    score is called at every step.  On a fault (or an ArithmeticError or
-    ValueError raised by the score) the same draws are replayed with a check
-    per step, which names the first non-finite step.
+    One kernel for every score.  The chain's variates are drawn as lists of
+    at most ``TAPE`` floats, so a long chain holds one stretch of draws at a
+    time.  A score from :func:`policy.score_fn` carries its ``coefficients``
+    (slope, v1, v2); each stretch then runs on them with v1 x taken once, in
+    the closure's operation order, so bitwise equal to calling it, and
+    finiteness is checked once, after the stretch: a non-finite iterate stays
+    non-finite, because every step adds to it.  Any other score, and the
+    replay of a stretch that ended non-finite, is called at every step with a
+    check per step, which names the first non-finite step.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    a = start = float(a0)
+    a = float(a0)
     root = math.sqrt(2.0 * dt)
-    draws = noise.normals(n_steps)
     coefficients = getattr(score, "coefficients", None)
-    try:
-        if coefficients is None:
-            for z in draws:
-                a = a + score(x, a) * dt + root * z
-        else:
+    for first in range(0, n_steps, TAPE):
+        draws = noise.normals(min(TAPE, n_steps - first))
+        if coefficients is not None:
+            start = a
             slope, v1, v2 = coefficients
             c = v1 * x
             for z in draws:
                 a = a + (slope * a + c + v2) * dt + root * z
-    except (ArithmeticError, ValueError):
-        a = math.nan  # what math raises for a score evaluated past a fault
-    if math.isfinite(a):
-        return a
-    a = start
-    for k, z in enumerate(draws):
-        a = a + score(x, a) * dt + root * z
-        if not math.isfinite(a):
-            raise SimulationError(f"sampler fault: non-finite action at step {k}")
+            if math.isfinite(a):
+                continue
+            a = start
+        for k, z in enumerate(draws, first):
+            a = a + score(x, a) * dt + root * z
+            if not math.isfinite(a):
+                raise SimulationError(f"sampler fault: non-finite action at step {k}")
     return a
 
 

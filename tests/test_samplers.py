@@ -211,6 +211,10 @@ def _scores(kind, slope, v1, v2):
          n_steps=2000, used=TAPE - 3, seed=1)
 @example(kind="score_fn", slope=-100.0, v1=0.0, v2=0.0, x=0.0, a0=1e300, dt=0.1,
          n_steps=50, used=0, seed=3)
+@example(kind="score_fn", slope=60.0, v1=0.0, v2=0.0, x=0.0, a0=1.0, dt=0.01,
+         n_steps=2000, used=5, seed=5)  # a fault in the second stretch of TAPE steps
+@example(kind="lambda", slope=60.0, v1=0.0, v2=0.0, x=0.0, a0=1.0, dt=0.01,
+         n_steps=2000, used=5, seed=5)
 @example(kind="strict", slope=-1e305, v1=0.0, v2=0.0, x=0.0, a0=1.0, dt=0.1,
          n_steps=50, used=7, seed=2)
 @settings(max_examples=300, deadline=None)
@@ -227,8 +231,11 @@ def test_langevin_sample_bitwise_equals_per_step_reference(kind, slope, v1, v2, 
         assert got_noise.normal() == want_noise.normal()
         assert np.array_equal(got_noise.normal(TAPE + 2), want_noise.normal(TAPE + 2))
     else:
-        # after a fault the kernel has used all n_steps draws; the loop stopped at the fault
-        stream = np.random.default_rng(seed).standard_normal(used + n_steps + 1)
+        # after a fault at step k the kernel has used the draws through the end of
+        # k's stretch of TAPE steps; the reference stopped at the fault
+        k = int(want[1].rsplit(" ", 1)[1])
+        drawn = min(n_steps, (k // TAPE + 1) * TAPE)
+        stream = np.random.default_rng(seed).standard_normal(used + drawn + 1)
         assert got_noise.normal() == stream[-1]
 
 
@@ -245,3 +252,25 @@ def test_langevin_affine_path_runs_on_the_coefficients(n_steps):
         want = reference_langevin_sample(score, 0.7, 0.0, 0.01, n_steps, NoiseSource(seed))
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
+
+class _CountingNoise(NoiseSource):
+    """A NoiseSource that records the size of every normals(k) request."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.requests = []
+
+    def normals(self, k):
+        self.requests.append(k)
+        return super().normals(k)
+
+
+@pytest.mark.parametrize("kind", ["score_fn", "lambda"])
+def test_langevin_long_chain_draws_one_stretch_at_a_time(kind):
+    score = _scores(kind, -4.6, -1.5, -3.6)
+    n_steps = 2 * TAPE + 7
+    noise = _CountingNoise(4)
+    got = langevin_sample(score, 0.2, 0.0, 0.01, n_steps, noise)
+    assert noise.requests == [TAPE, TAPE, 7]
+    want = reference_langevin_sample(score, 0.2, 0.0, 0.01, n_steps, NoiseSource(4))
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
