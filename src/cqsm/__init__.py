@@ -17,7 +17,6 @@ from .sde import (
     simulate,
     simulate_batch,
     simulate_from,
-    write_trajectory_csv,
 )
 from .lq import LqParams, env_step, lq_dynamics, lq_reward, lq_reward_fn
 from .policy import (
@@ -87,7 +86,6 @@ from .experiment import (
     load_config,
     parse_config,
     run_experiment,
-    running_avg_reward,
     write_record_csv,
     write_summary_csv,
 )

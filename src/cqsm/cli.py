@@ -20,7 +20,6 @@ import numpy as np
 from .experiment import load_config, run_experiment
 from .lq_analytic import coefficient_residuals, k_to_optimal_params, optimal_score, q_star, solve_lq
 from .martingale import constant_test, orthogonality_residual
-from .online import AlgoConfig
 from .samplers import langevin_chain, make_linear_schedule, ddpm_sample
 from .sde import NoiseSource
 
@@ -111,14 +110,26 @@ def _cmd_martingale(args) -> int:
     for flag, value in (("--dt", args.dt), ("--horizon", args.horizon)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{flag} must be positive and finite, got {value}")
+    if args.traj < 2:
+        raise ValueError(f"--traj must be at least 2 for a standard error, got {args.traj}")
+    steps = args.horizon / args.dt  # may overflow to inf
+    if steps <= 0.5:
+        raise ValueError(f"--horizon {args.horizon} / --dt {args.dt} rounds to 0 steps, "
+                         "need at least 1")
+    # the simulator holds states, actions and rewards as three float64 arrays of
+    # traj x (steps + 1) values; refuse a grid they cannot fit in physical memory
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if args.traj > memory / (3 * 8 * (steps + 1)):
+        raise ValueError(f"--traj {args.traj} trajectories of --horizon / --dt = {steps:.6g} "
+                         f"steps do not fit in the {memory} bytes of physical memory "
+                         "(three float64 arrays of traj x (steps + 1) values)")
     cfg = load_config(args.config)
     p = cfg.lq
     k = solve_lq(p)
     offset = args.offset
     qfun = lambda x, a: q_star(k, x, a) + offset
     score = lambda x, a: optimal_score(k, p.lam, x, a)
-    diag_cfg = AlgoConfig(dt=args.dt, n_steps=int(round(args.horizon / args.dt)),
-                          beta=p.beta, lam=p.lam, seed=args.seed)
+    diag_cfg = replace(cfg.algo, dt=args.dt, n_steps=round(steps), seed=args.seed)
     report = orthogonality_residual(qfun, score, constant_test(), p, diag_cfg, args.traj)
     print(f"estimate      = {report.estimate:.6g}")
     print(f"std_error     = {report.std_error:.6g}")
@@ -140,7 +151,7 @@ def _cmd_sample(args) -> int:
     score = lambda x, a: optimal_score(k, p.lam, x, a)
     noise = NoiseSource(args.seed)
     if args.sampler == "langevin":
-        samples = langevin_chain(score, args.x, 0.0, cfg.algo.langevin_dt,
+        samples = langevin_chain(score, args.x, cfg.algo.a0, cfg.algo.langevin_dt,
                                  cfg.algo.langevin_steps, args.n, 10, noise)
     else:
         schedule = make_linear_schedule(cfg.algo.ddpm_steps, cfg.algo.ddpm_beta_start,

@@ -6,8 +6,14 @@ Configs are flat key-value text with dotted section prefixes::
     algo.dt = 0.1
     run.n_seeds = 5
 
-Unknown keys are errors; omitted keys fall back to the bundled reference LQ
-instance (the repo's canonical benchmark).  Every run writes per-seed learning
+Each section is the fields of one dataclass, which alone states each key,
+its type and its default: ``lq.*`` is :class:`LqParams` (whose defaults are
+the reference instance), ``algo.*`` is :class:`AlgoConfig` and ``run.*`` is
+:class:`ExperimentConfig` less its ``lq`` and ``algo`` fields.  The field
+``lam`` is spelled ``lambda``; ``run.theta0`` and ``run.v0`` are
+comma-separated vectors.  Omitted keys take their field's default, except
+that ``algo.beta`` and ``algo.lambda`` mirror ``lq.beta`` and ``lq.lambda``
+unless set.  Unknown keys are errors.  Every run writes per-seed learning
 records, a cross-seed summary, and a manifest that reproduces the run
 byte-identically when fed back through ``--config``.
 """
@@ -15,8 +21,9 @@ byte-identically when fed back through ``--config``.
 from __future__ import annotations
 
 import hashlib
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,27 +39,12 @@ class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
 
-_LQ_DEFAULTS = {
-    "A": -1.0, "B": 0.0, "C": 0.0, "D": 1.0,
-    "M": 2.0, "N": 2.0, "R": 1.0, "P": 1.0, "Pp": 2.0,
-    "beta": 1.0, "lambda": 0.1,
-}
-_ALGO_TYPES = {
-    "dt": float, "n_steps": int, "alpha_theta": float, "alpha_v": float,
-    "beta": float, "lambda": float, "seed": int, "sampler": str,
-    "record_every": int, "x0": float, "a0": float,
-    "langevin_dt": float, "langevin_steps": int,
-    "ddpm_steps": int, "ddpm_beta_start": float, "ddpm_beta_end": float,
-}
-_RUN_TYPES = {
-    "n_seeds": int, "base_seed": int, "theta0_mode": str, "v0_mode": str,
-    "theta0": "vector", "v0": "vector", "output_dir": str,
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One multi-seed experiment: environment, algorithm, and run-level knobs."""
+    """One multi-seed experiment: environment, algorithm, and run-level knobs.
+
+    The fields after ``lq`` and ``algo`` are the ``run.*`` config keys.
+    """
 
     lq: LqParams
     algo: AlgoConfig
@@ -81,24 +73,29 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
 
-def _coerce(key: str, raw: str, kind):
-    try:
-        if kind is float:
-            return float(raw)
-        if kind is int:
-            return int(raw)
-        if kind == "vector":
-            return tuple(float(part) for part in raw.split(","))
-        return raw
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+def _vector(raw: str) -> tuple:
+    return tuple(float(part) for part in raw.split(","))
+
+
+def _schema(cls, skip=()) -> dict:
+    """{config key: (field name, parser)} for the fields of a config dataclass.
+
+    A float, int or str field is parsed by its type, a ``tuple | None``
+    field as a comma-separated vector.
+    """
+    hints = typing.get_type_hints(cls)
+    return {("lambda" if f.name == "lam" else f.name):
+            (f.name, hints[f.name] if hints[f.name] in (float, int, str) else _vector)
+            for f in fields(cls) if f.name not in skip}
+
+
+_SECTIONS = {"lq": _schema(LqParams), "algo": _schema(AlgoConfig),
+             "run": _schema(ExperimentConfig, skip=("lq", "algo"))}
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse flat key-value config text; '#' lines and blanks are ignored."""
-    lq_vals = dict(_LQ_DEFAULTS)
-    algo_vals: dict = {}
-    run_vals: dict = {}
+    values = {section: {} for section in _SECTIONS}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -111,36 +108,25 @@ def parse_config(text: str) -> ExperimentConfig:
         if "." not in key:
             raise ConfigError(f"line {lineno}: key {key!r} lacks a section prefix")
         section, _, name = key.partition(".")
-        if section == "lq":
-            if name not in _LQ_DEFAULTS:
-                raise ConfigError(f"line {lineno}: unknown key lq.{name}")
-            lq_vals[name] = _coerce(key, raw, float)
-        elif section == "algo":
-            if name not in _ALGO_TYPES:
-                raise ConfigError(f"line {lineno}: unknown key algo.{name}")
-            algo_vals[name] = _coerce(key, raw, _ALGO_TYPES[name])
-        elif section == "run":
-            if name not in _RUN_TYPES:
-                raise ConfigError(f"line {lineno}: unknown key run.{name}")
-            run_vals[name] = _coerce(key, raw, _RUN_TYPES[name])
-        else:
+        if section not in _SECTIONS:
             raise ConfigError(f"line {lineno}: unknown section {section!r}")
+        if name not in _SECTIONS[section]:
+            raise ConfigError(f"line {lineno}: unknown key {key}")
+        attr, parse = _SECTIONS[section][name]
+        try:
+            values[section][attr] = parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {raw!r}") from exc
 
     try:
-        lq = LqParams(A=lq_vals["A"], B=lq_vals["B"], C=lq_vals["C"], D=lq_vals["D"],
-                      M=lq_vals["M"], N=lq_vals["N"], R=lq_vals["R"], P=lq_vals["P"],
-                      Pp=lq_vals["Pp"], beta=lq_vals["beta"], lam=lq_vals["lambda"])
+        lq = LqParams(**values["lq"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     # the learner's discount and regularization mirror the environment unless
     # explicitly overridden
-    algo_vals.setdefault("beta", lq.beta)
-    algo_vals.setdefault("lambda", lq.lam)
-    algo_vals["lam"] = algo_vals.pop("lambda")
-    algo = AlgoConfig(**algo_vals)
-
-    cfg = ExperimentConfig(lq=lq, algo=algo, **run_vals)
+    algo = AlgoConfig(**{"beta": lq.beta, "lam": lq.lam, **values["algo"]})
+    cfg = ExperimentConfig(lq=lq, algo=algo, **values["run"])
     cfg.validate()
     return cfg
 
@@ -152,26 +138,16 @@ def load_config(path) -> ExperimentConfig:
 def format_config(cfg: ExperimentConfig) -> str:
     """Canonical text form of a config (stable ordering, round-trippable)."""
     lines = []
-    lq = cfg.lq
-    for name in sorted(_LQ_DEFAULTS):
-        attr = "lam" if name == "lambda" else name
-        lines.append(f"lq.{name} = {getattr(lq, attr)!r}")
-    for name in sorted(_ALGO_TYPES):
-        attr = "lam" if name == "lambda" else name
-        value = getattr(cfg.algo, attr)
-        rendered = value if isinstance(value, str) else repr(value)
-        lines.append(f"algo.{name} = {rendered}")
-    for name in sorted(_RUN_TYPES):
-        value = getattr(cfg, name)
-        if value is None:
-            continue
-        if name in ("theta0", "v0"):
-            value = ",".join(repr(part) for part in value)
-            lines.append(f"run.{name} = {value}")
-        elif isinstance(value, str):
-            lines.append(f"run.{name} = {value}")
-        else:
-            lines.append(f"run.{name} = {value!r}")
+    for section, obj in (("lq", cfg.lq), ("algo", cfg.algo), ("run", cfg)):
+        for key, (attr, parse) in sorted(_SECTIONS[section].items()):
+            value = getattr(obj, attr)
+            if value is None:
+                continue
+            if parse is _vector:
+                value = ",".join(repr(part) for part in value)
+            elif not isinstance(value, str):
+                value = repr(value)
+            lines.append(f"{section}.{key} = {value}")
     return "\n".join(lines) + "\n"
 
 
@@ -180,17 +156,6 @@ def config_hash(cfg: ExperimentConfig) -> str:
     basis = "\n".join(line for line in format_config(cfg).splitlines()
                       if not line.startswith("run.output_dir"))
     return hashlib.sha256(basis.encode("utf-8")).hexdigest()
-
-
-def running_avg_reward(reward_rates, dt: float) -> np.ndarray:
-    """Cumulative time average: avg[k] = sum_{i<=k} r_i dt / ((k+1) dt)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    rates = np.asarray(reward_rates, dtype=float)
-    if rates.size == 0:
-        return np.empty(0)
-    steps = np.arange(1, len(rates) + 1)
-    return np.cumsum(rates * dt) / (steps * dt)
 
 
 @dataclass(frozen=True)

@@ -21,22 +21,24 @@ class LqParams:
 
     A, B, C, D are the dynamics coefficients; M, N, R, P, Pp the reward
     coefficients (Pp multiplies the action's linear term); beta the discount
-    rate and lam the score regularization weight.  Construction enforces
-    N > 0, M >= 0, beta > 0, lam > 0 and beta > 2A + C^2 (a discount rate
-    large enough to keep the discounted quadratic objective finite).
+    rate and lam the score regularization weight.  The defaults are the
+    reference instance, the one ``configs/reference.cfg`` states.
+    Construction enforces N > 0, M >= 0, beta > 0, lam > 0 and
+    beta > 2A + C^2 (a discount rate large enough to keep the discounted
+    quadratic objective finite).
     """
 
-    A: float
-    B: float
-    C: float
-    D: float
-    M: float
-    N: float
-    R: float
-    P: float
-    Pp: float
-    beta: float
-    lam: float
+    A: float = -1.0
+    B: float = 0.0
+    C: float = 0.0
+    D: float = 1.0
+    M: float = 2.0
+    N: float = 2.0
+    R: float = 1.0
+    P: float = 1.0
+    Pp: float = 2.0
+    beta: float = 1.0
+    lam: float = 0.1
 
     def __post_init__(self):
         if not self.N > 0:

@@ -40,6 +40,16 @@ class AlgoConfig:
     "langevin" re-equilibrates a Langevin chain at each new state (restarted
     from a0), "ddpm" denoises a fresh Gaussian draw each step.
     ``record_every`` thins the recorded time series.
+
+    The fields are the ``algo.*`` config keys (``lam`` spelled ``lambda``)
+    and their defaults are the defaults of those keys.  The sampler defaults
+    to "direct_sde": it is the paper's joint action SDE, and the only sampler
+    whose critic fixed point tends to the optimum as dt -> 0 (the restarted
+    Langevin chain's action coefficients shrink in proportion to dt).
+    ``langevin_steps`` 2000 suits one-shot sampling at ``langevin_dt`` 0.01.
+    The reference experiment, ``configs/reference.cfg``, sets langevin with
+    50 inner steps and ``record_every`` 1000; it is an experiment, not a
+    default.
     """
 
     dt: float = 0.1

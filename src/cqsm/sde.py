@@ -282,20 +282,3 @@ def simulate_batch(dyn: DynamicsSpec, reward, x0: float, a0: float, dt: float,
         raise ValueError("reward must return one value per trajectory")
     return traj
 
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write a scalar trajectory as CSV with columns t,x,a,r.
-
-    One row per grid point, decimal values with 9 significant digits, LF line
-    endings.  The reward column is empty on the last row (no transition).
-    """
-    if traj.states.ndim != 1:
-        raise ValueError("CSV export is defined for scalar trajectories only")
-    lines = ["t,x,a,r"]
-    n = len(traj.times)
-    for k in range(n):
-        t, x, a = traj.times[k], traj.states[k], traj.actions[k]
-        r = "%.9g" % traj.reward_rates[k] if k < n - 1 else ""
-        lines.append("%.9g,%.9g,%.9g,%s" % (t, x, a, r))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

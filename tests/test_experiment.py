@@ -1,4 +1,5 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +18,12 @@ from cqsm import (
     psi_v,
     run_cqsm,
     run_experiment,
-    running_avg_reward,
 )
 from cqsm.cli import main as cli_main, parallel_workers
 from cqsm.sde import SimulationError
 from _oracles import two_pass_mean_std
+
+REFERENCE = (Path(__file__).resolve().parent.parent / "configs" / "reference.cfg").read_text()
 
 SMALL_CONFIG = """
 # comment lines and blanks are ignored
@@ -35,27 +37,6 @@ run.n_seeds = 2
 run.base_seed = 0
 run.output_dir = {out}
 """
-
-
-def test_running_avg_constant_rewards():
-    rates = np.full(7, -1.3)
-    np.testing.assert_allclose(running_avg_reward(rates, 0.1), rates, rtol=1e-12)
-
-
-def test_running_avg_hand_example():
-    np.testing.assert_allclose(running_avg_reward(np.array([0.0, -2.0]), 1.0),
-                               np.array([0.0, -1.0]), atol=1e-15)
-
-
-def test_running_avg_dt_invariance_for_constants():
-    rates = np.full(11, 2.5)
-    a = running_avg_reward(rates, 0.01)
-    b = running_avg_reward(rates, 1.0)
-    np.testing.assert_allclose(a, b, rtol=1e-12)
-
-
-def test_running_avg_empty_input():
-    assert running_avg_reward(np.empty(0), 0.1).size == 0
 
 
 def test_parse_config_defaults_match_reference(lq_ref):
@@ -114,6 +95,54 @@ def test_config_hash_ignores_output_dir():
     assert config_hash(a) == config_hash(b)
     c = parse_config("algo.dt = 0.2\n")
     assert config_hash(a) != config_hash(c)
+
+
+_LQ_TEXT = ("lq.A = -1.0\nlq.B = 0.0\nlq.C = 0.0\nlq.D = 1.0\nlq.M = 2.0\nlq.N = 2.0\n"
+            "lq.P = 1.0\nlq.Pp = 2.0\nlq.R = 1.0\nlq.beta = 1.0\nlq.lambda = 0.1\n")
+_ALGO_TEXT = ("algo.a0 = 0.0\nalgo.alpha_theta = 0.01\nalgo.alpha_v = 0.01\nalgo.beta = 1.0\n"
+              "algo.ddpm_beta_end = 0.19\nalgo.ddpm_beta_start = 0.001\nalgo.ddpm_steps = 20\n"
+              "algo.dt = 0.1\nalgo.lambda = 0.1\nalgo.langevin_dt = 0.01\n"
+              "algo.langevin_steps = {langevin_steps}\nalgo.n_steps = 100000\n"
+              "algo.record_every = {record_every}\nalgo.sampler = {sampler}\nalgo.seed = 0\n"
+              "algo.x0 = 0.0\n")
+_RUN_TEXT = ("run.base_seed = 0\nrun.n_seeds = 5\nrun.output_dir = {output_dir}\n"
+             "run.theta0_mode = zeros\nrun.v0_mode = uniform01\n")
+
+# The canonical text and hash of the reference config and of the empty config
+# (every key at its default).  The manifest and config_sha256 of every run are
+# made of these bytes.
+CANONICAL = {
+    "reference": (
+        _LQ_TEXT
+        + _ALGO_TEXT.format(langevin_steps=50, record_every=1000, sampler="langevin")
+        + _RUN_TEXT.format(output_dir="runs/reference"),
+        "a026aeef469a032fee07691fffff7059f083ef23257d507b896969db142b0365"),
+    "empty": (
+        _LQ_TEXT
+        + _ALGO_TEXT.format(langevin_steps=2000, record_every=100, sampler="direct_sde")
+        + _RUN_TEXT.format(output_dir="runs"),
+        "89ef98a3769da8cfad9aa40fee06b3bd9d7ff5289b550cc125a8f8d9a891621a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL))
+def test_format_config_and_hash_are_pinned(name):
+    text = REFERENCE if name == "reference" else ""
+    cfg = parse_config(text)
+    want_text, want_hash = CANONICAL[name]
+    assert format_config(cfg) == want_text
+    assert config_hash(cfg) == want_hash
+
+
+def test_format_config_writes_vectors_and_overrides():
+    cfg = parse_config("algo.lambda = 0.25\nrun.theta0_mode = explicit\n"
+                       "run.theta0 = 0,0,0,0,0,0.5\nrun.v0_mode = explicit\nrun.v0 = 1.5,-1.5,-3.5\n")
+    lines = format_config(cfg).splitlines()
+    assert len(lines) == 34  # 11 lq, 16 algo and 7 run keys
+    assert "lq.lambda = 0.1" in lines
+    assert "algo.lambda = 0.25" in lines
+    assert lines[-4:] == ["run.theta0 = 0.0,0.0,0.0,0.0,0.0,0.5", "run.theta0_mode = explicit",
+                          "run.v0 = 1.5,-1.5,-3.5", "run.v0_mode = explicit"]
 
 
 def test_run_experiment_single_seed(tmp_path, lq_ref):
@@ -343,6 +372,57 @@ def test_cli_check_martingale_rejects_bad_grid(tmp_path, capsys, flag, value):
     assert captured.out == ""
     assert captured.err == (f"config error: {flag} must be positive and finite, "
                             f"got {float(value)}\n")
+
+
+@pytest.mark.parametrize("horizon", ["0.4", "0.5"])
+def test_cli_check_martingale_rejects_a_grid_of_no_steps(tmp_path, capsys, horizon):
+    path = _write_config(tmp_path)
+    code = cli_main(["check-martingale", "--config", str(path), "--traj", "5",
+                     "--dt", "1", "--horizon", horizon])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"config error: --horizon {float(horizon)} / --dt 1.0 rounds to "
+                            "0 steps, need at least 1\n")
+
+
+@pytest.mark.parametrize("traj", ["1", "0", "-3"])
+def test_cli_check_martingale_rejects_fewer_than_two_trajectories(tmp_path, capsys, traj):
+    path = _write_config(tmp_path)
+    code = cli_main(["check-martingale", "--config", str(path), "--traj", traj])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"config error: --traj must be at least 2 for a standard error, "
+                            f"got {traj}\n")
+
+
+# Each grid is refused before anything is simulated or allocated.
+@pytest.mark.parametrize("traj, dt, horizon", [
+    ("5", "1e-300", "1"), ("5", "1e-300", "1e300"), (str(10 ** 12), "0.01", "50"),
+    (str(10 ** 400), "0.1", "1")], ids=["tiny-dt", "inf-steps", "1e12-traj", "1e400-traj"])
+def test_cli_check_martingale_rejects_a_grid_beyond_memory(tmp_path, capsys, traj, dt, horizon):
+    path = _write_config(tmp_path)
+    code = cli_main(["check-martingale", "--config", str(path), "--traj", traj,
+                     "--dt", dt, "--horizon", horizon])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: --traj {traj} trajectories of "
+                                   "--horizon / --dt = ")
+    assert "bytes of physical memory" in captured.err
+
+
+def _martingale_estimate(capsys, path):
+    assert cli_main(["check-martingale", "--config", str(path), "--traj", "20",
+                     "--dt", "0.05", "--horizon", "2"]) == 0
+    return float(capsys.readouterr().out.splitlines()[-1].split(",")[0])
+
+
+def test_cli_check_martingale_starts_at_the_config_x0(tmp_path, capsys):
+    at_zero = _martingale_estimate(capsys, _write_config(tmp_path))
+    assert at_zero == _martingale_estimate(capsys, _write_config(tmp_path, "algo.x0 = 0.0\n"))
+    assert at_zero != _martingale_estimate(capsys, _write_config(tmp_path, "algo.x0 = 2.0\n"))
 
 
 @pytest.mark.parametrize("n", ["1", "0", "-4"])

@@ -15,6 +15,10 @@ from cqsm import (
 )
 
 
+def test_lq_params_defaults_are_the_reference_instance(lq_ref):
+    assert LqParams() == lq_ref
+
+
 def test_reward_vanishes_at_origin(lq_ref):
     assert lq_reward(lq_ref, 0.0, 0.0) == 0.0
 

@@ -17,7 +17,6 @@ from cqsm import (
     simulate,
     simulate_batch,
     simulate_from,
-    write_trajectory_csv,
 )
 from cqsm.sde import TAPE
 
@@ -299,27 +298,6 @@ def test_batch_of_one_matches_single_trajectory_bitwise(lq_ref, k_ref):
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         Trajectory(np.arange(3.0), np.zeros(3), np.zeros(3), np.zeros(3), 0)
-
-
-def test_trajectory_csv_round_trip(tmp_path):
-    times = np.array([0.0, 0.1, 0.2])
-    traj = Trajectory(times, np.array([0.123456789, 1.0, -2.5]),
-                      np.array([0.5, 0.25, 0.125]), np.array([-1.0, -2.0]), 17)
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,x,a,r"
-    assert len(lines) == 4
-    assert lines[1].split(",")[1] == "0.123456789"  # nine significant digits
-    assert lines[-1].endswith(",")  # empty reward on the final row
-    assert path.read_bytes().count(b"\r") == 0
-
-
-def test_trajectory_csv_rejects_vector_states():
-    traj = Trajectory(np.arange(2.0), np.zeros((2, 2)), np.zeros((2, 1)),
-                      np.zeros(1), 0)
-    with pytest.raises(ValueError):
-        write_trajectory_csv(traj, "/tmp/unused.csv")
 
 
 def test_simulate_from_continues_a_stream():
