@@ -106,7 +106,16 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _check_seed_and_finite(args, flag: str, value: float) -> None:
+    """Refuse a negative ``--seed`` and a non-finite ``flag`` value."""
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
+    if not math.isfinite(value):
+        raise ValueError(f"{flag} must be finite, got {value}")
+
+
 def _cmd_martingale(args) -> int:
+    _check_seed_and_finite(args, "--offset", args.offset)
     for flag, value in (("--dt", args.dt), ("--horizon", args.horizon)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{flag} must be positive and finite, got {value}")
@@ -143,6 +152,7 @@ def _cmd_martingale(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    _check_seed_and_finite(args, "--x", args.x)
     if args.n < 2:
         raise ValueError(f"--n must be at least 2 for a sample variance, got {args.n}")
     cfg = load_config(args.config)

@@ -21,6 +21,7 @@ byte-identically when fed back through ``--config``.
 from __future__ import annotations
 
 import hashlib
+import math
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -59,6 +60,11 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.n_seeds < 1:
             raise ConfigError("run.n_seeds must be at least 1")
+        if self.base_seed < 0:
+            raise ConfigError(f"run.base_seed must be nonnegative, got {self.base_seed}")
+        for key, vector in (("run.theta0", self.theta0), ("run.v0", self.v0)):
+            if vector is not None and not all(map(math.isfinite, vector)):
+                raise ConfigError(f"{key} must be finite, got {vector}")
         if self.theta0_mode not in ("zeros", "explicit"):
             raise ConfigError("run.theta0_mode must be 'zeros' or 'explicit'")
         if self.v0_mode not in ("uniform01", "explicit"):

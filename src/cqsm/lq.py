@@ -8,7 +8,7 @@ a frozen state is the Boltzmann distribution of the value function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .sde import DynamicsSpec, NoiseSource, SimulationError
 
@@ -23,7 +23,7 @@ class LqParams:
     coefficients (Pp multiplies the action's linear term); beta the discount
     rate and lam the score regularization weight.  The defaults are the
     reference instance, the one ``configs/reference.cfg`` states.
-    Construction enforces N > 0, M >= 0, beta > 0, lam > 0 and
+    Construction enforces finite fields, N > 0, M >= 0, beta > 0, lam > 0 and
     beta > 2A + C^2 (a discount rate large enough to keep the discounted
     quadratic objective finite).
     """
@@ -41,6 +41,10 @@ class LqParams:
     lam: float = 0.1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not self.N > 0:
             raise ValueError("N must be positive")
         if self.M < 0:

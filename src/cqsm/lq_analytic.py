@@ -2,10 +2,12 @@
 
 The concave quadratic Q(x, a) = k0 x^2/2 + k1 x + k2 a^2/2 + k3 a + k4 x a + k5
 solves the stationary dynamic-programming equation of the discounted problem.
-Matching coefficients yields six polynomial equations; after expressing k0 and
-k2 through k4 they collapse to one scalar equation in the cross coefficient k4,
-which is solved by a bracketed scan refined with a bisection/secant hybrid.
-The remaining coefficients follow by back-substitution.
+Matching coefficients yields six polynomial equations.  Expressing k0 and k2
+through the cross coefficient k4 turns the xa equation into
+g(k4) + k4 sqrt(rad(k4)) = 0 with g and rad quadratics in k4; squaring it
+gives one quartic, whose real roots are the candidates for k4.  The remaining
+coefficients follow by back-substitution, and the roots that squaring added
+(those of g = +k4 sqrt(rad)) fail the residual check.
 """
 
 from __future__ import annotations
@@ -19,10 +21,6 @@ import numpy as np
 from .lq import LqParams, lq_reward
 from .policy import score_params_from_q
 
-K4_SCAN_LO = -50.0
-K4_SCAN_HI = 50.0
-K4_SCAN_STEP = 0.25
-ROOT_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 CONCAVITY_TOL = 1e-10
 
@@ -105,7 +103,7 @@ def k_to_optimal_params(k: KCoefficients, lam: float):
     return theta, score_params_from_q(theta, lam)
 
 
-# -- scalar solve in k4 ------------------------------------------------------
+# -- the k4 quartic ---------------------------------------------------------
 
 def _k0_of(k4: float, p: LqParams) -> float:
     return (k4 * k4 / p.lam - p.M) / (p.beta - 2 * p.A - p.C ** 2)
@@ -117,66 +115,17 @@ def _radicand(k4: float, p: LqParams) -> float:
     return 0.25 * p.beta ** 2 + (p.N - 2 * shift) / p.lam
 
 
-def _cross_equation(k4: float, p: LqParams):
-    """Residual of the xa equation as a function of k4 alone; None off-domain."""
-    rad = _radicand(k4, p)
-    if rad < 0:
-        return None
-    k0 = _k0_of(k4, p)
-    k2 = 0.5 * p.beta * p.lam - p.lam * math.sqrt(rad)
-    return p.beta * k4 - k0 * p.B - k4 * p.A - k2 * k4 / p.lam - k0 * p.C * p.D + p.R
+def _k4_quartic(p: LqParams) -> np.ndarray:
+    """Coefficients, highest power first, of g(k4)^2 - k4^2 rad(k4).
 
-
-def _scan_points(p: LqParams) -> np.ndarray:
-    pts = list(np.arange(K4_SCAN_LO, K4_SCAN_HI + 0.5 * K4_SCAN_STEP, K4_SCAN_STEP))
-    # include the boundary of the region where the k2 square root is real:
-    # the radicand is a quadratic (or linear) polynomial in k4
-    den = p.lam * (p.beta - 2 * p.A - p.C ** 2)
-    c2 = -p.D ** 2 / (p.lam * den)
-    c1 = -2 * p.B / p.lam
-    c0 = 0.25 * p.beta ** 2 + p.N / p.lam + p.D ** 2 * p.M / den
-    if c2 != 0.0:
-        disc = c1 * c1 - 4 * c2 * c0
-        if disc >= 0:
-            root = math.sqrt(disc)
-            pts += [(-c1 - root) / (2 * c2), (-c1 + root) / (2 * c2)]
-    elif c1 != 0.0:
-        pts.append(-c0 / c1)
-    pts = [t for t in pts if K4_SCAN_LO <= t <= K4_SCAN_HI]
-    return np.unique(np.asarray(pts, dtype=float))
-
-
-def _refine_root(f, lo: float, hi: float, flo: float, fhi: float) -> float:
-    """Bracketed hybrid of secant (Illinois-damped) and bisection steps."""
-    side = 0
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        denom = fhi - flo
-        if denom != 0 and math.isfinite(denom):
-            mid = hi - fhi * (hi - lo) / denom
-        if not (lo < mid < hi) or not math.isfinite(mid):
-            mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm is None:
-            mid = 0.5 * (lo + hi)
-            fm = f(mid)
-            if fm is None:
-                break
-        if abs(fm) < ROOT_TOL:
-            return mid
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-            if side == -1:
-                fhi *= 0.5
-            side = -1
-        else:
-            hi, fhi = mid, fm
-            if side == 1:
-                flo *= 0.5
-            side = 1
-        if hi - lo < 1e-15 * max(1.0, abs(lo), abs(hi)):
-            break
-    return mid
+    g(k4) + k4 sqrt(rad(k4)) is the xa equation once k0 = _k0_of(k4) and
+    k2 = beta lam / 2 - lam sqrt(rad(k4)) are substituted; rad = _radicand.
+    """
+    den = p.beta - 2 * p.A - p.C ** 2
+    k0 = np.array([1 / (p.lam * den), 0.0, -p.M / den])
+    g = np.polyadd(-(p.B + p.C * p.D) * k0, [0.5 * p.beta - p.A, p.R])
+    rad = np.polyadd(-p.D ** 2 / p.lam * k0, [-2 * p.B / p.lam, 0.25 * p.beta ** 2 + p.N / p.lam])
+    return np.polysub(np.polymul(g, g), np.polymul([1.0, 0.0, 0.0], rad))
 
 
 def _back_substitute(k4: float, p: LqParams):
@@ -206,29 +155,20 @@ def _concavity_ok(k: KCoefficients) -> bool:
 def solve_lq(p: LqParams) -> KCoefficients:
     """Solve the coefficient system and return the concave quadratic solution.
 
-    Scans k4 over [-50, 50], brackets sign changes of the xa equation, refines
-    each root to residual < 1e-12, back-substitutes the other coefficients,
-    and keeps candidates whose full residual vector is < 1e-10 and whose
-    Hessian is (semi)negative definite.  Convex companion roots are discarded;
-    if several concave candidates remain the most concave one is returned and
-    a multiplicity warning is emitted.
+    Takes the real part of every root of the k4 quartic, back-substitutes the
+    other coefficients, and keeps candidates whose full residual vector is
+    < 1e-10 and whose Hessian is (semi)negative definite.  Convex companion
+    roots and the roots added by squaring are discarded; if several concave
+    candidates remain the most concave one is returned and a multiplicity
+    warning is emitted.
     """
-    f = lambda t: _cross_equation(t, p)
-    grid = _scan_points(p)
-    values = [f(t) for t in grid]
-
-    roots: list[float] = []
-    for i in range(len(grid) - 1):
-        flo, fhi = values[i], values[i + 1]
-        if flo is None or fhi is None:
-            continue
-        if flo == 0.0:
-            roots.append(float(grid[i]))
-            continue
-        if flo * fhi < 0:
-            roots.append(_refine_root(f, float(grid[i]), float(grid[i + 1]), flo, fhi))
-    if values and values[-1] == 0.0:
-        roots.append(float(grid[-1]))
+    quartic = _k4_quartic(p)
+    # k0 <= 0 bounds every admissible root by k4^2 <= lam M; leading terms
+    # below rounding of the largest only add roots far outside that bound,
+    # and left in place they swamp or overflow the companion matrix
+    big = np.abs(quartic) > np.finfo(float).eps * np.max(np.abs(quartic))
+    finite = np.all(np.isfinite(quartic))
+    roots = np.roots(quartic[np.argmax(big):]).real.tolist() if finite else []
 
     candidates: list[KCoefficients] = []
     for k4 in roots:
@@ -245,7 +185,7 @@ def solve_lq(p: LqParams) -> KCoefficients:
 
     if not candidates:
         raise SolveError(
-            "no concave quadratic solution found in the scanned k4 range; "
+            "no concave quadratic solution found; "
             "the parameters may not admit a well-posed value function"
         )
     if len(candidates) > 1:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -70,8 +70,14 @@ class AlgoConfig:
     ddpm_beta_end: float = 0.19
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.n_steps < 0:
             raise ValueError("n_steps must be nonnegative")
         if self.alpha_theta < 0 or self.alpha_v < 0:

@@ -1,3 +1,4 @@
+import re
 import warnings
 from pathlib import Path
 
@@ -315,6 +316,45 @@ def test_cli_rejects_invalid_discount(tmp_path, capsys):
     assert cli_main(["solve-lq", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert "beta" in err and "2*A + C^2" in err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("lq.B = nan", "B must be finite, got nan"),
+    ("lq.R = inf", "R must be finite, got inf"),
+    ("lq.lambda = -inf", "lam must be finite, got -inf"),
+    ("algo.dt = nan", "dt must be finite, got nan"),
+    ("algo.x0 = nan", "x0 must be finite, got nan"),
+    ("algo.ddpm_beta_end = inf", "ddpm_beta_end must be finite, got inf"),
+    ("algo.seed = -1", "seed must be nonnegative, got -1"),
+    ("run.base_seed = -3", "run.base_seed must be nonnegative, got -3"),
+    ("run.theta0 = 0,0,0,0,0,nan", "run.theta0 must be finite, got (0.0, 0.0, 0.0, 0.0, 0.0, nan)"),
+    ("run.v0 = inf,0,0", "run.v0 must be finite, got (inf, 0.0, 0.0)"),
+])
+def test_config_refuses_non_finite_values_and_negative_seeds(tmp_path, capsys, line, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(line + "\n")
+    path = _write_config(tmp_path, line + "\n")
+    assert cli_main(["run", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check-martingale", "--seed", "-1"], "--seed must be nonnegative, got -1"),
+    (["check-martingale", "--offset", "nan"], "--offset must be finite, got nan"),
+    (["check-martingale", "--offset", "inf"], "--offset must be finite, got inf"),
+    (["sample-actions", "--seed", "-2"], "--seed must be nonnegative, got -2"),
+    (["sample-actions", "--x", "nan"], "--x must be finite, got nan"),
+    (["sample-actions", "--x=-inf"], "--x must be finite, got -inf"),
+], ids=["martingale-seed", "offset-nan", "offset-inf", "sample-seed", "x-nan", "x-inf"])
+def test_cli_refuses_negative_seeds_and_non_finite_points(tmp_path, capsys, argv, message):
+    path = _write_config(tmp_path)
+    assert cli_main(argv + ["--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
 
 
 def test_cli_missing_config_file(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,43 @@ def test_pure_noise_cost_solution():
     assert k.k5 == pytest.approx(k2 / p.beta, abs=1e-9)
 
 
+def _oracle_gap(k, p):
+    """Distance from k to the policy evaluation of k's own optimal score."""
+    q = evaluate_affine_score_q(p, k.k2 / p.lam, k.k4 / p.lam, k.k3 / p.lam)
+    return np.max(np.abs(q - k.as_array()))
+
+
+# Instances a scan of k4 over a grid misses (two roots in one grid cell; a
+# root beside the edge of the sqrt domain) and instances whose quartic has a
+# leading coefficient below rounding of the largest.
+@pytest.mark.parametrize("p, k4", [
+    (LqParams(A=-1.4894376724387794, B=-1.935194436484178, C=0.7373996912383398,
+              D=0.7643918942466845, M=2.8433735473747324, N=2.360199727249492,
+              R=2.6685640295015407, P=2.3000513645613685, Pp=0.8905643069097007,
+              beta=0.34534069323224004, lam=0.7035556685734398), -0.53306),
+    (LqParams(A=-1.8800387579528213, B=1.0984445482894412, C=-0.965939967014573,
+              D=1.183132314427323, M=0.3568508219641675, N=0.4510735986529378,
+              R=-0.018151008373696875, P=-4.715145024402415, Pp=2.5826078638350856,
+              beta=4.467268324396194, lam=0.03015205090020611), 0.0023068),
+    (LqParams(D=1e-22), -1 / 6),
+    (LqParams(B=1e-155, D=0.0), -1 / 6),
+], ids=["two-roots-in-a-cell", "root-by-domain-edge", "D-1e-22", "B-1e-155"])
+def test_solver_finds_hard_optima(p, k4):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = solve_lq(p)
+    assert k.k4 == pytest.approx(k4, rel=1e-4)
+    assert np.max(np.abs(coefficient_residuals(k, p))) < 1e-10
+    assert k.k0 < 0 and k.k2 < 0 and k.k0 * k.k2 - k.k4 ** 2 > 0
+    assert _oracle_gap(k, p) < 1e-9
+
+
+def test_overflowing_quartic_raises_solve_error():
+    # B^2 overflows the quartic's coefficients to +-inf
+    with pytest.raises(SolveError, match="no concave quadratic solution"):
+        solve_lq(LqParams(B=1e200))
+
+
 def test_randomized_family_residuals_and_concavity():
     rng = np.random.default_rng(2024)
     successes = 0
@@ -84,6 +122,7 @@ def test_randomized_family_residuals_and_concavity():
         assert k.k2 < 0
         assert k.k0 < 0
         assert k.k0 * k.k2 - k.k4 ** 2 > 0
+        assert _oracle_gap(k, p) < 1e-9
     assert successes >= 25
 
 
