@@ -54,12 +54,15 @@ def coefficient_residuals(k: KCoefficients, p: LqParams) -> np.ndarray:
     Order: x^2, x, a^2, a, xa, constant.  All six vanish at a true solution.
     """
     lam, beta = p.lam, p.beta
-    r_x2 = 0.5 * beta * k.k0 - p.A * k.k0 - k.k4 ** 2 / (2 * lam) - 0.5 * p.C ** 2 * k.k0 + 0.5 * p.M
+    # squares by multiplication: float ** raises OverflowError where * gives inf
+    r_x2 = (0.5 * beta * k.k0 - p.A * k.k0 - k.k4 * k.k4 / (2 * lam) - 0.5 * p.C * p.C * k.k0
+            + 0.5 * p.M)
     r_x = beta * k.k1 - p.A * k.k1 - k.k3 * k.k4 / lam + p.P
-    r_a2 = 0.5 * beta * k.k2 - k.k4 * p.B - k.k2 ** 2 / (2 * lam) - 0.5 * k.k0 * p.D ** 2 + 0.5 * p.N
+    r_a2 = (0.5 * beta * k.k2 - k.k4 * p.B - k.k2 * k.k2 / (2 * lam) - 0.5 * k.k0 * (p.D * p.D)
+            + 0.5 * p.N)
     r_a = beta * k.k3 - p.B * k.k1 - k.k2 * k.k3 / lam + p.Pp
     r_xa = beta * k.k4 - k.k0 * p.B - k.k4 * p.A - k.k2 * k.k4 / lam - k.k0 * p.C * p.D + p.R
-    r_cons = beta * k.k5 - k.k2 - k.k3 ** 2 / (2 * lam)
+    r_cons = beta * k.k5 - k.k2 - k.k3 * k.k3 / (2 * lam)
     return np.array([r_x2, r_x, r_a2, r_a, r_xa, r_cons])
 
 
@@ -106,13 +109,13 @@ def k_to_optimal_params(k: KCoefficients, lam: float):
 # -- the k4 quartic ---------------------------------------------------------
 
 def _k0_of(k4: float, p: LqParams) -> float:
-    return (k4 * k4 / p.lam - p.M) / (p.beta - 2 * p.A - p.C ** 2)
+    return (k4 * k4 / p.lam - p.M) / (p.beta - 2 * p.A - p.C * p.C)
 
 
 def _radicand(k4: float, p: LqParams) -> float:
     # source term of the a^2 equation once k0 is eliminated
-    shift = p.B * k4 + 0.5 * p.D ** 2 * _k0_of(k4, p)
-    return 0.25 * p.beta ** 2 + (p.N - 2 * shift) / p.lam
+    shift = p.B * k4 + 0.5 * p.D * p.D * _k0_of(k4, p)
+    return 0.25 * p.beta * p.beta + (p.N - 2 * shift) / p.lam
 
 
 def _k4_quartic(p: LqParams) -> np.ndarray:
@@ -121,10 +124,11 @@ def _k4_quartic(p: LqParams) -> np.ndarray:
     g(k4) + k4 sqrt(rad(k4)) is the xa equation once k0 = _k0_of(k4) and
     k2 = beta lam / 2 - lam sqrt(rad(k4)) are substituted; rad = _radicand.
     """
-    den = p.beta - 2 * p.A - p.C ** 2
+    den = p.beta - 2 * p.A - p.C * p.C
     k0 = np.array([1 / (p.lam * den), 0.0, -p.M / den])
     g = np.polyadd(-(p.B + p.C * p.D) * k0, [0.5 * p.beta - p.A, p.R])
-    rad = np.polyadd(-p.D ** 2 / p.lam * k0, [-2 * p.B / p.lam, 0.25 * p.beta ** 2 + p.N / p.lam])
+    rad = np.polyadd(-p.D * p.D / p.lam * k0,
+                     [-2 * p.B / p.lam, 0.25 * p.beta * p.beta + p.N / p.lam])
     return np.polysub(np.polymul(g, g), np.polymul([1.0, 0.0, 0.0], rad))
 
 
@@ -149,7 +153,7 @@ def _concavity_ok(k: KCoefficients) -> bool:
     # reward) is admitted; interior solutions are strictly concave
     return (k.k2 < 0
             and k.k0 <= CONCAVITY_TOL
-            and k.k0 * k.k2 - k.k4 ** 2 >= -CONCAVITY_TOL)
+            and k.k0 * k.k2 - k.k4 * k.k4 >= -CONCAVITY_TOL)
 
 
 def solve_lq(p: LqParams) -> KCoefficients:
@@ -193,4 +197,4 @@ def solve_lq(p: LqParams) -> KCoefficients:
             f"{len(candidates)} concave solutions found; returning the most concave",
             stacklevel=2,
         )
-    return max(candidates, key=lambda k: k.k0 * k.k2 - k.k4 ** 2)
+    return max(candidates, key=lambda k: k.k0 * k.k2 - k.k4 * k.k4)

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lq import LqParams, lq_dynamics, lq_reward_fn
-from .online import AlgoConfig, DivergenceError, LearningRecord, initial_action, lr_schedule
+from .online import (AlgoConfig, DivergenceError, LearningRecord, _checked_params, initial_action,
+                     lr_schedule)
 from .policy import grad_a_q, psi_features, psi_v, psi_v_fn, q_features, q_theta
 from .sde import NoiseSource, Trajectory, simulate_from
 
@@ -158,8 +159,7 @@ def run_offline(cfg: AlgoConfig, p: LqParams, theta0, v0, n_episodes: int) -> Le
     if n_episodes < 0:
         raise ValueError("n_episodes must be nonnegative")
     # offline_update returns fresh arrays, so the recorded ones are never aliased
-    theta = np.array(theta0, dtype=float, copy=True)
-    v = np.array(v0, dtype=float, copy=True)
+    theta, v = _checked_params(theta0, v0)
     master = np.random.default_rng(cfg.seed)
     episode_time = cfg.n_steps * cfg.dt
 

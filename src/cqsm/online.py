@@ -213,19 +213,15 @@ def initial_action(cfg: AlgoConfig, v, x: float, noise: NoiseSource) -> float:
     return _sample_action(cfg, score, x, noise)
 
 
-def cqsm_step(state: LearnState, cfg: AlgoConfig, env, noise: NoiseSource) -> LearnState:
-    """One loop iteration: transition, TD, critic and actor updates.
+def _step(theta: list, v: list, x: float, a: float, step: int, cfg: AlgoConfig, env,
+          noise: NoiseSource):
+    """The step formula on Python floats: (theta', v', x', a', r) after ``step`` steps.
 
-    ``env`` maps (x, a) to (x', reward rate).  The new action at x' is drawn
-    by the configured sampler (the state noise is drawn first inside ``env``,
-    then the action noise).  The transition pair (x', a') becomes the next
-    iterate's (x, a), so each action is sampled once and reused.
-
-    The step runs on Python floats: theta and v are unpacked once, exp(v0) is
-    taken once, and one score closure gives Psi(x, a) and drives the sampler.
+    theta and v are lists of 6 and 3 floats; the returned ones are new lists.
+    exp(v0) is taken once, and one score closure gives Psi(x, a) and drives
+    the sampler.
     """
-    theta, v, x, a = state.theta.tolist(), state.v.tolist(), state.x, state.a
-    slope, score = _score(*v, state.step)
+    slope, score = _score(*v, step)
     psi = score(x, a)
     x_next, r = env(x, a)
     if cfg.sampler == "direct_sde":
@@ -236,7 +232,7 @@ def cqsm_step(state: LearnState, cfg: AlgoConfig, env, noise: NoiseSource) -> Le
 
     delta = _td(q_theta(theta, x, a), q_theta(theta, x_next, a_next), psi,
                 r, cfg.dt, cfg.beta, cfg.lam)
-    lr = lr_schedule(state.step * cfg.dt)
+    lr = lr_schedule(step * cfg.dt)
     rate_theta = lr * cfg.alpha_theta
     theta_next = [t + rate_theta * (g * delta) for t, g in zip(theta, q_features(x, a))]
     mismatch = grad_a_q(theta, x, a) / cfg.lam - psi
@@ -245,11 +241,39 @@ def cqsm_step(state: LearnState, cfg: AlgoConfig, env, noise: NoiseSource) -> Le
 
     # NaN and inf both fail the comparison
     if not all(abs(p) <= DIVERGENCE_LIMIT for p in theta_next + v_next):
-        raise DivergenceError(
-            f"parameters diverged at step {state.step} (last delta {delta:.6g})"
-        )
-    return LearnState(np.array(theta_next), np.array(v_next), x_next, a_next, state.step + 1,
+        raise DivergenceError(f"parameters diverged at step {step} (last delta {delta:.6g})")
+    return theta_next, v_next, x_next, a_next, r
+
+
+def cqsm_step(state: LearnState, cfg: AlgoConfig, env, noise: NoiseSource) -> LearnState:
+    """One loop iteration: transition, TD, critic and actor updates.
+
+    ``env`` maps (x, a) to (x', reward rate).  The new action at x' is drawn
+    by the configured sampler (the state noise is drawn first inside ``env``,
+    then the action noise).  The transition pair (x', a') becomes the next
+    iterate's (x, a), so each action is sampled once and reused.
+
+    A wrapper of the float step that :func:`run_cqsm` runs: it unpacks the
+    state's arrays and packs the result into a new ``LearnState``.
+    """
+    theta, v, x, a, r = _step(state.theta.tolist(), state.v.tolist(), state.x, state.a,
+                              state.step, cfg, env, noise)
+    return LearnState(np.array(theta), np.array(v), x, a, state.step + 1,
                       state.cumulative_reward + r * cfg.dt)
+
+
+def _checked_params(theta0, v0) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh float copies of theta0 and v0; ValueError naming a wrong shape or
+    a non-finite entry."""
+    arrays = []
+    for name, value, size in (("theta0", theta0, 6), ("v0", v0, 3)):
+        arr = np.array(value, dtype=float, copy=True)
+        if arr.shape != (size,):
+            raise ValueError(f"{name} must have {size} entries, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} must be finite, got {arr.tolist()}")
+        arrays.append(arr)
+    return arrays[0], arrays[1]
 
 
 def run_cqsm(cfg: AlgoConfig, p: LqParams, theta0, v0) -> LearningRecord:
@@ -257,36 +281,31 @@ def run_cqsm(cfg: AlgoConfig, p: LqParams, theta0, v0) -> LearningRecord:
 
     The run is a pure function of (cfg, p, theta0, v0); equal seeds reproduce
     identical records.  Records are kept at step 0, every cfg.record_every-th
-    step, and the final step.
+    step, and the final step.  The loop is float-resident: theta, v, the pair
+    (x, a) and the cumulative reward stay Python values from the first step
+    to the last, and arrays are built only for the record.
     """
     cfg.validate()
-    theta = np.array(theta0, dtype=float, copy=True)
-    v = np.array(v0, dtype=float, copy=True)
-    if theta.shape != (6,) or v.shape != (3,):
-        raise ValueError("theta0 must have 6 entries and v0 must have 3")
+    theta, v = (arr.tolist() for arr in _checked_params(theta0, v0))
 
     noise = NoiseSource(cfg.seed)
     env = lambda x, a: env_step(p, x, a, cfg.dt, noise)
     try:
-        a_start = initial_action(cfg, v, cfg.x0, noise)
-        state = LearnState(theta, v, cfg.x0, float(a_start), 0, 0.0)
-
-        steps = [0]
-        thetas = [state.theta.copy()]
-        vs = [state.v.copy()]
-        rates = [float(lq_reward(p, state.x, state.a))]
+        x, a = cfg.x0, float(initial_action(cfg, v, cfg.x0, noise))
+        cum = 0.0
+        steps, thetas, vs = [0], [theta], [v]
+        rates = [float(lq_reward(p, x, a))]
         avgs = [0.0]
 
-        for _ in range(cfg.n_steps):
-            prev_cum = state.cumulative_reward
-            state = cqsm_step(state, cfg, env, noise)
-            done = state.step
+        for done in range(1, cfg.n_steps + 1):
+            theta, v, x, a, r = _step(theta, v, x, a, done - 1, cfg, env, noise)
+            prev_cum, cum = cum, cum + r * cfg.dt
             if done % cfg.record_every == 0 or done == cfg.n_steps:
                 steps.append(done)
-                thetas.append(state.theta.copy())
-                vs.append(state.v.copy())
-                rates.append((state.cumulative_reward - prev_cum) / cfg.dt)
-                avgs.append(state.cumulative_reward / (done * cfg.dt))
+                thetas.append(theta)
+                vs.append(v)
+                rates.append((cum - prev_cum) / cfg.dt)
+                avgs.append(cum / (done * cfg.dt))
     except SimulationError as exc:
         raise type(exc)(f"run with seed {cfg.seed}: {exc}") from exc
 

@@ -310,6 +310,17 @@ def test_cli_solve_lq_prints_reference_values(tmp_path, capsys):
     assert "k0,-0.59047134" in out
 
 
+def test_cli_solve_lq_overflow_is_a_numerical_failure(tmp_path, capsys):
+    # squaring these coefficients overflows; the residuals are inf, not a traceback
+    path = tmp_path / "huge.cfg"
+    path.write_text("lq.M = 1e300\nlq.lambda = 1e10\n")
+    assert cli_main(["solve-lq", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical failure: no concave quadratic solution found; "
+                            "the parameters may not admit a well-posed value function\n")
+
+
 def test_cli_rejects_invalid_discount(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("lq.A = 1.0\nlq.beta = 0.5\n")

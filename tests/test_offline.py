@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from cqsm import (
     score_gradient_residual,
     simulate_batch,
 )
+import cqsm.offline as offline
 
 
 def _episode_from_arrays(times, xs, as_, rs, beta):
@@ -236,6 +238,25 @@ def test_run_offline_zero_episodes(lq_ref):
     rec = run_offline(cfg, lq_ref, np.zeros(6), np.zeros(3), n_episodes=0)
     assert len(rec.steps) == 1
     np.testing.assert_array_equal(rec.vs[0], np.zeros(3))
+
+
+@pytest.mark.parametrize("theta0, v0, message", [
+    (np.zeros(5), np.zeros(3), "theta0 must have 6 entries, got shape (5,)"),
+    (np.zeros(6), np.zeros(4), "v0 must have 3 entries, got shape (4,)"),
+    (np.array([0, 0, 0, 0, 0, -math.inf]), np.zeros(3),
+     "theta0 must be finite, got [0.0, 0.0, 0.0, 0.0, 0.0, -inf]"),
+    (np.zeros(6), np.array([math.nan, 0.0, 0.0]), "v0 must be finite, got [nan, 0.0, 0.0]"),
+], ids=["theta0-short", "v0-long", "theta0-inf", "v0-nan"])
+@pytest.mark.parametrize("n_episodes", [0, 3])
+def test_run_offline_refuses_bad_initial_parameters_before_any_draw(
+        lq_ref, monkeypatch, theta0, v0, message, n_episodes):
+    def no_draws(seed):
+        raise AssertionError("a NoiseSource was made before the parameters were checked")
+
+    monkeypatch.setattr(offline, "NoiseSource", no_draws)
+    cfg = AlgoConfig(dt=0.1, n_steps=10, seed=0)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_offline(cfg, lq_ref, theta0, v0, n_episodes=n_episodes)
 
 
 def test_run_offline_deterministic(lq_ref):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from cqsm import (
     env_step,
     grad_a_q,
     grad_v_psi,
+    initial_action,
     k_to_optimal_params,
     lq_dynamics,
     lq_reward,
@@ -31,6 +33,7 @@ from cqsm import (
     td_delta,
 )
 import cqsm.experiment as experiment
+import cqsm.online as online
 from cqsm.online import DIVERGENCE_LIMIT, EXP_LIMIT, SAMPLERS
 from cqsm.sde import SimulationError
 from _oracles import SequenceNoise, reference_cqsm_step, reference_sample_action
@@ -237,6 +240,18 @@ def test_cqsm_step_bitwise_equals_numpy_reference(lq_ref, sampler, seed, theta, 
     assert got.theta.shape == (6,) and got.v.shape == (3,)
 
 
+def _reference_states(cfg, p, theta0, v0):
+    """The LearnState after each step of a loop over the numpy reference step."""
+    noise = NoiseSource(cfg.seed)
+    env = lambda x, a: env_step(p, x, a, cfg.dt, noise)
+    a_start = (cfg.a0 if cfg.sampler == "direct_sde"
+               else reference_sample_action(cfg, v0, cfg.x0, noise))
+    state = LearnState(theta0, v0, cfg.x0, float(a_start), 0, 0.0)
+    for _ in range(cfg.n_steps):
+        state = reference_cqsm_step(state, cfg, env, noise)
+        yield state
+
+
 @pytest.mark.parametrize("sampler", SAMPLERS)
 def test_run_cqsm_bitwise_equals_reference_loop(lq_ref, sampler):
     cfg = AlgoConfig(dt=0.1, n_steps=300, seed=12, sampler=sampler, record_every=1,
@@ -244,19 +259,78 @@ def test_run_cqsm_bitwise_equals_reference_loop(lq_ref, sampler):
     theta0, v0 = np.zeros(6), np.array([0.4, 0.7, 0.1])
     rec = run_cqsm(cfg, lq_ref, theta0, v0)
 
-    noise = NoiseSource(cfg.seed)
-    env = lambda x, a: env_step(lq_ref, x, a, cfg.dt, noise)
-    a_start = cfg.a0 if sampler == "direct_sde" else reference_sample_action(cfg, v0, cfg.x0, noise)
-    state = LearnState(theta0, v0, cfg.x0, float(a_start), 0, 0.0)
     thetas, vs, cums = [theta0], [v0], [0.0]
-    for _ in range(cfg.n_steps):
-        state = reference_cqsm_step(state, cfg, env, noise)
+    for state in _reference_states(cfg, lq_ref, theta0, v0):
         thetas.append(state.theta)
         vs.append(state.v)
         cums.append(state.cumulative_reward)
     assert _bits(rec.thetas) == _bits(thetas)
     assert _bits(rec.vs) == _bits(vs)
     assert _bits(rec.running_avg[1:]) == _bits(np.array(cums[1:]) / (rec.steps[1:] * cfg.dt))
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_run_cqsm_divergence_message_equals_reference_loop(lq_ref, sampler):
+    # alpha 1 at seed 7 diverges a few steps in, where an off-by-one in the
+    # loop's step counter would show in the message
+    cfg = AlgoConfig(dt=0.1, n_steps=2000, alpha_theta=1.0, alpha_v=1.0, seed=7,
+                     sampler=sampler, langevin_steps=50)
+    theta0, v0 = np.zeros(6), np.array([0.5, 0.5, 0.5])
+    with pytest.raises(DivergenceError) as got:
+        run_cqsm(cfg, lq_ref, theta0, v0)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as want:
+        for _ in _reference_states(cfg, lq_ref, theta0, v0):
+            pass
+    assert str(got.value) == f"run with seed 7: {want.value}"
+    assert 2 <= int(re.search(r"at step (\d+) ", str(want.value))[1]) < cfg.n_steps
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_run_cqsm_records_equal_a_loop_over_the_public_step(lq_ref, sampler):
+    cfg = AlgoConfig(dt=0.1, n_steps=300, seed=9, sampler=sampler, record_every=7,
+                     langevin_steps=50, x0=0.3, a0=-0.2)
+    theta0, v0 = np.zeros(6), np.array([0.4, 0.7, 0.1])
+    rec = run_cqsm(cfg, lq_ref, theta0, v0)
+
+    noise = NoiseSource(cfg.seed)
+    env = lambda x, a: env_step(lq_ref, x, a, cfg.dt, noise)
+    state = LearnState(theta0, v0, cfg.x0, float(initial_action(cfg, v0, cfg.x0, noise)), 0, 0.0)
+    steps, thetas, vs = [0], [theta0], [v0]
+    rates, avgs = [lq_reward(lq_ref, state.x, state.a)], [0.0]
+    for _ in range(cfg.n_steps):
+        prev_cum = state.cumulative_reward
+        state = cqsm_step(state, cfg, env, noise)
+        if state.step % cfg.record_every == 0 or state.step == cfg.n_steps:
+            steps.append(state.step)
+            thetas.append(state.theta)
+            vs.append(state.v)
+            rates.append((state.cumulative_reward - prev_cum) / cfg.dt)
+            avgs.append(state.cumulative_reward / (state.step * cfg.dt))
+    assert steps == list(range(0, 295, 7)) + [300]  # the last step is recorded too
+    assert rec.steps.tolist() == steps
+    assert _bits(rec.thetas) == _bits(thetas)
+    assert _bits(rec.vs) == _bits(vs)
+    assert _bits(rec.reward_rates) == _bits(rates)
+    assert _bits(rec.running_avg) == _bits(avgs)
+
+
+@pytest.mark.parametrize("theta0, v0, message", [
+    (np.zeros(5), np.zeros(3), "theta0 must have 6 entries, got shape (5,)"),
+    (np.zeros((6, 1)), np.zeros(3), "theta0 must have 6 entries, got shape (6, 1)"),
+    (np.zeros(6), np.zeros(4), "v0 must have 3 entries, got shape (4,)"),
+    (np.array([0, 0, math.nan, 0, 0, 0]), np.zeros(3),
+     "theta0 must be finite, got [0.0, 0.0, nan, 0.0, 0.0, 0.0]"),
+    (np.zeros(6), np.array([0.0, math.inf, 0.0]), "v0 must be finite, got [0.0, inf, 0.0]"),
+], ids=["theta0-short", "theta0-2d", "v0-long", "theta0-nan", "v0-inf"])
+@pytest.mark.parametrize("n_steps", [0, 5])
+def test_run_cqsm_refuses_bad_initial_parameters_before_any_draw(
+        lq_ref, monkeypatch, theta0, v0, message, n_steps):
+    def no_draws(seed):
+        raise AssertionError("a NoiseSource was made before the parameters were checked")
+
+    monkeypatch.setattr(online, "NoiseSource", no_draws)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_cqsm(AlgoConfig(n_steps=n_steps, sampler="langevin"), lq_ref, theta0, v0)
 
 
 def test_score_slope_limit_is_the_largest_finite_exponent():
