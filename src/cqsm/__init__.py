@@ -22,7 +22,6 @@ from .lq import LqParams, env_step, lq_dynamics, lq_reward, lq_reward_fn
 from .policy import (
     grad_a_q,
     grad_theta_q,
-    grad_v_psi,
     psi_v,
     q_theta,
     score_params_from_q,
@@ -40,7 +39,6 @@ from .lq_analytic import (
 from .samplers import (
     NoiseSchedule,
     ddpm_sample,
-    langevin_batch,
     langevin_chain,
     langevin_sample,
     make_linear_schedule,
@@ -69,6 +67,7 @@ from .offline import (
 from .martingale import (
     ResidualReport,
     constant_test,
+    estimate_discounted_return,
     lagged_state_test,
     martingale_loss,
     orthogonality_residual,
@@ -81,7 +80,6 @@ from .experiment import (
     ExperimentConfig,
     RunSummary,
     config_hash,
-    estimate_discounted_return,
     format_config,
     load_config,
     parse_config,

@@ -30,10 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .lq import LqParams, lq_dynamics, lq_reward_fn
-from .offline import net_reward_flow
+from .lq import LqParams
 from .online import AlgoConfig, LearningRecord, run_cqsm
-from .sde import SimulationError, simulate_batch
+from .sde import SimulationError
 
 
 class ConfigError(ValueError):
@@ -335,20 +334,3 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> RunSummary:
     with open(out / "manifest.txt", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(manifest) + "\n")
     return summary
-
-
-def estimate_discounted_return(p: LqParams, score, cfg: AlgoConfig, n_traj: int):
-    """Monte Carlo discounted net return from (cfg.x0, cfg.a0) under a score.
-
-    Left-endpoint sum of e^{-beta t} (r - lam/2 Psi^2) dt over cfg.n_steps
-    steps, averaged over n_traj trajectories.  Returns (estimate, std error).
-    Equal cfg.seed values reuse the same noise, enabling common-random-number
-    comparisons between scores.
-    """
-    batch = simulate_batch(lq_dynamics(p, score), lq_reward_fn(p), cfg.x0, cfg.a0,
-                           cfg.dt, cfg.n_steps, n_traj, cfg.seed)
-    w = np.exp(-p.beta * batch.times[:-1])[:, None]
-    psi = score(batch.states[:-1], batch.actions[:-1])
-    returns = net_reward_flow(w, batch.reward_rates, psi, batch.dt, p.lam).sum(axis=0)
-    return float(returns.mean()), float(returns.std(ddof=1) / np.sqrt(n_traj))
-

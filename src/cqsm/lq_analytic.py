@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .lq import LqParams, lq_reward
-from .policy import score_params_from_q
+from .policy import grad_a_q, q_theta, score_params_from_q
 
 RESIDUAL_TOL = 1e-10
 CONCAVITY_TOL = 1e-10
@@ -29,12 +29,12 @@ class SolveError(RuntimeError):
     """No concave quadratic solution was found for the given parameters."""
 
 
-@dataclass(frozen=True)
-class KCoefficients:
+class KCoefficients(NamedTuple):
     """Coefficients of Q(x, a) = k0 x^2/2 + k1 x + k2 a^2/2 + k3 a + k4 x a + k5.
 
     For a valid value function k2 < 0 always, and away from degenerate reward
-    configurations Q is strictly concave: k0 < 0 and k0 k2 - k4^2 > 0.
+    configurations Q is strictly concave: k0 < 0 and k0 k2 - k4^2 > 0.  As a
+    tuple of six floats it is a theta of :mod:`policy`'s value model.
     """
 
     k0: float
@@ -45,7 +45,7 @@ class KCoefficients:
     k5: float
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.k0, self.k1, self.k2, self.k3, self.k4, self.k5])
+        return np.array(self)
 
 
 def coefficient_residuals(k: KCoefficients, p: LqParams) -> np.ndarray:
@@ -67,15 +67,15 @@ def coefficient_residuals(k: KCoefficients, p: LqParams) -> np.ndarray:
 
 
 def q_star(k: KCoefficients, x, a):
-    """Evaluate the quadratic value function."""
-    return 0.5 * k.k0 * x * x + k.k1 * x + 0.5 * k.k2 * a * a + k.k3 * a + k.k4 * x * a + k.k5
+    """Evaluate the quadratic value function: :func:`policy.q_theta` at theta = k."""
+    return q_theta(k, x, a)
 
 
 def optimal_score(k: KCoefficients, lam: float, x, a):
     """Optimal action drift: the action gradient of Q scaled by 1/lam."""
     if lam <= 0:
         raise ValueError("lam must be positive")
-    return (k.k2 * a + k.k3 + k.k4 * x) / lam
+    return grad_a_q(k, x, a) / lam
 
 
 def hjb_residual(k: KCoefficients, p: LqParams, x, a):
@@ -86,9 +86,9 @@ def hjb_residual(k: KCoefficients, p: LqParams, x, a):
     true solution.
     """
     q_x = k.k0 * x + k.k1 + k.k4 * a
-    q_a = k.k2 * a + k.k3 + k.k4 * x
+    q_a = grad_a_q(k, x, a)
     sigma_x = p.C * x + p.D * a
-    return (p.beta * q_star(k, x, a)
+    return (p.beta * q_theta(k, x, a)
             - q_x * (p.A * x + p.B * a)
             - q_a * q_a / (2 * p.lam)
             - 0.5 * sigma_x * sigma_x * k.k0

@@ -6,7 +6,8 @@ martingale, so its increments are orthogonal to every adapted test process:
 E sum_k xi_k dM_k = 0.  The estimators here form that sum along simulated
 trajectories and z-score it across independent replications; a wrong Q (for
 example a constant offset, which the discounting term detects) produces a
-significant mean.
+significant mean.  Every estimate here, the discounted return of a score
+included, runs on one vectorised batch of trajectories.
 """
 
 from __future__ import annotations
@@ -101,6 +102,13 @@ def _jackknife_se(values: np.ndarray) -> float:
     return math.sqrt((n - 1) / n * float(((loo - loo.mean()) ** 2).sum()))
 
 
+def _simulate(p: LqParams, score, cfg: AlgoConfig, n_traj: int) -> Trajectory:
+    """``n_traj`` trajectories of the joint dynamics of ``p`` under ``score``
+    from (cfg.x0, cfg.a0), cfg.n_steps steps of cfg.dt, noise seeded by cfg.seed."""
+    return simulate_batch(lq_dynamics(p, score), lq_reward_fn(p), cfg.x0, cfg.a0,
+                          cfg.dt, cfg.n_steps, n_traj, cfg.seed)
+
+
 def orthogonality_residual(qfun, score, test_fn: TestProcess, p: LqParams,
                            cfg: AlgoConfig, n_traj: int) -> ResidualReport:
     """Estimate E sum xi dM over ``n_traj`` trajectories with a jackknife SE.
@@ -111,8 +119,7 @@ def orthogonality_residual(qfun, score, test_fn: TestProcess, p: LqParams,
     """
     if n_traj < 2:
         raise ValueError("n_traj must be at least 2")
-    batch = simulate_batch(lq_dynamics(p, score), lq_reward_fn(p), cfg.x0, cfg.a0,
-                           cfg.dt, cfg.n_steps, n_traj, cfg.seed)
+    batch = _simulate(p, score, cfg, n_traj)
     stats = orthogonality_statistics(batch, qfun, score, test_fn, p.beta, p.lam)
     estimate = float(stats.mean())
     se = _jackknife_se(stats)
@@ -139,7 +146,21 @@ def martingale_loss(qfun, score, p: LqParams, cfg: AlgoConfig, n_traj: int) -> f
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
-    batch = simulate_batch(lq_dynamics(p, score), lq_reward_fn(p), cfg.x0, cfg.a0,
-                           cfg.dt, cfg.n_steps, n_traj, cfg.seed)
+    batch = _simulate(p, score, cfg, n_traj)
     gaps = trajectory_gaps(batch, qfun, score, p.beta, p.lam)
     return 0.5 * float(np.mean(gaps * gaps)) * batch.dt
+
+
+def estimate_discounted_return(p: LqParams, score, cfg: AlgoConfig, n_traj: int):
+    """Monte Carlo discounted net return from (cfg.x0, cfg.a0) under a score.
+
+    Left-endpoint sum of e^{-beta t} (r - lam/2 Psi^2) dt over cfg.n_steps
+    steps, averaged over n_traj trajectories.  Returns (estimate, std error).
+    Equal cfg.seed values reuse the same noise, enabling common-random-number
+    comparisons between scores.
+    """
+    batch = _simulate(p, score, cfg, n_traj)
+    w = np.exp(-p.beta * batch.times[:-1])[:, None]
+    psi = score(batch.states[:-1], batch.actions[:-1])
+    returns = net_reward_flow(w, batch.reward_rates, psi, batch.dt, p.lam).sum(axis=0)
+    return float(returns.mean()), float(returns.std(ddof=1) / np.sqrt(n_traj))

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lq import LqParams, lq_dynamics, lq_reward_fn
-from .online import (AlgoConfig, DivergenceError, LearningRecord, _checked_params, initial_action,
-                     lr_schedule)
-from .policy import grad_a_q, psi_features, psi_v, psi_v_fn, q_features, q_theta
-from .sde import NoiseSource, Trajectory, simulate_from
+from .online import (AlgoConfig, DivergenceError, LearningRecord, _checked_params, _record, _score,
+                     initial_action, lr_schedule)
+from .policy import grad_a_q, psi_features, psi_v, q_features, q_theta
+from .sde import NoiseSource, SimulationError, Trajectory, simulate_from
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,9 @@ def rollout_episode(p: LqParams, v, cfg: AlgoConfig, noise: NoiseSource) -> Epis
     episode the action evolves continuously through its own SDE.
     """
     a0 = initial_action(cfg, v, cfg.x0, noise)
-    traj = simulate_from(lq_dynamics(p, psi_v_fn(v)), lq_reward_fn(p), cfg.x0, a0,
-                         cfg.dt, cfg.n_steps, noise)
+    _, score = _score(*np.asarray(v, dtype=float).tolist(), 0)
+    traj = simulate_from(lq_dynamics(p, score), lq_reward_fn(p), cfg.x0, a0, cfg.dt,
+                         cfg.n_steps, noise)
     return make_episode(traj, cfg.beta)
 
 
@@ -172,8 +173,11 @@ def run_offline(cfg: AlgoConfig, p: LqParams, theta0, v0, n_episodes: int) -> Le
 
     for j in range(1, n_episodes + 1):
         noise = NoiseSource(int(master.integers(2 ** 63)))
-        ep = rollout_episode(p, v, cfg, noise)
-        theta, v = offline_update(ep, theta, v, cfg, j)
+        try:
+            ep = rollout_episode(p, v, cfg, noise)
+            theta, v = offline_update(ep, theta, v, cfg, j)
+        except SimulationError as exc:
+            raise type(exc)(f"run with seed {cfg.seed}: episode {j}: {exc}") from exc
         total_reward += float(ep.trajectory.reward_rates.sum()) * cfg.dt
         if j % cfg.record_every == 0 or j == n_episodes:
             steps.append(j)
@@ -182,13 +186,4 @@ def run_offline(cfg: AlgoConfig, p: LqParams, theta0, v0, n_episodes: int) -> Le
             rates.append(float(ep.trajectory.reward_rates.mean()))
             avgs.append(total_reward / (j * episode_time))
 
-    steps_arr = np.asarray(steps, dtype=int)
-    return LearningRecord(
-        steps=steps_arr,
-        times=steps_arr * episode_time,
-        thetas=np.asarray(thetas),
-        vs=np.asarray(vs),
-        reward_rates=np.asarray(rates),
-        running_avg=np.asarray(avgs),
-        seed=cfg.seed,
-    )
+    return _record(steps, episode_time, thetas, vs, rates, avgs, cfg.seed)

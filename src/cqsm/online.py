@@ -276,6 +276,20 @@ def _checked_params(theta0, v0) -> tuple[np.ndarray, np.ndarray]:
     return arrays[0], arrays[1]
 
 
+def _record(steps, time_per_step: float, thetas, vs, rates, avgs, seed: int) -> LearningRecord:
+    """The LearningRecord of the recorded rows; times are steps * time_per_step."""
+    steps_arr = np.asarray(steps, dtype=int)
+    return LearningRecord(
+        steps=steps_arr,
+        times=steps_arr * time_per_step,
+        thetas=np.asarray(thetas),
+        vs=np.asarray(vs),
+        reward_rates=np.asarray(rates),
+        running_avg=np.asarray(avgs),
+        seed=seed,
+    )
+
+
 def run_cqsm(cfg: AlgoConfig, p: LqParams, theta0, v0) -> LearningRecord:
     """Run the online loop for cfg.n_steps iterations and record thinned series.
 
@@ -308,14 +322,4 @@ def run_cqsm(cfg: AlgoConfig, p: LqParams, theta0, v0) -> LearningRecord:
                 avgs.append(cum / (done * cfg.dt))
     except SimulationError as exc:
         raise type(exc)(f"run with seed {cfg.seed}: {exc}") from exc
-
-    steps_arr = np.asarray(steps, dtype=int)
-    return LearningRecord(
-        steps=steps_arr,
-        times=steps_arr * cfg.dt,
-        thetas=np.asarray(thetas),
-        vs=np.asarray(vs),
-        reward_rates=np.asarray(rates),
-        running_avg=np.asarray(avgs),
-        seed=cfg.seed,
-    )
+    return _record(steps, cfg.dt, thetas, vs, rates, avgs, cfg.seed)

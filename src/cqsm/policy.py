@@ -57,21 +57,6 @@ def score_fn(slope: float, v1: float, v2: float):
     return score
 
 
-def psi_v_fn(v):
-    """psi_v at fixed v as a closure of (x, a), for samplers' inner loops.
-
-    v is unpacked into Python floats once; the closure then performs the
-    operations of psi_v in the same order, so it returns bitwise-equal values
-    (scalars or arrays) without numpy scalar arithmetic per call.
-    """
-    return score_fn(float(-np.exp(v[0])), float(v[1]), float(v[2]))
-
-
-def grad_v_psi(v, x, a) -> np.ndarray:
-    """Gradient of psi_v in v as an array (see :func:`psi_features`)."""
-    return np.array(psi_features(-np.exp(v[0]), x, a))
-
-
 def score_params_from_q(theta, lam: float) -> np.ndarray:
     """Score parameters that reproduce the value model's action gradient.
 

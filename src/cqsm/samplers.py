@@ -9,7 +9,7 @@ noise schedule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -28,8 +28,8 @@ class NoiseSchedule:
     """
 
     betas: np.ndarray
-    alphas: np.ndarray
-    alpha_bars: np.ndarray
+    alphas: np.ndarray = field(init=False)
+    alpha_bars: np.ndarray = field(init=False)
 
     def __post_init__(self):
         betas = np.asarray(self.betas, dtype=float)
@@ -37,18 +37,14 @@ class NoiseSchedule:
             raise ValueError("betas must be a non-empty 1-d array")
         if np.any(betas <= 0) or np.any(betas >= 1):
             raise ValueError("betas must lie strictly inside (0, 1)")
-        if not np.allclose(self.alphas, 1.0 - betas, rtol=0, atol=1e-15):
-            raise ValueError("alphas must equal 1 - betas")
-        if not np.allclose(self.alpha_bars, np.cumprod(self.alphas), rtol=1e-12, atol=0):
-            raise ValueError("alpha_bars must be the running product of alphas")
-        if np.any(np.diff(self.alpha_bars) >= 0):
-            raise ValueError("alpha_bars must be strictly decreasing")
-
-    @classmethod
-    def from_betas(cls, betas) -> "NoiseSchedule":
-        betas = np.asarray(betas, dtype=float)
         alphas = 1.0 - betas
-        return cls(betas, alphas, np.cumprod(alphas))
+        alpha_bars = np.cumprod(alphas)
+        # a long schedule's running product can underflow to 0
+        if np.any(np.diff(alpha_bars) >= 0):
+            raise ValueError("alpha_bars must be strictly decreasing")
+        object.__setattr__(self, "betas", betas)
+        object.__setattr__(self, "alphas", alphas)
+        object.__setattr__(self, "alpha_bars", alpha_bars)
 
     @property
     def n_steps(self) -> int:
@@ -79,7 +75,7 @@ def make_linear_schedule(t_steps: int, beta_start: float = 1e-3,
         betas = np.array([beta_start])
     else:
         betas = np.linspace(beta_start, beta_end, t_steps)
-    return NoiseSchedule.from_betas(betas)
+    return NoiseSchedule(betas)
 
 
 def ddpm_sample(score, x: float, schedule: NoiseSchedule, noise: NoiseSource) -> float:
@@ -101,8 +97,7 @@ def ddpm_sample(score, x: float, schedule: NoiseSchedule, noise: NoiseSource) ->
     return a
 
 
-def langevin_sample(score, x: float, a0: float, dt: float, n_steps: int,
-                    noise: NoiseSource) -> float:
+def langevin_sample(score, x: float, a0, dt: float, n_steps: int, noise: NoiseSource):
     """Final iterate of a Langevin chain da = score(x, a) dt + sqrt(2) dB.
 
     For a concave quadratic value function the chain's stationary law is the
@@ -119,13 +114,25 @@ def langevin_sample(score, x: float, a0: float, dt: float, n_steps: int,
     non-finite, because every step adds to it.  Any other score, and the
     replay of a stretch that ended non-finite, is called at every step with a
     check per step, which names the first non-finite step.
+
+    An array ``a0`` runs one chain per entry in lockstep and returns the
+    array of final iterates: each step calls the score on the whole array and
+    draws ``noise.normal(a.shape)``, and finiteness is checked once, at the
+    end.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    a = float(a0)
     root = math.sqrt(2.0 * dt)
+    if isinstance(a0, np.ndarray):
+        a = np.asarray(a0, dtype=float)
+        for _ in range(n_steps):
+            a = a + score(x, a) * dt + root * noise.normal(a.shape)
+        if not np.all(np.isfinite(a)):
+            raise SimulationError("sampler fault: non-finite action in batch")
+        return a
+    a = float(a0)
     coefficients = getattr(score, "coefficients", None)
     for first in range(0, n_steps, TAPE):
         draws = noise.normals(min(TAPE, n_steps - first))
@@ -159,19 +166,3 @@ def langevin_chain(score, x: float, a0: float, dt: float, n_burn: int,
     for i in range(n_samples):
         a = out[i] = langevin_sample(score, x, a, dt, thin, noise)
     return out
-
-
-def langevin_batch(score, x: float, a0: np.ndarray, dt: float, n_steps: int,
-                   noise: NoiseSource) -> np.ndarray:
-    """Advance many independent Langevin chains in lockstep; returns final iterates."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    a = np.array(a0, dtype=float, copy=True)
-    root = math.sqrt(2.0 * dt)
-    for _ in range(n_steps):
-        a = a + score(x, a) * dt + root * noise.normal(a.shape)
-    if not np.all(np.isfinite(a)):
-        raise SimulationError("sampler fault: non-finite action in batch")
-    return a

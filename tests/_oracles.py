@@ -143,6 +143,21 @@ def reference_langevin_sample(score, x: float, a0: float, dt: float, n_steps: in
     return a
 
 
+def reference_langevin_batch(score, x: float, a0, dt: float, n_steps: int, noise):
+    """Chains in lockstep: one array draw per step, one finiteness check at the end."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
+    a = np.array(a0, dtype=float, copy=True)
+    root = math.sqrt(2.0 * dt)
+    for _ in range(n_steps):
+        a = a + score(x, a) * dt + root * noise.normal(a.shape)
+    if not np.all(np.isfinite(a)):
+        raise SimulationError("sampler fault: non-finite action in batch")
+    return a
+
+
 def _ref_q(theta, x, a):
     return (0.5 * theta[0] * x * x + theta[1] * x + 0.5 * theta[2] * a * a
             + theta[3] * a + theta[4] * x * a + theta[5])

@@ -24,10 +24,9 @@ from cqsm import (
     estimate_discounted_return,
     grad_a_q,
     grad_theta_q,
-    grad_v_psi,
     hjb_residual,
     k_to_optimal_params,
-    langevin_batch,
+    langevin_sample,
     make_linear_schedule,
     optimal_score,
     orthogonality_residual,
@@ -40,6 +39,7 @@ from cqsm import (
     score_params_from_q,
     solve_lq,
 )
+from cqsm.policy import psi_features
 from cqsm.sde import NoiseSource
 from conftest import REF_THETA, REF_V
 from _oracles import central_diff_vec, ddpm_affine_law, random_admissible_params
@@ -115,7 +115,7 @@ def test_05_gradient_checks(lq_ref):
         fd_v = central_diff_vec(lambda u: psi_v(u, x, a), v)
         fd_a = (q_theta(theta, x, a + 1e-5) - q_theta(theta, x, a - 1e-5)) / 2e-5
         for got, ref in ((grad_theta_q(theta, x, a), fd_theta),
-                         (grad_v_psi(v, x, a), fd_v),
+                         (np.array(psi_features(-np.exp(v[0]), x, a)), fd_v),
                          (np.atleast_1d(grad_a_q(theta, x, a)), np.atleast_1d(fd_a))):
             scale = np.maximum(np.abs(ref), 1e-2)
             worst = max(worst, float(np.max(np.abs(got - ref) / scale)))
@@ -135,10 +135,10 @@ def test_06_sampler_correctness(lq_ref, k_ref):
     n_chains, n_keep, dt = 1000, 100, 2e-4
     thin = int(round(0.1 / dt))
     noise = NoiseSource(606)
-    a = langevin_batch(score, 0.0, np.zeros(n_chains), dt, int(4.0 / dt), noise)
+    a = langevin_sample(score, 0.0, np.zeros(n_chains), dt, int(4.0 / dt), noise)
     kept = np.empty((n_keep, n_chains))
     for i in range(n_keep):
-        a = langevin_batch(score, 0.0, a, dt, thin, noise)
+        a = langevin_sample(score, 0.0, a, dt, thin, noise)
         kept[i] = a
     chain_means = kept.mean(axis=0)
     se_mean = chain_means.std(ddof=1) / math.sqrt(n_chains)

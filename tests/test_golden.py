@@ -2,7 +2,8 @@
 
 A change that leaves the arithmetic and the draw order alone must leave
 every byte of the seed and summary CSVs alone too; these digests pin them,
-and the record CSVs of short offline runs.
+the record CSVs of short offline runs, and the batch Monte Carlo estimates
+of the martingale and return checks.
 ``manifest.txt`` is not pinned because its bytes include ``output_dir``.
 
 The values assume the numpy (2.4.6) and libm of the machine they were
@@ -16,7 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cqsm import AlgoConfig, parse_config, run_experiment, run_offline, write_record_csv
+from cqsm import (AlgoConfig, LqParams, constant_test, estimate_discounted_return, optimal_score,
+                  orthogonality_residual, parse_config, psi_v, q_star, run_experiment, run_offline,
+                  solve_lq, write_record_csv)
 
 REFERENCE = (Path(__file__).resolve().parent.parent / "configs" / "reference.cfg").read_text()
 
@@ -70,3 +73,46 @@ def test_offline_run_matches_golden_digest(tmp_path, lq_ref, sampler, seed):
     write_record_csv(rec, tmp_path / "record.csv")
     digest = hashlib.sha256((tmp_path / "record.csv").read_bytes()).hexdigest()
     assert digest == OFFLINE_CASES[sampler, seed]
+
+
+
+def _float_digest(*values) -> str:
+    return hashlib.sha256(np.array(values).tobytes()).hexdigest()
+
+
+# (estimate, std_error, z_score) for Q* and Q* + 0.5 at the check-martingale
+# defaults: 200 trajectories, dt 0.01, horizon 50, seed 0
+MARTINGALE_CASES = {
+    0.0: "8e83d86f9dda1f08c0432cd199dfd9fce82859f50096a18ba19be22dfc4db274",
+    0.5: "e15ae4807b26fd6049f79d8f64010f61933b3173d209a429ee733c93c0e19540",
+}
+
+
+@pytest.mark.parametrize("offset", sorted(MARTINGALE_CASES))
+def test_orthogonality_residual_matches_golden_digest(offset):
+    p = LqParams()
+    k = solve_lq(p)
+    report = orthogonality_residual(lambda x, a: q_star(k, x, a) + offset,
+                                    lambda x, a: optimal_score(k, p.lam, x, a),
+                                    constant_test(), p, AlgoConfig(dt=0.01, n_steps=5000), 200)
+    assert _float_digest(report.estimate, report.std_error,
+                         report.z_score) == MARTINGALE_CASES[offset]
+
+
+# (estimate, std error) at criterion 8's Monte Carlo config, for its baseline
+# score psi_v(0) and for the optimal score
+RETURN_CASES = {
+    "baseline": "ce6161dbf4b7f193928a2acf99daf7bbb2339714804f19ef32c885c7ae96c041",
+    "optimal": "bf868a117c201b2f188bba161f990031d681e81eef1c34577087ca45844d84b6",
+}
+
+
+@pytest.mark.parametrize("score_name", sorted(RETURN_CASES))
+def test_estimate_discounted_return_matches_golden_digest(score_name):
+    p = LqParams()
+    k = solve_lq(p)
+    score = {"baseline": lambda x, a: psi_v(np.zeros(3), x, a),
+             "optimal": lambda x, a: optimal_score(k, p.lam, x, a)}[score_name]
+    estimate = estimate_discounted_return(p, score, AlgoConfig(dt=0.02, n_steps=2500, seed=909),
+                                          2000)
+    assert _float_digest(*estimate) == RETURN_CASES[score_name]

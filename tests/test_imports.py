@@ -1,5 +1,6 @@
-"""Every name a ``cqsm`` module imports is used in that module, and every
-private helper and constant a ``cqsm`` module defines is read in the package.
+"""Every name a ``cqsm`` module imports is used in that module, every
+private helper and constant a ``cqsm`` module defines is read in the package,
+and every public function and class is read by the package or the benchmark.
 
 ``__init__.py`` is skipped as an importer: its imports are the package's
 public API.
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cqsm"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cqsm"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
@@ -53,8 +55,14 @@ def dead_definitions(module: str, package: list[str]) -> list[str]:
         for target in targets:
             if isinstance(target, ast.Name) and CONSTANT.fullmatch(target.id):
                 defined[target.id] = node.lineno
+    read = names_read(package)
+    return [f"line {line}: {name}" for name, line in defined.items() if name not in read]
+
+
+def names_read(sources: list[str]) -> set[str]:
+    """Names loaded, attributes loaded and names imported anywhere in ``sources``."""
     read = set()
-    for tree in map(ast.parse, package):
+    for tree in map(ast.parse, sources):
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -62,7 +70,7 @@ def dead_definitions(module: str, package: list[str]) -> list[str]:
                 read.add(node.attr)
             elif isinstance(node, ast.alias):
                 read.add(node.name)
-    return [f"line {line}: {name}" for name, line in defined.items() if name not in read]
+    return read
 
 
 def test_dead_definitions_are_found():
@@ -78,3 +86,22 @@ def test_dead_definitions_are_found():
 def test_module_defines_nothing_dead(path):
     package = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
     assert dead_definitions(path.read_text(encoding="utf-8"), package) == []
+
+
+# the paper's objects: public for study and tested directly, though no other
+# code path calls them
+PAPER_OBJECTS = {"em_step", "td_delta", "episode_return_to_go", "martingale_loss",
+                 "lagged_state_test", "q_gradient_test", "hjb_residual",
+                 "estimate_discounted_return"}
+
+
+def test_every_public_name_has_a_reader_besides_the_tests():
+    readers = [p.read_text(encoding="utf-8") for p in MODULES]
+    readers += [p.read_text(encoding="utf-8") for p in sorted((ROOT / "bench").glob("*.py"))]
+    read = names_read(readers)
+    unread = [f"{path.name}: {node.name}"
+              for path in MODULES for node in ast.parse(path.read_text(encoding="utf-8")).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and node.name not in read | PAPER_OBJECTS]
+    assert unread == []

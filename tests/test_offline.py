@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from cqsm import (
     DivergenceError,
     Episode,
     NoiseSource,
+    SimulationError,
     Trajectory,
     episode_return_to_go,
     k_to_optimal_params,
@@ -257,6 +259,24 @@ def test_run_offline_refuses_bad_initial_parameters_before_any_draw(
     cfg = AlgoConfig(dt=0.1, n_steps=10, seed=0)
     with pytest.raises(ValueError, match=re.escape(message)):
         run_offline(cfg, lq_ref, theta0, v0, n_episodes=n_episodes)
+
+
+@pytest.mark.parametrize("seed, v0, n_steps, error, message", [
+    (2, np.array([800.0, 0.0, 0.0]), 10, DivergenceError,
+     "run with seed 2: episode 1: score slope -exp(v0) overflows at step 0 (v0 = 800)"),
+    # the offline-episodes benchmark's diverging seed: its second actor step
+    # makes the Euler action step unstable
+    (123, np.random.default_rng((123, 1)).uniform(0.0, 1.0, 3), 500, SimulationError,
+     "run with seed 123: episode 2: step 107: reward evaluated to a non-finite value"),
+], ids=["overflowing-slope", "unstable-episode"])
+def test_run_offline_failure_names_seed_and_episode(lq_ref, seed, v0, n_steps, error, message):
+    cfg = AlgoConfig(dt=0.1, n_steps=n_steps, alpha_theta=0.02, alpha_v=0.3, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        with pytest.raises(error) as info:
+            run_offline(cfg, lq_ref, np.zeros(6), v0, n_episodes=5)
+    assert type(info.value) is error
+    assert str(info.value).startswith(message)
 
 
 def test_run_offline_deterministic(lq_ref):

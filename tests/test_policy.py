@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from cqsm import (
     grad_a_q,
     grad_theta_q,
-    grad_v_psi,
     k_to_optimal_params,
     optimal_score,
     psi_v,
@@ -14,7 +13,8 @@ from cqsm import (
     q_theta,
     score_params_from_q,
 )
-from cqsm.policy import psi_v_fn
+from cqsm.online import EXP_LIMIT, DivergenceError, _score
+from cqsm.policy import psi_features
 from conftest import REF_THETA, REF_V
 from _oracles import central_diff_vec
 
@@ -73,9 +73,8 @@ def test_psi_v_reproduces_optimal_score(k_ref, lq_ref):
 
 
 def test_grad_v_psi_examples():
-    np.testing.assert_array_equal(grad_v_psi(np.array([0.3, -0.5, 2.0]), 0.0, 0.0),
-                                  np.array([0.0, 0.0, 1.0]))
-    assert grad_v_psi(np.zeros(3), 0.7, 1.0)[0] == -1.0
+    np.testing.assert_array_equal(psi_features(-np.exp(0.3), 0.0, 0.0), [0.0, 0.0, 1.0])
+    assert psi_features(-np.exp(0.0), 0.7, 1.0)[0] == -1.0
 
 
 @given(theta=st.tuples(*[finite] * 6), x=finite, a=finite)
@@ -91,7 +90,7 @@ def test_grad_theta_q_matches_finite_differences(theta, x, a):
 def test_grad_v_psi_matches_finite_differences(v, x, a):
     v = np.asarray(v)
     fd = central_diff_vec(lambda u: psi_v(u, x, a), v)
-    np.testing.assert_allclose(grad_v_psi(v, x, a), fd, rtol=1e-6, atol=1e-7)
+    np.testing.assert_allclose(psi_features(-np.exp(v[0]), x, a), fd, rtol=1e-6, atol=1e-7)
 
 
 @given(theta=st.tuples(*[finite] * 6), x=finite, a=finite)
@@ -126,12 +125,18 @@ def _bits(values):
 
 @given(v=st.tuples(st.floats(-50, 800), finite, finite), x=finite, a=finite)
 @settings(max_examples=200, deadline=None)
-def test_psi_v_fn_is_bitwise_psi_v(v, x, a):
-    # v0 above ~709.8 overflows exp: both forms must then agree on inf/nan too
+def test_score_closure_is_bitwise_psi_v(v, x, a):
+    # v0 above EXP_LIMIT overflows exp: the closure is refused instead of
+    # returning the infinite or NaN values psi_v gives there
+    if v[0] > EXP_LIMIT:
+        with pytest.raises(DivergenceError, match="overflows at step 3"):
+            _score(*v, 3)
+        return
     v = np.asarray(v)
     xs = np.array([x, -x, 0.0, 1e3 * x])
     as_ = np.array([a, 0.0, -a, a / 3])
+    slope, score = _score(*v.tolist(), 0)
+    assert _bits(slope) == _bits(-np.exp(v[0]))
     with np.errstate(over="ignore", invalid="ignore"):
-        score = psi_v_fn(v)
         assert np.array_equal(_bits(score(x, a)), _bits(psi_v(v, x, a)))
         assert np.array_equal(_bits(score(xs, as_)), _bits(psi_v(v, xs, as_)))

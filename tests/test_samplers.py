@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from cqsm import (
     NoiseSchedule,
     NoiseSource,
     ddpm_sample,
-    langevin_batch,
     langevin_chain,
     langevin_sample,
     make_linear_schedule,
@@ -19,7 +19,7 @@ from cqsm.online import EXP_LIMIT
 from cqsm.policy import score_fn
 from cqsm.sde import TAPE, SimulationError
 from _oracles import (SequenceNoise, ddpm_affine_law, reference_ddpm_sample,
-                      reference_langevin_sample)
+                      reference_langevin_batch, reference_langevin_sample)
 
 SLOPE_LIMIT = -math.exp(EXP_LIMIT)  # the steepest slope online._score lets through
 
@@ -51,10 +51,25 @@ def test_schedule_bounds_validation():
         make_linear_schedule(0, 0.1, 0.2)
 
 
-def test_noise_schedule_consistency_enforced():
-    betas = np.array([0.1, 0.2])
-    with pytest.raises(ValueError):
-        NoiseSchedule(betas, 1.0 - betas, np.array([0.9, 0.9]))
+def test_noise_schedule_derives_alphas_and_their_products():
+    sched = NoiseSchedule([0.1, 0.2])
+    np.testing.assert_array_equal(sched.betas, [0.1, 0.2])
+    np.testing.assert_array_equal(sched.alphas, 1.0 - np.array([0.1, 0.2]))
+    np.testing.assert_array_equal(sched.alpha_bars, np.cumprod(1.0 - np.array([0.1, 0.2])))
+    with pytest.raises(TypeError):
+        NoiseSchedule([0.1, 0.2], [0.9, 0.8], [0.9, 0.72])
+
+
+@pytest.mark.parametrize("betas, message", [
+    ([], "betas must be a non-empty 1-d array"),
+    ([[0.1, 0.2]], "betas must be a non-empty 1-d array"),
+    ([0.1, 0.0], "betas must lie strictly inside (0, 1)"),
+    ([0.1, 1.0], "betas must lie strictly inside (0, 1)"),
+    ([0.99] * 200, "alpha_bars must be strictly decreasing"),
+])
+def test_noise_schedule_rejects_bad_betas(betas, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        NoiseSchedule(betas)
 
 
 def test_ddpm_one_step_hand_value():
@@ -149,10 +164,10 @@ def test_langevin_boltzmann_moments_parallel_chains(k_ref, lq_ref):
     n_chains, n_keep, dt = 400, 50, 5e-4
     thin = int(round(0.1 / dt))
     noise = NoiseSource(31)
-    a = langevin_batch(score, 0.0, np.zeros(n_chains), dt, int(4.0 / dt), noise)
+    a = langevin_sample(score, 0.0, np.zeros(n_chains), dt, int(4.0 / dt), noise)
     kept = np.empty((n_keep, n_chains))
     for i in range(n_keep):
-        a = langevin_batch(score, 0.0, a, dt, thin, noise)
+        a = langevin_sample(score, 0.0, a, dt, thin, noise)
         kept[i] = a
     chain_means = kept.mean(axis=0)
     se_mean = chain_means.std(ddof=1) / math.sqrt(n_chains)
@@ -278,3 +293,29 @@ def test_langevin_long_chain_draws_one_stretch_at_a_time(kind):
     assert noise.requests == [TAPE, TAPE, 7]
     want = reference_langevin_sample(score, 0.2, 0.0, 0.01, n_steps, NoiseSource(4))
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["score_fn", "lambda"])
+@pytest.mark.parametrize("slope, a0, dt, n_steps", [
+    (-4.6, np.zeros(7), 0.01, 50),
+    (-4.6, np.linspace(-2.0, 2.0, 6).reshape(2, 3), 0.1, 1),
+    (-1.0, np.array([0.3, np.nan, 1.0]), 0.01, 3),  # fault in one chain, named at the end
+    (60.0, np.ones(4), 0.1, 2000),  # every chain overflows
+    (-4.6, np.zeros(3), 0.0, 5),
+    (-4.6, np.zeros(3), 0.01, 0),
+])
+def test_langevin_sample_array_a0_bitwise_equals_lockstep_reference(kind, slope, a0, dt,
+                                                                    n_steps):
+    score = _scores(kind, slope, -1.5, -3.6)
+    got_noise, want_noise = NoiseSource(8), NoiseSource(8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            got = langevin_sample(score, 0.4, a0, dt, n_steps, got_noise).tobytes()
+        except (SimulationError, ValueError) as exc:
+            got = type(exc), str(exc)
+        try:
+            want = reference_langevin_batch(score, 0.4, a0, dt, n_steps, want_noise).tobytes()
+        except (SimulationError, ValueError) as exc:
+            want = type(exc), str(exc)
+    assert got == want
+    assert got_noise.normal() == want_noise.normal()
