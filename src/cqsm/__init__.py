@@ -59,7 +59,6 @@ from .offline import (
     episode_return_to_go,
     make_episode,
     offline_update,
-    return_gaps,
     rollout_episode,
     run_offline,
     score_gradient_residual,
@@ -67,12 +66,14 @@ from .offline import (
 from .martingale import (
     ResidualReport,
     constant_test,
+    discount_weights,
     estimate_discounted_return,
     lagged_state_test,
     martingale_loss,
     orthogonality_residual,
     orthogonality_statistics,
     q_gradient_test,
+    return_gaps,
     trajectory_gaps,
 )
 from .experiment import (

@@ -8,6 +8,14 @@ trajectories and z-score it across independent replications; a wrong Q (for
 example a constant offset, which the discounting term detects) produces a
 significant mean.  Every estimate here, the discounted return of a score
 included, runs on one vectorised batch of trajectories.
+
+This module also states the pieces of that condition that the offline learner
+fits: the discount weights e^{-beta t} (:func:`discount_weights`), the
+discounted net-reward flow, and the return-to-go gaps
+
+    G_k = -w_k Q(x_k, a_k) + sum_{i>=k} w_i (r_i - lam/2 Psi_i^2) dt,
+
+whose increments are the martingale increments with their sign reversed.
 """
 
 from __future__ import annotations
@@ -19,7 +27,6 @@ from typing import Callable
 import numpy as np
 
 from .lq import LqParams, lq_dynamics, lq_reward_fn
-from .offline import net_reward_flow, return_gaps
 from .online import AlgoConfig
 from .policy import q_features
 from .sde import Trajectory, simulate_batch
@@ -77,17 +84,44 @@ def lagged_state_test(lag: int = 1, power: int = 2) -> TestProcess:
     return xi
 
 
+def discount_weights(traj: Trajectory, beta: float) -> np.ndarray:
+    """exp(-beta * traj.times): 1-d for one rollout, a column against a batch."""
+    w = np.exp(-beta * traj.times)
+    return w if traj.states.ndim == 1 else w[:, None]
+
+
+def net_reward_flow(discount, reward_rates, psi_values, dt: float, lam: float):
+    """Discounted net-reward flow w_k (r_k - lam/2 Psi_k^2) dt, elementwise.
+
+    ``discount`` and ``psi_values`` are taken at the transitions' left end
+    points and broadcast against ``reward_rates``.
+    """
+    return discount * (reward_rates - 0.5 * lam * psi_values ** 2) * dt
+
+
+def return_gaps(discount, reward_rates, q_values, psi_values, dt: float,
+                lam: float) -> np.ndarray:
+    """Return-to-go gaps G_k for k = 0..K-1 given precomputed value/score arrays.
+
+    ``discount`` (shaped as by :func:`discount_weights`), ``q_values`` and
+    ``psi_values`` cover all K+1 grid points; ``reward_rates`` the K
+    transitions.  Works on single trajectories (1-d) and batches (2-d, one
+    column per trajectory); the inner suffix sums are accumulated in O(K).
+    """
+    flow = net_reward_flow(discount[:-1], reward_rates, np.asarray(psi_values)[:-1], dt, lam)
+    suffix = np.flip(np.cumsum(np.flip(flow, axis=0), axis=0), axis=0)
+    return suffix - discount[:-1] * np.asarray(q_values)[:-1]
+
+
 def orthogonality_statistics(batch: Trajectory, qfun, score, test_fn: TestProcess,
                              beta: float, lam: float) -> np.ndarray:
     """Per-trajectory orthogonality sums over a simulated batch.
 
     S = sum_k xi_k [ w_{k+1} q_{k+1} - w_k q_k + w_k (r_k - lam/2 Psi_k^2) dt ]
-    with w = exp(-beta t).
+    with w = exp(-beta t) from :func:`discount_weights`.
     """
     dt = batch.dt
-    w = np.exp(-beta * batch.times)
-    shape = (-1,) + (1,) * (batch.states.ndim - 1)
-    w = w.reshape(shape)
+    w = discount_weights(batch, beta)
     q_vals = qfun(batch.states, batch.actions)
     psi = score(batch.states[:-1], batch.actions[:-1])
     inc = (w[1:] * q_vals[1:] - w[:-1] * q_vals[:-1]
@@ -133,10 +167,10 @@ def orthogonality_residual(qfun, score, test_fn: TestProcess, p: LqParams,
 def trajectory_gaps(batch: Trajectory, qfun, score, beta: float,
                     lam: float) -> np.ndarray:
     """Return-to-go gaps G_k for every trajectory in a batch, shape (K, m)."""
-    w = np.exp(-beta * batch.times)
     q_vals = qfun(batch.states, batch.actions)
     psi = score(batch.states, batch.actions)
-    return return_gaps(w, batch.reward_rates, q_vals, psi, batch.dt, lam)
+    return return_gaps(discount_weights(batch, beta), batch.reward_rates, q_vals, psi,
+                       batch.dt, lam)
 
 
 def martingale_loss(qfun, score, p: LqParams, cfg: AlgoConfig, n_traj: int) -> float:
@@ -160,7 +194,7 @@ def estimate_discounted_return(p: LqParams, score, cfg: AlgoConfig, n_traj: int)
     comparisons between scores.
     """
     batch = _simulate(p, score, cfg, n_traj)
-    w = np.exp(-p.beta * batch.times[:-1])[:, None]
+    w = discount_weights(batch, p.beta)[:-1]
     psi = score(batch.states[:-1], batch.actions[:-1])
     returns = net_reward_flow(w, batch.reward_rates, psi, batch.dt, p.lam).sum(axis=0)
     return float(returns.mean()), float(returns.std(ddof=1) / np.sqrt(n_traj))

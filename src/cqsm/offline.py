@@ -1,16 +1,13 @@
 """Episodic offline Q-score matching via the martingale loss.
 
 One episode is a truncated rollout under the current score.  For every grid
-point the discounted return-to-go gap
-
-    G_k = -w_k Q(x_k, a_k) + sum_{i>=k} w_i (r_i - lam/2 Psi_i^2) dt
-
-(with w_k = exp(-beta t_k)) measures how far the value model is from the
-realized discounted net reward.  One training step per episode moves theta
-along sum_k (dQ/dtheta)_k G_k dt, then moves v along the discounted
-score-gradient integral sum_k w_k (dQ/da - lam Psi)_k (dPsi/dv)_k dt at the
-new theta, whose stationary point is the exact fit of the critic's scaled
-action gradient.
+point the discounted return-to-go gap G_k, which :mod:`martingale` states
+together with the discount weights w_k = exp(-beta t_k), measures how far the
+value model is from the realized discounted net reward.  One training step
+per episode moves theta along sum_k (dQ/dtheta)_k G_k dt, then moves v along
+the discounted score-gradient integral
+sum_k w_k (dQ/da - lam Psi)_k (dPsi/dv)_k dt at the new theta, whose
+stationary point is the exact fit of the critic's scaled action gradient.
 """
 
 from __future__ import annotations
@@ -20,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lq import LqParams, lq_dynamics, lq_reward_fn
+from .martingale import discount_weights, return_gaps
 from .online import (AlgoConfig, DivergenceError, LearningRecord, _checked_params, _record, _score,
                      initial_action, lr_schedule)
 from .policy import grad_a_q, psi_features, psi_v, q_features, q_theta
@@ -42,7 +40,7 @@ def make_episode(traj: Trajectory, beta: float) -> Episode:
     """Attach discount weights to a rollout (beta = 0 gives the undiscounted case)."""
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    return Episode(traj, np.exp(-beta * traj.times))
+    return Episode(traj, discount_weights(traj, beta))
 
 
 def rollout_episode(p: LqParams, v, cfg: AlgoConfig, noise: NoiseSource) -> Episode:
@@ -56,32 +54,6 @@ def rollout_episode(p: LqParams, v, cfg: AlgoConfig, noise: NoiseSource) -> Epis
     traj = simulate_from(lq_dynamics(p, score), lq_reward_fn(p), cfg.x0, a0, cfg.dt,
                          cfg.n_steps, noise)
     return make_episode(traj, cfg.beta)
-
-
-def net_reward_flow(discount, reward_rates, psi_values, dt: float, lam: float):
-    """Discounted net-reward flow w_k (r_k - lam/2 Psi_k^2) dt, elementwise.
-
-    ``discount`` and ``psi_values`` are taken at the transitions' left end
-    points and broadcast against ``reward_rates``.
-    """
-    return discount * (reward_rates - 0.5 * lam * psi_values ** 2) * dt
-
-
-def return_gaps(discount, reward_rates, q_values, psi_values, dt: float,
-                lam: float) -> np.ndarray:
-    """Return-to-go gaps G_k for k = 0..K-1 given precomputed value/score arrays.
-
-    ``discount``, ``q_values`` and ``psi_values`` cover all K+1 grid points;
-    ``reward_rates`` the K transitions.  Works on single trajectories (1-d)
-    and batches (2-d, one column per trajectory); the inner suffix sums are
-    accumulated in O(K).
-    """
-    w = np.asarray(discount, dtype=float)
-    shape = (-1,) + (1,) * (np.ndim(q_values) - 1)
-    w = w.reshape(shape)
-    flow = net_reward_flow(w[:-1], reward_rates, np.asarray(psi_values)[:-1], dt, lam)
-    suffix = np.flip(np.cumsum(np.flip(flow, axis=0), axis=0), axis=0)
-    return suffix - w[:-1] * np.asarray(q_values)[:-1]
 
 
 def _episode_gaps(ep: Episode, theta, v, lam: float) -> np.ndarray:

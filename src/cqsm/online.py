@@ -35,10 +35,10 @@ class DivergenceError(SimulationError):
 class AlgoConfig:
     """Hyperparameters of one learning run.
 
-    The horizon is n_steps * dt.  ``sampler`` selects how actions are drawn:
-    "direct_sde" evolves the action by its own SDE alongside the state,
-    "langevin" re-equilibrates a Langevin chain at each new state (restarted
-    from a0), "ddpm" denoises a fresh Gaussian draw each step.
+    ``sampler`` selects how actions are drawn: "direct_sde" evolves the
+    action by its own SDE alongside the state, "langevin" re-equilibrates a
+    Langevin chain at each new state (restarted from a0), "ddpm" denoises a
+    fresh Gaussian draw each step.
     ``record_every`` thins the recorded time series.
 
     The fields are the ``algo.*`` config keys (``lam`` spelled ``lambda``)
@@ -94,10 +94,6 @@ class AlgoConfig:
             raise ValueError("ddpm_steps must be at least 1")
         if not (0 < self.ddpm_beta_start <= self.ddpm_beta_end < 1):
             raise ValueError("need 0 < ddpm_beta_start <= ddpm_beta_end < 1")
-
-    @property
-    def horizon(self) -> float:
-        return self.n_steps * self.dt
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,13 @@ The joint process is
     dx = state_drift(x, a) dt + state_diffusion(x, a) dB_x
     da = action_score(x, a) dt + action_diffusion(x, a) dB_a
 
-with two independent Brownian motions and scalar (or diagonal) diffusion
-amplitudes.  Everything is deterministic given a seed.
+with two independent Brownian motions and scalar diffusion amplitudes.
+Everything is deterministic given a seed.
 
-One Euler-Maruyama loop, :func:`simulate_from`, runs single scalar
-trajectories on Python floats and vector states or batches of scalar
-trajectories on numpy arrays; :func:`simulate` and :func:`simulate_batch`
-only choose its start and noise source.  The loop checks nothing per step:
+One Euler-Maruyama loop, :func:`simulate_from`, runs a single scalar
+trajectory on Python floats and a batch of scalar trajectories on numpy
+arrays; :func:`simulate` and :func:`simulate_batch` only choose its start and
+noise source.  The loop checks nothing per step:
 one finiteness check over each finished rollout finds a fault and names the
 step and the field that caused it.
 """
@@ -114,9 +114,9 @@ class Trajectory:
 
     ``states`` and ``actions`` have one row per grid point; ``reward_rates``
     has one row per transition and is evaluated at the pre-step pair,
-    reward_rates[k] = reward(states[k], actions[k]).  A batch of scalar
-    rollouts keeps one column per trajectory in all three arrays; a single
-    rollout (scalar or vector state) has one reward per transition.
+    reward_rates[k] = reward(states[k], actions[k]).  A single scalar rollout
+    has 1-d arrays; a batch of scalar rollouts keeps one column per trajectory
+    in all three arrays.
     """
 
     times: np.ndarray
@@ -135,10 +135,6 @@ class Trajectory:
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
-
-    @property
-    def n_trajectories(self) -> int:
-        return 1 if self.reward_rates.ndim == 1 else self.reward_rates.shape[1]
 
 
 def _finite(value) -> bool:
@@ -196,11 +192,11 @@ def simulate_from(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int,
                   noise: NoiseSource) -> Trajectory:
     """Like :func:`simulate` but drawing from an existing noise source.
 
-    Scalar (x0, a0) run on Python floats.  1-d arrays are either one vector
-    state and action (``reward`` returns one value) or a batch of scalar
-    trajectories, one per entry (``reward`` returns one value per entry); the
-    shape of the first reward sets the shape of ``reward_rates``.  Per step
-    the draw order is: one state noise block, then one action noise block.
+    Scalar (x0, a0) run on Python floats.  Two 1-d arrays of equal length are
+    a batch of scalar trajectories, one per entry, and ``reward`` must return
+    one value per entry.  Any other start, or a reward of another shape, raises
+    ValueError before the first draw.  Per step the draw order is: one state
+    noise block, then one action noise block.
 
     Finiteness is checked once, over the whole rollout, after the last step;
     a non-finite value raises SimulationError naming the first faulty step
@@ -210,27 +206,28 @@ def simulate_from(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int,
         raise ValueError("dt must be positive")
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    x_arr = np.asarray(x0, dtype=float)
-    a_arr = np.asarray(a0, dtype=float)
-    if x_arr.ndim > 1 or a_arr.ndim > 1:
-        raise ValueError("states and actions must be scalars or 1-d vectors")
-    if x_arr.ndim == 0 and a_arr.ndim == 0:
-        x, a = float(x_arr), float(a_arr)
-        zx_size = za_size = None
+    x, a = np.asarray(x0, dtype=float), np.asarray(a0, dtype=float)
+    if x.ndim == a.ndim == 0:
+        x, a = float(x), float(a)
+        size = None
+    elif x.ndim == a.ndim == 1 and x.size == a.size:
+        size = x.size
     else:
-        x, a = np.atleast_1d(x_arr).copy(), np.atleast_1d(a_arr).copy()
-        zx_size, za_size = x.size, a.size
+        raise ValueError("x0 and a0 must be two scalars or two 1-d arrays of equal length, "
+                         f"got shapes {x.shape} and {a.shape}")
+    if np.shape(reward(x, a)) != np.shape(x):
+        raise ValueError("reward must return one value per trajectory")
 
     states = np.empty((n_steps + 1,) + np.shape(x))
-    actions = np.empty((n_steps + 1,) + np.shape(a))
-    rates = np.empty((n_steps,) + np.shape(reward(x, a)))
+    actions = np.empty_like(states)
+    rates = np.empty((n_steps,) + np.shape(x))
     states[0] = x
     actions[0] = a
     root = math.sqrt(dt)
     for k in range(n_steps):
         rates[k] = reward(x, a)
-        zx = noise.normal(zx_size)
-        za = noise.normal(za_size)
+        zx = noise.normal(size)
+        za = noise.normal(size)
         x, a = _advance(x, a, dyn, dt, root, zx, za)
         states[k + 1] = x
         actions[k + 1] = a
@@ -244,25 +241,17 @@ def simulate_from(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int,
 def _first_fault(dyn: DynamicsSpec, reward, states, actions, rates) -> str:
     """Diagnose the first transition whose reward or end point is non-finite.
 
-    In a batch (one reward column per trajectory) the first faulty trajectory
-    of that transition is named, with its own scalar state and action.
+    In a batch (one column per trajectory) the first faulty trajectory of that
+    transition is named, with its own scalar state and action.
     """
-    batch = rates.ndim == 2
-
-    def ok(rows):  # finite per row, or per row and trajectory in a batch
-        flags = np.isfinite(rows)
-        return flags if batch else flags.reshape(len(rows), -1).all(axis=1)
-
-    points = ok(states) & ok(actions)
-    good = ok(rates) & points[:-1] & points[1:]
-    k = int(np.argmax(~good.reshape(len(good), -1).all(axis=1)))
-    if batch:
-        j = int(np.argmax(~good[k]))
-        return f"step {k}, trajectory {j}: {_fault(dyn, reward, states[k], actions[k], j)}"
-    x, a = states[k], actions[k]
-    if states.ndim == 1:
-        x, a = float(x), float(a)
-    return f"step {k}: {_fault(dyn, reward, x, a)}"
+    points = np.isfinite(states) & np.isfinite(actions)
+    good = np.isfinite(rates) & points[:-1] & points[1:]
+    if good.ndim == 1:
+        k = int(np.argmax(~good))
+        return f"step {k}: {_fault(dyn, reward, float(states[k]), float(actions[k]))}"
+    k = int(np.argmax(~good.all(axis=1)))
+    j = int(np.argmax(~good[k]))
+    return f"step {k}, trajectory {j}: {_fault(dyn, reward, states[k], actions[k], j)}"
 
 
 def simulate_batch(dyn: DynamicsSpec, reward, x0: float, a0: float, dt: float,
@@ -276,9 +265,6 @@ def simulate_batch(dyn: DynamicsSpec, reward, x0: float, a0: float, dt: float,
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
-    traj = simulate_from(dyn, reward, np.full(n_traj, float(x0)), np.full(n_traj, float(a0)),
+    return simulate_from(dyn, reward, np.full(n_traj, float(x0)), np.full(n_traj, float(a0)),
                          dt, n_steps, NoiseSource(seed))
-    if traj.reward_rates.shape != (n_steps, n_traj):
-        raise ValueError("reward must return one value per trajectory")
-    return traj
 

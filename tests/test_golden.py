@@ -2,8 +2,9 @@
 
 A change that leaves the arithmetic and the draw order alone must leave
 every byte of the seed and summary CSVs alone too; these digests pin them,
-the record CSVs of short offline runs, and the batch Monte Carlo estimates
-of the martingale and return checks.
+the record CSVs of short offline runs, the batch Monte Carlo estimates of
+the martingale and return checks, the martingale loss, and the bytes of the
+return-to-go gaps and orthogonality sums on one batch.
 ``manifest.txt`` is not pinned because its bytes include ``output_dir``.
 
 The values assume the numpy (2.4.6) and libm of the machine they were
@@ -17,9 +18,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cqsm import (AlgoConfig, LqParams, constant_test, estimate_discounted_return, optimal_score,
-                  orthogonality_residual, parse_config, psi_v, q_star, run_experiment, run_offline,
-                  solve_lq, write_record_csv)
+from cqsm import (AlgoConfig, LqParams, constant_test, estimate_discounted_return,
+                  lagged_state_test, lq_dynamics, lq_reward_fn, martingale_loss, optimal_score,
+                  orthogonality_residual, orthogonality_statistics, parse_config, psi_v,
+                  q_gradient_test, q_star, run_experiment, run_offline, simulate_batch, solve_lq,
+                  trajectory_gaps, write_record_csv)
 
 REFERENCE = (Path(__file__).resolve().parent.parent / "configs" / "reference.cfg").read_text()
 
@@ -97,6 +100,60 @@ def test_orthogonality_residual_matches_golden_digest(offset):
                                     constant_test(), p, AlgoConfig(dt=0.01, n_steps=5000), 200)
     assert _float_digest(report.estimate, report.std_error,
                          report.z_score) == MARTINGALE_CASES[offset]
+
+
+# martingale_loss for Q* and Q* + 0.5 at the same defaults
+LOSS_CASES = {
+    0.0: "c43f026b3d5db69afabb5304029c67c519ecd0cb7d2353c3e9cbb69d2684fc32",
+    0.5: "574b461891393060bbcca42653a134127e7e12feb26bbcc5978f93267892dd94",
+}
+
+
+@pytest.mark.parametrize("offset", sorted(LOSS_CASES))
+def test_martingale_loss_matches_golden_digest(offset):
+    p = LqParams()
+    k = solve_lq(p)
+    loss = martingale_loss(lambda x, a: q_star(k, x, a) + offset,
+                           lambda x, a: optimal_score(k, p.lam, x, a),
+                           p, AlgoConfig(dt=0.01, n_steps=5000), 200)
+    assert _float_digest(loss) == LOSS_CASES[offset]
+
+
+@pytest.fixture(scope="module")
+def default_batch():
+    """The check-martingale default batch under the optimal score, with Q* and that score."""
+    p = LqParams()
+    k = solve_lq(p)
+    score = lambda x, a: optimal_score(k, p.lam, x, a)
+    batch = simulate_batch(lq_dynamics(p, score), lq_reward_fn(p), 0.0, 0.0, 0.01, 5000, 200,
+                           seed=0)
+    return p, batch, lambda x, a: q_star(k, x, a), score
+
+
+GAPS_DIGEST = "4845742118e172afc6c1e9ae85c30f372f7dc38dbe51659b5a120b2806ff23bb"
+
+
+def test_trajectory_gaps_match_golden_digest(default_batch):
+    p, batch, qfun, score = default_batch
+    gaps = trajectory_gaps(batch, qfun, score, p.beta, p.lam)
+    assert gaps.shape == (5000, 200)
+    assert hashlib.sha256(gaps.tobytes()).hexdigest() == GAPS_DIGEST
+
+
+# per-trajectory orthogonality sums on that batch for the tests that the
+# residual pins above do not run
+STATISTICS_CASES = {
+    "lagged_state": "df565f97d138ae3c8e429c872cc0b2b44ed8b293e7d10ff9a76a62f262bf8a25",
+    "q_gradient_2": "61e28dd40833e158b827d9b067b027ce4cfc89bc6e58b6e53b4d3f703e451df5",
+}
+TEST_PROCESSES = {"lagged_state": lagged_state_test, "q_gradient_2": lambda: q_gradient_test(2)}
+
+
+@pytest.mark.parametrize("name", sorted(STATISTICS_CASES))
+def test_orthogonality_statistics_match_golden_digest(default_batch, name):
+    p, batch, qfun, score = default_batch
+    stats = orthogonality_statistics(batch, qfun, score, TEST_PROCESSES[name](), p.beta, p.lam)
+    assert hashlib.sha256(stats.tobytes()).hexdigest() == STATISTICS_CASES[name]
 
 
 # (estimate, std error) at criterion 8's Monte Carlo config, for its baseline

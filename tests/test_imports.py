@@ -1,6 +1,7 @@
 """Every name a ``cqsm`` module imports is used in that module, every
 private helper and constant a ``cqsm`` module defines is read in the package,
-and every public function and class is read by the package or the benchmark.
+every public function and class is read by the package or the benchmark, and
+no module imports one from a later layer.
 
 ``__init__.py`` is skipped as an importer: its imports are the package's
 public API.
@@ -105,3 +106,28 @@ def test_every_public_name_has_a_reader_besides_the_tests():
               and not node.name.startswith("_")
               and node.name not in read | PAPER_OBJECTS]
     assert unread == []
+
+
+# the package's layers, lowest first: a module imports only modules listed
+# before it (``_version`` and ``__init__`` stand outside the order)
+LAYERS = ["sde", "lq", "policy", "samplers", "lq_analytic", "online", "martingale", "offline",
+          "experiment", "cli"]
+
+
+def upward_imports(sources: dict[str, str]) -> list[str]:
+    """``importer → imported`` for each ``from .x import`` of a module in the
+    importer's layer or above it."""
+    rank = {name: i for i, name in enumerate(LAYERS)}
+    found = []
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.ImportFrom) and node.level == 1
+                    and rank.get(node.module, -1) >= rank[name]):
+                found.append(f"{name} → {node.module}")
+    return found
+
+
+def test_modules_import_only_lower_layers():
+    layered = {p.stem: p.read_text(encoding="utf-8") for p in MODULES if p.stem != "_version"}
+    assert sorted(layered) == sorted(LAYERS)
+    assert upward_imports(layered) == []

@@ -160,7 +160,7 @@ def test_loss_invariant_under_trajectory_relabeling(k_ref, lq_ref):
     qfun = lambda x, a: q_star(k_ref, x, a)
     score = lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a)
     gaps = trajectory_gaps(batch, qfun, score, lq_ref.beta, lq_ref.lam)
-    perm = np.random.default_rng(0).permutation(batch.n_trajectories)
+    perm = np.random.default_rng(0).permutation(batch.states.shape[1])
     assert np.mean(gaps ** 2) == pytest.approx(np.mean(gaps[:, perm] ** 2),
                                                rel=1e-14)
 

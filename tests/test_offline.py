@@ -14,6 +14,7 @@ from cqsm import (
     NoiseSource,
     SimulationError,
     Trajectory,
+    discount_weights,
     episode_return_to_go,
     k_to_optimal_params,
     lq_dynamics,
@@ -64,10 +65,10 @@ def _gap_head_at_optimum(k_ref, lq_ref, theta, v, seed, n_episodes=1000):
     batch = simulate_batch(
         lq_dynamics(lq_ref, lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a)),
         lq_reward_fn(lq_ref), 0.0, 0.0, 0.0125, 4000, n_episodes, seed=seed)
-    w = np.exp(-lq_ref.beta * batch.times)
     q_vals = q_theta(theta, batch.states, batch.actions)
     psi = psi_v(v, batch.states, batch.actions)
-    gaps = return_gaps(w, batch.reward_rates, q_vals, psi, batch.dt, lq_ref.lam)
+    gaps = return_gaps(discount_weights(batch, lq_ref.beta), batch.reward_rates, q_vals, psi,
+                       batch.dt, lq_ref.lam)
     return batch, gaps
 
 

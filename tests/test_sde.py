@@ -227,18 +227,17 @@ def test_noise_source_normals_equal_k_scalar_draws(k, used):
     assert lists._tape == scalars._tape  # the tape is left as by k scalar draws
 
 
-def test_simulate_supports_vector_states():
-    dyn = DynamicsSpec(
-        state_drift=lambda x, a: -x + a.sum() * np.ones_like(x),
-        state_diffusion=lambda x, a: 0.1 * np.ones_like(x),
-        action_score=lambda x, a: -a,
-        action_diffusion=lambda x, a: np.ones_like(a),
-    )
-    traj = simulate(dyn, lambda x, a: float(x.sum()), np.array([1.0, -1.0]),
-                    np.array([0.5]), 0.05, 30, seed=3)
-    assert traj.states.shape == (31, 2)
-    assert traj.actions.shape == (31, 1)
-    assert traj.reward_rates.shape == (30,)
+@pytest.mark.parametrize("x0, a0, reward, message", [
+    (np.zeros(2), np.zeros(1), lambda x, a: 0.0 * x, "two scalars or two 1-d arrays"),
+    (0.0, np.zeros(2), lambda x, a: 0.0 * a, "two scalars or two 1-d arrays"),
+    (np.zeros((2, 1)), np.zeros((2, 1)), lambda x, a: 0.0 * x, "two scalars or two 1-d arrays"),
+    (np.zeros(2), np.zeros(2), lambda x, a: 0.0, "one value per trajectory"),
+], ids=["unequal-lengths", "scalar-and-array", "2-d", "one-reward-for-a-batch"])
+def test_simulate_from_refuses_other_starts_before_any_draw(x0, a0, reward, message):
+    noise = NoiseSource(7)
+    with pytest.raises(ValueError, match=message):
+        simulate_from(ZERO_DYN, reward, x0, a0, 0.1, 5, noise)
+    assert noise.normal() == NoiseSource(7).normal()
 
 
 def test_simulate_batch_deterministic_and_shaped(lq_ref, k_ref):
@@ -292,7 +291,7 @@ def test_batch_of_one_matches_single_trajectory_bitwise(lq_ref, k_ref):
         for got, want in ((batch.states, single.states), (batch.actions, single.actions),
                           (batch.reward_rates, single.reward_rates)):
             assert np.array_equal(got[:, 0].view(np.uint64), want.view(np.uint64))
-        assert batch.n_trajectories == single.n_trajectories == 1
+        assert batch.states.shape == single.states.shape + (1,)
 
 
 def test_trajectory_validation():
