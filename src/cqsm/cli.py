@@ -70,7 +70,6 @@ def _cmd_run(args) -> int:
         cfg = replace(cfg, n_seeds=args.seeds)
     if args.out is not None:
         cfg = replace(cfg, output_dir=args.out)
-    cfg.validate()
     summary = run_experiment(cfg, parallel=parallel_workers(args.parallel, cfg.n_seeds))
     print(f"seeds: {' '.join(str(s) for s in summary.seeds)}")
     if summary.failed_seeds:
@@ -176,8 +175,7 @@ def _cmd_sample(args) -> int:
     print(f"empirical var  = {samples.var(ddof=1):.6g}   (target {target_var:.6g})")
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("a\n")
-            fh.writelines("%.9g\n" % s for s in samples)
+            np.savetxt(fh, samples, fmt="%.9g", header="a", comments="")
         print(f"wrote {args.out}")
     return 0
 

@@ -44,6 +44,7 @@ class ExperimentConfig:
     """One multi-seed experiment: environment, algorithm, and run-level knobs.
 
     The fields after ``lq`` and ``algo`` are the ``run.*`` config keys.
+    Construction, ``dataclasses.replace`` included, checks the run fields.
     """
 
     lq: LqParams
@@ -72,10 +73,16 @@ class ExperimentConfig:
             raise ConfigError("explicit theta0 needs run.theta0 with 6 comma-separated values")
         if self.v0_mode == "explicit" and (self.v0 is None or len(self.v0) != 3):
             raise ConfigError("explicit v0 needs run.v0 with 3 comma-separated values")
-        try:
-            self.algo.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        for key, vector, mode in (("theta0", self.theta0, self.theta0_mode),
+                                  ("v0", self.v0, self.v0_mode)):
+            if vector is not None and mode != "explicit":
+                raise ConfigError(f"run.{key} is read only when run.{key}_mode = explicit, "
+                                  f"got run.{key}_mode = {mode}")
+        if not self.output_dir:
+            raise ConfigError(f"run.output_dir must name a directory, got {self.output_dir!r}")
+
+    def __post_init__(self):
+        self.validate()
 
 
 def _vector(raw: str) -> tuple:
@@ -125,15 +132,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
     try:
         lq = LqParams(**values["lq"])
+        # the learner's discount and regularization mirror the environment
+        # unless explicitly overridden
+        algo = AlgoConfig(**{"beta": lq.beta, "lam": lq.lam, **values["algo"]})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    # the learner's discount and regularization mirror the environment unless
-    # explicitly overridden
-    algo = AlgoConfig(**{"beta": lq.beta, "lam": lq.lam, **values["algo"]})
-    cfg = ExperimentConfig(lq=lq, algo=algo, **values["run"])
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(lq=lq, algo=algo, **values["run"])
 
 
 def load_config(path) -> ExperimentConfig:
@@ -213,47 +217,36 @@ def _run_seed(args):
         return seed, None, exc
 
 
-def _fmt(value: float) -> str:
-    return "%.9g" % value
+def _write_table(path, header: str, steps, times, *columns) -> None:
+    """One CSV of an integer step column, then ``%.9g`` times and columns.
+
+    Steps pass through float64 in the stacked table, exact below 2**53.
+    """
+    table = np.column_stack([steps, times, *columns])
+    fmt = ["%d"] + ["%.9g"] * (table.shape[1] - 1)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        np.savetxt(fh, table, fmt=fmt, delimiter=",", header=header, comments="")
 
 
 def write_record_csv(record: LearningRecord, path) -> None:
     """Per-seed learning record CSV (schema shared by online and offline runs)."""
     header = ("step,t," + ",".join(f"theta{i}" for i in range(6)) + ","
               + ",".join(f"v{i}" for i in range(3)) + ",reward_rate,running_avg_reward")
-    lines = [header]
-    for i in range(len(record.steps)):
-        row = [str(int(record.steps[i])), _fmt(record.times[i])]
-        row += [_fmt(t) for t in record.thetas[i]]
-        row += [_fmt(t) for t in record.vs[i]]
-        row += [_fmt(record.reward_rates[i]), _fmt(record.running_avg[i])]
-        lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _band_columns(name: str):
-    return [f"{name}_mean", f"{name}_lo", f"{name}_hi"]
+    _write_table(path, header, record.steps, record.times, record.thetas, record.vs,
+                 record.reward_rates, record.running_avg)
 
 
 def write_summary_csv(summary: RunSummary, path) -> None:
     """Cross-seed summary with mean and mean +/- 2 std per column."""
     names = [f"theta{i}" for i in range(6)] + [f"v{i}" for i in range(3)]
     names += ["reward_rate", "running_avg_reward"]
-    header = "step,t," + ",".join(",".join(_band_columns(n)) for n in names)
-    means = np.column_stack([summary.theta_mean, summary.v_mean,
-                             summary.reward_mean[:, None], summary.avg_reward_mean[:, None]])
-    stds = np.column_stack([summary.theta_std, summary.v_std,
-                            summary.reward_std[:, None], summary.avg_reward_std[:, None]])
-    lines = [header]
-    for i in range(len(summary.record_steps)):
-        row = [str(int(summary.record_steps[i])), _fmt(summary.record_times[i])]
-        for j in range(means.shape[1]):
-            m, s = means[i, j], stds[i, j]
-            row += [_fmt(m), _fmt(m - 2 * s), _fmt(m + 2 * s)]
-        lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = "step,t," + ",".join(f"{n}_mean,{n}_lo,{n}_hi" for n in names)
+    m = np.column_stack([summary.theta_mean, summary.v_mean,
+                         summary.reward_mean, summary.avg_reward_mean])
+    s = np.column_stack([summary.theta_std, summary.v_std,
+                         summary.reward_std, summary.avg_reward_std])
+    bands = np.stack([m, m - 2 * s, m + 2 * s], axis=2).reshape(len(m), -1)
+    _write_table(path, header, summary.record_steps, summary.record_times, bands)
 
 
 def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> RunSummary:
@@ -266,7 +259,6 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> RunSummary:
     rerunning the same config (or its manifest) reproduces every CSV byte for
     byte.
     """
-    cfg.validate()
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     seeds = list(range(cfg.base_seed, cfg.base_seed + cfg.n_seeds))

@@ -128,7 +128,6 @@ def run_offline(cfg: AlgoConfig, p: LqParams, theta0, v0, n_episodes: int) -> Le
     each recorded episode's mean reward rate and the running average is the
     time average over all completed episodes.
     """
-    cfg.validate()
     if n_episodes < 0:
         raise ValueError("n_episodes must be nonnegative")
     # offline_update returns fresh arrays, so the recorded ones are never aliased

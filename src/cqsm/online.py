@@ -49,7 +49,8 @@ class AlgoConfig:
     ``langevin_steps`` 2000 suits one-shot sampling at ``langevin_dt`` 0.01.
     The reference experiment, ``configs/reference.cfg``, sets langevin with
     50 inner steps and ``record_every`` 1000; it is an experiment, not a
-    default.
+    default.  Construction, ``dataclasses.replace`` included, checks the
+    fields.
     """
 
     dt: float = 0.1
@@ -94,6 +95,9 @@ class AlgoConfig:
             raise ValueError("ddpm_steps must be at least 1")
         if not (0 < self.ddpm_beta_start <= self.ddpm_beta_end < 1):
             raise ValueError("need 0 < ddpm_beta_start <= ddpm_beta_end < 1")
+
+    def __post_init__(self):
+        self.validate()
 
 
 @dataclass(frozen=True)
@@ -295,7 +299,6 @@ def run_cqsm(cfg: AlgoConfig, p: LqParams, theta0, v0) -> LearningRecord:
     (x, a) and the cumulative reward stay Python values from the first step
     to the last, and arrays are built only for the record.
     """
-    cfg.validate()
     theta, v = (arr.tolist() for arr in _checked_params(theta0, v0))
 
     noise = NoiseSource(cfg.seed)

@@ -71,11 +71,7 @@ def make_linear_schedule(t_steps: int, beta_start: float = 1e-3,
         raise ValueError("t_steps must be at least 1")
     if not (0 < beta_start <= beta_end < 1):
         raise ValueError("need 0 < beta_start <= beta_end < 1")
-    if t_steps == 1:
-        betas = np.array([beta_start])
-    else:
-        betas = np.linspace(beta_start, beta_end, t_steps)
-    return NoiseSchedule(betas)
+    return NoiseSchedule(np.linspace(beta_start, beta_end, t_steps))
 
 
 def ddpm_sample(score, x: float, schedule: NoiseSchedule, noise: NoiseSource) -> float:

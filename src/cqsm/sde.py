@@ -38,12 +38,13 @@ class NoiseSource:
     not be shared between simulations that are meant to be independent.
 
     Scalar draws are served from a tape of ``TAPE`` variates pre-drawn as one
-    block; a block draw first uses up what is left on the tape and then draws
-    from the generator.  The generator yields the same stream whether its
-    variates are drawn one at a time or in blocks, so every caller receives
-    the values it would receive from the generator directly, in the same order.
-    :meth:`normals` hands out k scalar draws as one list, sliced off the tape
-    and refilled in ``TAPE`` blocks as k calls of :meth:`normal` would be.
+    block.  :meth:`normals` hands out k scalar draws as one list, sliced off
+    the tape and refilled in ``TAPE`` blocks as k calls of :meth:`normal`
+    would be; a block draw takes its variates through it while the tape holds
+    any, and straight from the generator once the tape is empty.  The
+    generator yields the same stream whether its variates are drawn one at a
+    time or in blocks, so every caller receives the values it would receive
+    from the generator directly, in the same order.
     """
 
     def __init__(self, seed: int):
@@ -60,14 +61,7 @@ class NoiseSource:
             return tape.pop()
         if not tape:
             return self._rng.standard_normal(size)
-        out = np.empty(size)
-        flat = out.reshape(-1)
-        cut = max(0, len(tape) - flat.size)
-        head = tape[cut:][::-1]
-        del tape[cut:]
-        flat[:len(head)] = head
-        flat[len(head):] = self._rng.standard_normal(flat.size - len(head))
-        return out
+        return np.reshape(self.normals(int(np.prod(size))), size)
 
     def normals(self, k: int) -> list:
         """k standard normal draws as a list of Python floats.

@@ -1,5 +1,7 @@
+import os
 import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +82,49 @@ def test_parse_config_explicit_vectors():
     assert cfg.v0 == (1.5, -1.5, -3.5)
     with pytest.raises(ConfigError, match="theta0"):
         parse_config("run.theta0_mode = explicit\n")
+
+
+def test_configs_check_themselves_when_built():
+    with pytest.raises(ValueError, match="^dt must be positive$"):
+        AlgoConfig(dt=0.0)
+    cfg = parse_config("")
+    with pytest.raises(ConfigError, match="^run.n_seeds must be at least 1$"):
+        replace(cfg, n_seeds=0)
+    with pytest.raises(ValueError, match="^record_every must be at least 1$"):
+        replace(cfg.algo, record_every=0)
+
+
+def test_config_with_several_faults_names_the_algo_fault_first():
+    # the algo.* section is checked as it is built, before the run.* fields
+    with pytest.raises(ConfigError, match="^dt must be positive$"):
+        parse_config("algo.dt = 0\nrun.n_seeds = 0\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("run.theta0 = 1,2,3,4,5,6\n",
+     "run.theta0 is read only when run.theta0_mode = explicit, got run.theta0_mode = zeros"),
+    ("run.v0 = 1,2,3\n",
+     "run.v0 is read only when run.v0_mode = explicit, got run.v0_mode = uniform01"),
+    ("run.theta0_mode = zeros\nrun.theta0 = 0,0,0,0,0,0.5\nrun.v0_mode = explicit\nrun.v0 = 1,2,3\n",
+     "run.theta0 is read only when run.theta0_mode = explicit, got run.theta0_mode = zeros"),
+], ids=["theta0", "v0", "theta0-beside-explicit-v0"])
+def test_parse_config_refuses_a_start_vector_its_mode_ignores(text, message):
+    with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+        parse_config(text)
+
+
+def test_empty_output_dir_is_refused(tmp_path, monkeypatch, capsys):
+    message = "run.output_dir must name a directory, got ''"
+    with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+        parse_config("run.output_dir =\n")
+    monkeypatch.chdir(tmp_path)
+    path = _write_config(tmp_path)
+    before = sorted(os.listdir(tmp_path))
+    assert cli_main(["run", "--config", str(path), "--out", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_format_parse_round_trip():

@@ -3,8 +3,9 @@
 A change that leaves the arithmetic and the draw order alone must leave
 every byte of the seed and summary CSVs alone too; these digests pin them,
 the record CSVs of short offline runs, the batch Monte Carlo estimates of
-the martingale and return checks, the martingale loss, and the bytes of the
-return-to-go gaps and orthogonality sums on one batch.
+the martingale and return checks, the martingale loss, the bytes of the
+return-to-go gaps and orthogonality sums on one batch, the one-row CSVs of a
+run of no steps, and the ``sample-actions --out`` file of both samplers.
 ``manifest.txt`` is not pinned because its bytes include ``output_dir``.
 
 The values assume the numpy (2.4.6) and libm of the machine they were
@@ -18,13 +19,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cqsm.cli import main as cli_main
 from cqsm import (AlgoConfig, LqParams, constant_test, estimate_discounted_return,
                   lagged_state_test, lq_dynamics, lq_reward_fn, martingale_loss, optimal_score,
                   orthogonality_residual, orthogonality_statistics, parse_config, psi_v,
                   q_gradient_test, q_star, run_experiment, run_offline, simulate_batch, solve_lq,
                   trajectory_gaps, write_record_csv)
 
-REFERENCE = (Path(__file__).resolve().parent.parent / "configs" / "reference.cfg").read_text()
+REFERENCE_PATH = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
+REFERENCE = REFERENCE_PATH.read_text()
 
 CASES = {
     "langevin": ("algo.n_steps = 2000\nalgo.record_every = 100\n", {
@@ -44,6 +47,12 @@ CASES = {
                    "run.n_seeds = 1\n", {
         "summary.csv": "cdcb391a75cfbc45bd4160d83e17a92db2191a1211d3b45c5f8cff5e2326aafa",
         "seed_0.csv": "0a4227adf4cc60756970f2d1694fefe3626419ad24dc4dd20deaf2a3a03135b4",
+    }),
+    # a run of no steps: every CSV is its header and one row
+    "no_steps": ("algo.n_steps = 0\nrun.n_seeds = 2\n", {
+        "summary.csv": "0b290d75f4a1b5d606c208a373f7629a759c85b132baf8417b5617ad715c44fb",
+        "seed_0.csv": "50dc2a1026218865869eb331439a98c31a2f72785f3b1f8700c53042e38e817e",
+        "seed_1.csv": "394a365463dc380d1d2c178f9984eb3235a788385d2fdeb66e51e80560069365",
     }),
 }
 
@@ -173,3 +182,18 @@ def test_estimate_discounted_return_matches_golden_digest(score_name):
     estimate = estimate_discounted_return(p, score, AlgoConfig(dt=0.02, n_steps=2500, seed=909),
                                           2000)
     assert _float_digest(*estimate) == RETURN_CASES[score_name]
+
+
+# the file ``sample-actions --out`` writes at the reference config with --n 500
+SAMPLE_CASES = {
+    "langevin": "7e43e8bb6e781d8ad3f1f43519f6cc1902c1c6cf892550a60cb3a39675697d6f",
+    "ddpm": "d5defb20be7446d3a15168f746f385be4f0b4ac71fa8a12510d069482021e22e",
+}
+
+
+@pytest.mark.parametrize("sampler", sorted(SAMPLE_CASES))
+def test_sample_actions_file_matches_golden_digest(tmp_path, capsys, sampler):
+    out = tmp_path / "samples.csv"
+    assert cli_main(["sample-actions", "--config", str(REFERENCE_PATH), "--sampler", sampler,
+                     "--n", "500", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SAMPLE_CASES[sampler]

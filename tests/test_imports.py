@@ -1,7 +1,8 @@
 """Every name a ``cqsm`` module imports is used in that module, every
 private helper and constant a ``cqsm`` module defines is read in the package,
 every public function and class is read by the package or the benchmark, and
-no module imports one from a later layer.
+no module imports one from a later layer, and configs are checked only
+where they are built.
 
 ``__init__.py`` is skipped as an importer: its imports are the package's
 public API.
@@ -131,3 +132,38 @@ def test_modules_import_only_lower_layers():
     layered = {p.stem: p.read_text(encoding="utf-8") for p in MODULES if p.stem != "_version"}
     assert sorted(layered) == sorted(LAYERS)
     assert upward_imports(layered) == []
+
+
+def validate_calls(source: str) -> list[str]:
+    """``function (line n)`` for each ``.validate()`` call in ``source`` made
+    outside a ``__post_init__`` method."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "validate" and function != "__post_init__"):
+                found.append(f"{function} (line {child.lineno})")
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_validate_calls_are_found():
+    source = ("class C:\n    def __post_init__(self):\n        self.validate()\n"
+              "    def validate(self):\n        self.inner.validate()\n"
+              "def run(cfg):\n    def helper():\n        cfg.validate()\n    cfg.algo.validate()\n"
+              "C().validate()\n")
+    assert validate_calls(source) == ["validate (line 5)", "helper (line 8)", "run (line 9)",
+                                      "<module> (line 10)"]
+
+
+def test_configs_are_validated_only_when_built():
+    # a config checks itself in __post_init__, so a call elsewhere is redundant
+    calls = [f"{path.name}: {call}" for path in MODULES
+             for call in validate_calls(path.read_text(encoding="utf-8"))]
+    assert calls == []

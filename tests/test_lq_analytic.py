@@ -102,6 +102,23 @@ def test_solver_finds_hard_optima(p, k4):
     assert _oracle_gap(k, p) < 1e-9
 
 
+def test_two_concave_candidates_return_the_most_concave():
+    # Characterises today's rule, not a verified optimum: two concave fixed
+    # points pass the residual test here, and solve_lq warns and returns the
+    # one of larger k0*k2 - k4^2 (k4 -0.0993, k5 15.0; the other has k4 -0.2007,
+    # k5 34751).  Choosing by finite discounted second moments instead is
+    # ROADMAP direction 7, which is expected to change this test on purpose.
+    p = LqParams(A=-2.243888442192879, B=-2.7417311470185783, C=-1.3003561375931607, D=0.0,
+                 M=3.540318499605773, N=1.5094897601930133, R=3.152645771710249,
+                 P=4.485744830528116, Pp=-0.05809336604828452, beta=0.9448345697680294,
+                 lam=0.053882410790880526)
+    with pytest.warns(UserWarning, match="^2 concave solutions found; returning the most concave$"):
+        k = solve_lq(p)
+    assert k.k4 == pytest.approx(-0.0992977121, rel=1e-8)
+    assert k.k5 == pytest.approx(14.9927343821, rel=1e-8)
+    assert np.max(np.abs(coefficient_residuals(k, p))) < 1e-10
+
+
 def test_overflowing_quartic_raises_solve_error():
     # B^2 overflows the quartic's coefficients to +-inf
     with pytest.raises(SolveError, match="no concave quadratic solution"):
