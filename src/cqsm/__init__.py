@@ -13,7 +13,6 @@ from .sde import (
     NoiseSource,
     SimulationError,
     Trajectory,
-    em_step,
     simulate,
     simulate_batch,
     simulate_from,

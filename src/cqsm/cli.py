@@ -18,9 +18,10 @@ from dataclasses import replace
 import numpy as np
 
 from .experiment import load_config, run_experiment
-from .lq_analytic import coefficient_residuals, k_to_optimal_params, optimal_score, q_star, solve_lq
+from .lq_analytic import coefficient_residuals, k_to_optimal_params, solve_lq
 from .martingale import constant_test, orthogonality_residual
-from .samplers import langevin_chain, make_linear_schedule, ddpm_sample
+from .policy import grad_a_q, q_theta
+from .samplers import langevin_chain, ddpm_sample
 from .sde import NoiseSource
 
 
@@ -135,8 +136,8 @@ def _cmd_martingale(args) -> int:
     p = cfg.lq
     k = solve_lq(p)
     offset = args.offset
-    qfun = lambda x, a: q_star(k, x, a) + offset
-    score = lambda x, a: optimal_score(k, p.lam, x, a)
+    qfun = lambda x, a: q_theta(k, x, a) + offset
+    score = lambda x, a: grad_a_q(k, x, a) / p.lam
     diag_cfg = replace(cfg.algo, dt=args.dt, n_steps=round(steps), seed=args.seed)
     report = orthogonality_residual(qfun, score, constant_test(), p, diag_cfg, args.traj)
     print(f"estimate      = {report.estimate:.6g}")
@@ -157,15 +158,13 @@ def _cmd_sample(args) -> int:
     cfg = load_config(args.config)
     p = cfg.lq
     k = solve_lq(p)
-    score = lambda x, a: optimal_score(k, p.lam, x, a)
+    score = lambda x, a: grad_a_q(k, x, a) / p.lam
     noise = NoiseSource(args.seed)
     if args.sampler == "langevin":
         samples = langevin_chain(score, args.x, cfg.algo.a0, cfg.algo.langevin_dt,
                                  cfg.algo.langevin_steps, args.n, 10, noise)
     else:
-        schedule = make_linear_schedule(cfg.algo.ddpm_steps, cfg.algo.ddpm_beta_start,
-                                        cfg.algo.ddpm_beta_end)
-        samples = np.array([ddpm_sample(score, args.x, schedule, noise)
+        samples = np.array([ddpm_sample(score, args.x, cfg.algo.ddpm_schedule, noise)
                             for _ in range(args.n)])
     target_mean = -(k.k3 + k.k4 * args.x) / k.k2
     target_var = -p.lam / k.k2

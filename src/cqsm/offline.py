@@ -18,9 +18,9 @@ import numpy as np
 
 from .lq import LqParams, lq_dynamics, lq_reward_fn
 from .martingale import discount_weights, return_gaps
-from .online import (AlgoConfig, DivergenceError, LearningRecord, _checked_params, _record, _score,
-                     initial_action, lr_schedule)
-from .policy import grad_a_q, psi_features, psi_v, q_features, q_theta
+from .online import (AlgoConfig, DivergenceError, LearningRecord, _checked_params, _record,
+                     _score_of, initial_action, lr_schedule)
+from .policy import grad_a_q, psi_features, q_features, q_theta
 from .sde import NoiseSource, SimulationError, Trajectory, simulate_from
 
 
@@ -50,25 +50,24 @@ def rollout_episode(p: LqParams, v, cfg: AlgoConfig, noise: NoiseSource) -> Epis
     episode the action evolves continuously through its own SDE.
     """
     a0 = initial_action(cfg, v, cfg.x0, noise)
-    _, score = _score(*np.asarray(v, dtype=float).tolist(), 0)
+    _, score = _score_of(v)
     traj = simulate_from(lq_dynamics(p, score), lq_reward_fn(p), cfg.x0, a0, cfg.dt,
                          cfg.n_steps, noise)
     return make_episode(traj, cfg.beta)
 
 
-def _episode_gaps(ep: Episode, theta, v, lam: float) -> np.ndarray:
+def _episode_gaps(ep: Episode, theta, score, lam: float) -> np.ndarray:
     traj = ep.trajectory
     q_vals = q_theta(theta, traj.states, traj.actions)
-    psi_vals = psi_v(v, traj.states, traj.actions)
-    return return_gaps(ep.discount_weights, traj.reward_rates, q_vals, psi_vals,
-                       traj.dt, lam)
+    psi = score(traj.states, traj.actions)
+    return return_gaps(ep.discount_weights, traj.reward_rates, q_vals, psi, traj.dt, lam)
 
 
 def episode_return_to_go(ep: Episode, theta, v, lam: float, k: int) -> float:
     """The gap G_k at grid index k (0 <= k < number of transitions)."""
     if not 0 <= k < ep.n_transitions:
         raise IndexError(f"k={k} outside the episode's {ep.n_transitions} transitions")
-    return float(_episode_gaps(ep, theta, v, lam)[k])
+    return float(_episode_gaps(ep, theta, _score_of(v)[1], lam)[k])
 
 
 def offline_update(ep: Episode, theta, v, cfg: AlgoConfig, episode_index: int):
@@ -87,14 +86,15 @@ def offline_update(ep: Episode, theta, v, cfg: AlgoConfig, episode_index: int):
     if ep.n_transitions == 0:
         return theta.copy(), v.copy()
     traj = ep.trajectory
-    gaps = _episode_gaps(ep, theta, v, cfg.lam)
+    slope, score = _score_of(v)
+    gaps = _episode_gaps(ep, theta, score, cfg.lam)
     grads = np.stack(np.broadcast_arrays(*q_features(traj.states[:-1], traj.actions[:-1])),
                      axis=1)
     lr = lr_schedule(float(episode_index))
     theta_next = theta + lr * cfg.alpha_theta * (traj.dt * grads.T @ gaps)
     if not np.all(np.isfinite(theta_next)):
         raise DivergenceError(f"offline update diverged at episode {episode_index}")
-    v_next = v + lr * cfg.alpha_v * score_gradient_residual(theta_next, v, cfg.lam, ep)
+    v_next = v + lr * cfg.alpha_v * _residual(theta_next, slope, score, cfg.lam, ep)
     if not np.all(np.isfinite(v_next)):
         raise DivergenceError(f"offline score update diverged at episode {episode_index}")
     return theta_next, v_next
@@ -106,14 +106,20 @@ def score_gradient_residual(theta, v, lam: float, ep: Episode) -> np.ndarray:
     Vanishes identically when the score reproduces the value model's scaled
     action gradient; otherwise its sign points back toward that fit.
     """
-    traj = ep.trajectory
     if ep.n_transitions == 0:
         return np.zeros(3)
+    return _residual(theta, *_score_of(v), lam, ep)
+
+
+def _residual(theta, slope: float, score, lam: float, ep: Episode) -> np.ndarray:
+    """:func:`score_gradient_residual` of a nonempty episode, with v given as its
+    score slope and closure."""
+    traj = ep.trajectory
     xs = traj.states[:-1]
     as_ = traj.actions[:-1]
     w = ep.discount_weights[:-1]
-    gap = grad_a_q(theta, xs, as_) - lam * psi_v(v, xs, as_)
-    sens = np.stack(np.broadcast_arrays(*psi_features(-np.exp(v[0]), xs, as_)), axis=1)
+    gap = grad_a_q(theta, xs, as_) - lam * score(xs, as_)
+    sens = np.stack(np.broadcast_arrays(*psi_features(slope, xs, as_)), axis=1)
     return traj.dt * ((w * gap)[:, None] * sens).sum(axis=0)
 
 

@@ -13,13 +13,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .lq import LqParams, env_step, lq_reward
 from .policy import grad_a_q, psi_features, psi_v, q_features, q_theta, score_fn
-from .samplers import ddpm_sample, langevin_sample, make_linear_schedule
+from .samplers import NoiseSchedule, ddpm_sample, langevin_sample, make_linear_schedule
 from .sde import NoiseSource, SimulationError
 
 SAMPLERS = ("direct_sde", "langevin", "ddpm")
@@ -99,6 +99,12 @@ class AlgoConfig:
     def __post_init__(self):
         self.validate()
 
+    @cached_property
+    def ddpm_schedule(self) -> NoiseSchedule:
+        """The linear DDPM noise schedule of ``ddpm_steps``, ``ddpm_beta_start``
+        and ``ddpm_beta_end``, built on first use and kept with the config."""
+        return make_linear_schedule(self.ddpm_steps, self.ddpm_beta_start, self.ddpm_beta_end)
+
 
 @dataclass(frozen=True)
 class LearnState:
@@ -172,11 +178,6 @@ def _td(q_here, q_next, psi, r, dt, beta, lam):
     return q_next - q_here + r * dt - 0.5 * lam * psi * psi * dt - beta * q_here * dt
 
 
-@lru_cache(maxsize=8)
-def _ddpm_schedule(t_steps: int, beta_start: float, beta_end: float):
-    return make_linear_schedule(t_steps, beta_start, beta_end)
-
-
 def _score(v0: float, v1: float, v2: float, step: int):
     """The score slope -exp(v0) and the score closure of v = (v0, v1, v2).
 
@@ -188,6 +189,11 @@ def _score(v0: float, v1: float, v2: float, step: int):
     return slope, score_fn(slope, v1, v2)
 
 
+def _score_of(v):
+    """:func:`_score` of v, an array or sequence of three numbers, at step 0."""
+    return _score(*np.asarray(v, dtype=float).tolist(), 0)
+
+
 def _sample_action(cfg: AlgoConfig, score, x: float, noise: NoiseSource) -> float:
     """Draw an action at state x from the configured langevin or ddpm sampler.
 
@@ -196,8 +202,7 @@ def _sample_action(cfg: AlgoConfig, score, x: float, noise: NoiseSource) -> floa
     score is still poorly fitted.
     """
     if cfg.sampler == "ddpm":
-        schedule = _ddpm_schedule(cfg.ddpm_steps, cfg.ddpm_beta_start, cfg.ddpm_beta_end)
-        return ddpm_sample(score, x, schedule, noise)
+        return ddpm_sample(score, x, cfg.ddpm_schedule, noise)
     return langevin_sample(score, x, cfg.a0, cfg.langevin_dt, cfg.langevin_steps, noise)
 
 
@@ -209,7 +214,7 @@ def initial_action(cfg: AlgoConfig, v, x: float, noise: NoiseSource) -> float:
     """
     if cfg.sampler == "direct_sde":
         return cfg.a0
-    _, score = _score(*np.asarray(v, dtype=float).tolist(), 0)
+    _, score = _score_of(v)
     return _sample_action(cfg, score, x, noise)
 
 

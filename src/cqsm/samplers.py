@@ -64,8 +64,7 @@ class NoiseSchedule:
                      for t, alpha, alpha_bar, beta in rows)[::-1]
 
 
-def make_linear_schedule(t_steps: int, beta_start: float = 1e-3,
-                         beta_end: float = 0.19) -> NoiseSchedule:
+def make_linear_schedule(t_steps: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     """Linearly interpolated schedule of ``t_steps`` variances."""
     if t_steps < 1:
         raise ValueError("t_steps must be at least 1")
@@ -97,9 +96,10 @@ def langevin_sample(score, x: float, a0, dt: float, n_steps: int, noise: NoiseSo
     """Final iterate of a Langevin chain da = score(x, a) dt + sqrt(2) dB.
 
     For a concave quadratic value function the chain's stationary law is the
-    Gaussian with mode at the value maximizer; the default step size 0.01 with
-    a burn-in of about 2000 steps and thinning 10 keeps successive retained
-    samples weakly correlated.
+    Gaussian with mode at the value maximizer.  A step size of 0.01 with a
+    burn-in of about 2000 steps and thinning 10 keeps successive retained
+    samples weakly correlated: those are ``AlgoConfig``'s ``langevin_dt`` and
+    ``langevin_steps`` defaults and the thinning of ``cqsm sample-actions``.
 
     One kernel for every score.  The chain's variates are drawn as lists of
     at most ``TAPE`` floats, so a long chain holds one stretch of draws at a

@@ -143,8 +143,7 @@ def _fault(dyn: DynamicsSpec, reward, x, a, column=None) -> str:
     With ``column`` set, (x, a) are rows of a batch: the fields are evaluated
     on the rows, and only that trajectory's value and point are reported.
     """
-    named = [("reward", reward)] if reward is not None else []
-    named += [(f.name, getattr(dyn, f.name)) for f in fields(DynamicsSpec)]
+    named = [("reward", reward)] + [(f.name, getattr(dyn, f.name)) for f in fields(DynamicsSpec)]
     at_x, at_a = (x, a) if column is None else (float(x[column]), float(a[column]))
     for name, fn in named:
         value = fn(x, a)
@@ -158,23 +157,6 @@ def _fault(dyn: DynamicsSpec, reward, x, a, column=None) -> str:
 def _advance(x, a, dyn: DynamicsSpec, dt: float, root: float, zx, za):
     return (x + dyn.state_drift(x, a) * dt + dyn.state_diffusion(x, a) * root * zx,
             a + dyn.action_score(x, a) * dt + dyn.action_diffusion(x, a) * root * za)
-
-
-def em_step(x, a, dyn: DynamicsSpec, dt: float, zx, za):
-    """One Euler-Maruyama step of the joint dynamics.
-
-    x' = x + state_drift(x, a) dt + state_diffusion(x, a) sqrt(dt) zx
-    a' = a + action_score(x, a) dt + action_diffusion(x, a) sqrt(dt) za
-
-    Inputs are never mutated.  A non-finite result raises SimulationError
-    naming the field that produced a non-finite value.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    x_next, a_next = _advance(x, a, dyn, dt, math.sqrt(dt), zx, za)
-    if not (_finite(x_next) and _finite(a_next)):
-        raise SimulationError(_fault(dyn, None, x, a))
-    return x_next, a_next
 
 
 def simulate(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int, seed: int) -> Trajectory:

@@ -3,9 +3,10 @@
 A change that leaves the arithmetic and the draw order alone must leave
 every byte of the seed and summary CSVs alone too; these digests pin them,
 the record CSVs of short offline runs, the batch Monte Carlo estimates of
-the martingale and return checks, the martingale loss, the bytes of the
-return-to-go gaps and orthogonality sums on one batch, the one-row CSVs of a
-run of no steps, and the ``sample-actions --out`` file of both samplers.
+the martingale and return checks, the CSV lines of ``check-martingale``, the
+martingale loss, the bytes of the return-to-go gaps and orthogonality sums on
+one batch, the one-row CSVs of a run of no steps, and the ``sample-actions
+--out`` file of both samplers.
 ``manifest.txt`` is not pinned because its bytes include ``output_dir``.
 
 The values assume the numpy (2.4.6) and libm of the machine they were
@@ -109,6 +110,22 @@ def test_orthogonality_residual_matches_golden_digest(offset):
                                     constant_test(), p, AlgoConfig(dt=0.01, n_steps=5000), 200)
     assert _float_digest(report.estimate, report.std_error,
                          report.z_score) == MARTINGALE_CASES[offset]
+
+
+# the lines after "csv:" that ``cqsm check-martingale`` prints at the reference
+# config and its defaults, for Q* and Q* + 0.5: the CLI's own Q* and score
+CLI_MARTINGALE_CASES = {
+    "0": "b4d6bc38f4e2a7426ce59fb3cc409f84e8debc2f267d87641157fb6351fd5492",
+    "0.5": "00fb92c3d80169a647d0c3917effc2c51b1d2ba386dcf22b5612b2fc19b4d096",
+}
+
+
+@pytest.mark.parametrize("offset", sorted(CLI_MARTINGALE_CASES))
+def test_check_martingale_csv_matches_golden_digest(capsys, offset):
+    assert cli_main(["check-martingale", "--config", str(REFERENCE_PATH),
+                     "--offset", offset]) == 0
+    csv = capsys.readouterr().out.split("csv:\n", 1)[1]
+    assert hashlib.sha256(csv.encode()).hexdigest() == CLI_MARTINGALE_CASES[offset]
 
 
 # martingale_loss for Q* and Q* + 0.5 at the same defaults

@@ -61,6 +61,16 @@ def test_return_to_go_index_bounds():
         episode_return_to_go(ep, np.zeros(6), np.zeros(3), 0.1, 1)
 
 
+def test_gap_and_residual_refuse_an_overflowing_score_slope():
+    ep = _episode_from_arrays([0.0, 1.0], [0.0, 0.3], [0.0, 0.1], [0.0], beta=1.0)
+    v = np.array([800.0, 0.0, 0.0])
+    message = re.escape("score slope -exp(v0) overflows at step 0 (v0 = 800)")
+    with pytest.raises(DivergenceError, match=message):
+        episode_return_to_go(ep, np.zeros(6), v, 0.1, 0)
+    with pytest.raises(DivergenceError, match=message):
+        score_gradient_residual(np.zeros(6), v, 0.1, ep)
+
+
 def _gap_head_at_optimum(k_ref, lq_ref, theta, v, seed, n_episodes=1000):
     batch = simulate_batch(
         lq_dynamics(lq_ref, lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a)),

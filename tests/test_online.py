@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from cqsm import (
     lq_reward,
     lq_reward_fn,
     lr_schedule,
+    make_linear_schedule,
     optimal_score,
     parse_config,
     psi_v,
@@ -186,6 +188,13 @@ def test_algo_config_validation():
     with pytest.raises(ValueError):
         AlgoConfig(record_every=0).validate()
     AlgoConfig(alpha_theta=0.0, alpha_v=0.0).validate()  # frozen runs allowed
+
+
+def test_ddpm_schedule_is_built_once_from_the_config():
+    cfg = AlgoConfig()
+    assert np.array_equal(cfg.ddpm_schedule.betas, make_linear_schedule(20, 1e-3, 0.19).betas)
+    assert cfg.ddpm_schedule is cfg.ddpm_schedule
+    assert replace(cfg, ddpm_steps=5).ddpm_schedule.n_steps == 5
 
 
 def test_record_running_average_consistency(lq_ref):

@@ -10,7 +10,6 @@ from cqsm import (
     NoiseSource,
     SimulationError,
     Trajectory,
-    em_step,
     lq_dynamics,
     lq_reward_fn,
     optimal_score,
@@ -20,6 +19,8 @@ from cqsm import (
 )
 from cqsm.sde import TAPE
 
+from _oracles import SequenceNoise
+
 ZERO_DYN = DynamicsSpec(
     state_drift=lambda x, a: 0.0 * x,
     state_diffusion=lambda x, a: 0.0 * x,
@@ -28,15 +29,21 @@ ZERO_DYN = DynamicsSpec(
 )
 
 
+def one_step(dyn, x, a, dt, zx, za, reward=lambda x, a: 0.0):
+    """One Euler-Maruyama step: a one-step simulate_from on the draws (zx, za)."""
+    traj = simulate_from(dyn, reward, x, a, dt, 1, SequenceNoise([zx, za]))
+    return traj.states[1], traj.actions[1]
+
+
 def test_em_step_zero_dynamics_fixed_point():
-    x, a = em_step(0.0, 0.0, ZERO_DYN, 0.1, 1.7, -2.3)
+    x, a = one_step(ZERO_DYN, 0.0, 0.0, 0.1, 1.7, -2.3)
     assert x == 0.0 and a == 0.0
 
 
 def test_em_step_lq_optimal_score_hand_values(lq_ref, k_ref):
     # drift-only step from (1, 0): x' = 1 - 1*0.1, a' = psi*(1,0) * 0.1
     dyn = lq_dynamics(lq_ref, lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a))
-    x2, a2 = em_step(1.0, 0.0, dyn, 0.1, 0.0, 0.0)
+    x2, a2 = one_step(dyn, 1.0, 0.0, 0.1, 0.0, 0.0)
     assert x2 == pytest.approx(0.9, abs=1e-15)
     psi_10 = (k_ref.k3 + k_ref.k4) / lq_ref.lam
     assert a2 == pytest.approx(0.1 * psi_10, abs=1e-12)
@@ -51,13 +58,13 @@ def test_em_step_noise_enters_linearly():
         action_score=lambda x, a: 0.0,
         action_diffusion=lambda x, a: 0.0,
     )
-    x2, _ = em_step(0.0, 0.0, dyn, 0.25, 1.0, 0.0)
+    x2, _ = one_step(dyn, 0.0, 0.0, 0.25, 1.0, 0.0)
     assert x2 == s * math.sqrt(0.25)
 
 
 def test_em_step_rejects_nonpositive_dt():
     with pytest.raises(ValueError):
-        em_step(0.0, 0.0, ZERO_DYN, 0.0, 0.0, 0.0)
+        one_step(ZERO_DYN, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_em_step_reports_diverging_field():
@@ -68,7 +75,7 @@ def test_em_step_reports_diverging_field():
         action_diffusion=lambda x, a: 0.0,
     )
     with pytest.raises(SimulationError, match="state_drift"):
-        em_step(1.0, 1.0, bad, 0.1, 0.0, 0.0)
+        one_step(bad, 1.0, 1.0, 0.1, 0.0, 0.0)
 
 
 def test_simulate_single_step_is_one_em_step():
@@ -82,9 +89,11 @@ def test_simulate_single_step_is_one_em_step():
     traj = simulate(dyn, reward, 1.0, 2.0, 0.1, 1, seed=42)
     noise = NoiseSource(42)
     zx, za = noise.normal(), noise.normal()
-    x2, a2 = em_step(1.0, 2.0, dyn, 0.1, zx, za)
+    x2, a2 = one_step(dyn, 1.0, 2.0, 0.1, zx, za, reward)
     assert len(traj.times) == 2
     assert traj.states[1] == x2 and traj.actions[1] == a2
+    assert x2 == 1.0 + (-1.0 + 2.0) * 0.1 + 0.5 * math.sqrt(0.1) * zx
+    assert a2 == 2.0 + -2.0 * 0.1 + 1.0 * math.sqrt(0.1) * za
     assert traj.reward_rates[0] == reward(1.0, 2.0)
 
 
@@ -143,12 +152,13 @@ def test_strong_convergence_under_refinement(lq_ref, k_ref):
         dt = dt_fine * factor
         ends = np.empty((n_traj, 2))
         for i in range(n_traj):
-            x, a = 1.0, 0.0
+            draws = []
             for k in range(n_fine // factor):
-                block_x = z_x[i, k * factor:(k + 1) * factor].sum() / math.sqrt(factor)
-                block_a = z_a[i, k * factor:(k + 1) * factor].sum() / math.sqrt(factor)
-                x, a = em_step(x, a, dyn, dt, block_x, block_a)
-            ends[i] = (x, a)
+                draws.append(z_x[i, k * factor:(k + 1) * factor].sum() / math.sqrt(factor))
+                draws.append(z_a[i, k * factor:(k + 1) * factor].sum() / math.sqrt(factor))
+            traj = simulate_from(dyn, lambda x, a: 0.0, 1.0, 0.0, dt, n_fine // factor,
+                                 SequenceNoise(draws))
+            ends[i] = (traj.states[-1], traj.actions[-1])
         endpoints[level] = ends
     for level in (1, 2, 3):
         diff = endpoints[level] - endpoints[0]
