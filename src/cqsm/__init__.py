@@ -37,6 +37,7 @@ from .lq_analytic import (
 )
 from .samplers import (
     NoiseSchedule,
+    ddpm_law,
     ddpm_sample,
     langevin_chain,
     langevin_sample,

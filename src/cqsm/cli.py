@@ -3,7 +3,8 @@
 Subcommands: ``run`` (multi-seed experiment), ``solve-lq`` (closed-form
 coefficients and optimal parameters), ``check-martingale`` (orthogonality
 diagnostic of the analytic optimum), ``sample-actions`` (sampler moments
-against the Boltzmann target).  Exit codes: 0 success, 1 config error,
+against the sampler's exact target: the Boltzmann law for langevin, the
+reverse chain's own law for ddpm).  Exit codes: 0 success, 1 config error,
 2 numerical failure.
 """
 
@@ -21,7 +22,7 @@ from .experiment import load_config, run_experiment
 from .lq_analytic import coefficient_residuals, k_to_optimal_params, solve_lq
 from .martingale import constant_test, orthogonality_residual
 from .policy import grad_a_q, q_theta
-from .samplers import langevin_chain, ddpm_sample
+from .samplers import ddpm_law, ddpm_sample, langevin_chain
 from .sde import NoiseSource
 
 
@@ -114,6 +115,15 @@ def _check_seed_and_finite(args, flag: str, value: float) -> None:
         raise ValueError(f"{flag} must be finite, got {value}")
 
 
+def _check_fits_in_memory(count, bytes_each: float, what: str, layout: str) -> None:
+    """Refuse ``count`` items of ``bytes_each`` bytes that physical memory cannot
+    hold; ``what`` names them and ``layout`` says how they are stored."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if count > memory / bytes_each:
+        raise ValueError(f"{what} do not fit in the {memory} bytes of physical memory "
+                         f"({layout})")
+
+
 def _cmd_martingale(args) -> int:
     _check_seed_and_finite(args, "--offset", args.offset)
     for flag, value in (("--dt", args.dt), ("--horizon", args.horizon)):
@@ -125,13 +135,9 @@ def _cmd_martingale(args) -> int:
     if steps <= 0.5:
         raise ValueError(f"--horizon {args.horizon} / --dt {args.dt} rounds to 0 steps, "
                          "need at least 1")
-    # the simulator holds states, actions and rewards as three float64 arrays of
-    # traj x (steps + 1) values; refuse a grid they cannot fit in physical memory
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if args.traj > memory / (3 * 8 * (steps + 1)):
-        raise ValueError(f"--traj {args.traj} trajectories of --horizon / --dt = {steps:.6g} "
-                         f"steps do not fit in the {memory} bytes of physical memory "
-                         "(three float64 arrays of traj x (steps + 1) values)")
+    what = f"--traj {args.traj} trajectories of --horizon / --dt = {steps:.6g} steps"
+    _check_fits_in_memory(args.traj, 3 * 8 * (steps + 1), what,
+                          "three float64 arrays of traj x (steps + 1) values")
     cfg = load_config(args.config)
     p = cfg.lq
     k = solve_lq(p)
@@ -155,6 +161,7 @@ def _cmd_sample(args) -> int:
     _check_seed_and_finite(args, "--x", args.x)
     if args.n < 2:
         raise ValueError(f"--n must be at least 2 for a sample variance, got {args.n}")
+    _check_fits_in_memory(args.n, 8, f"--n {args.n} samples", "one float64 array of n values")
     cfg = load_config(args.config)
     p = cfg.lq
     k = solve_lq(p)
@@ -163,11 +170,15 @@ def _cmd_sample(args) -> int:
     if args.sampler == "langevin":
         samples = langevin_chain(score, args.x, cfg.algo.a0, cfg.algo.langevin_dt,
                                  cfg.algo.langevin_steps, args.n, 10, noise)
+        target_mean = -(k.k3 + k.k4 * args.x) / k.k2
+        target_var = -p.lam / k.k2
     else:
-        samples = np.array([ddpm_sample(score, args.x, cfg.algo.ddpm_schedule, noise)
-                            for _ in range(args.n)])
-    target_mean = -(k.k3 + k.k4 * args.x) / k.k2
-    target_var = -p.lam / k.k2
+        schedule = cfg.algo.ddpm_schedule
+        samples = np.fromiter((ddpm_sample(score, args.x, schedule, noise)
+                               for _ in range(args.n)), float, count=args.n)
+        # the reverse chain's own law, which is not the Boltzmann law
+        target_mean, target_var = ddpm_law(schedule, k.k2 / p.lam,
+                                           (k.k3 + k.k4 * args.x) / p.lam)
     print(f"sampler        = {args.sampler}")
     print(f"samples        = {args.n}")
     print(f"empirical mean = {samples.mean():.6g}   (target {target_mean:.6g})")

@@ -57,7 +57,7 @@ class ExperimentConfig:
     v0: tuple | None = None
     output_dir: str = "runs"
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_seeds < 1:
             raise ConfigError("run.n_seeds must be at least 1")
         if self.base_seed < 0:
@@ -80,9 +80,6 @@ class ExperimentConfig:
                                   f"got run.{key}_mode = {mode}")
         if not self.output_dir:
             raise ConfigError(f"run.output_dir must name a directory, got {self.output_dir!r}")
-
-    def __post_init__(self):
-        self.validate()
 
 
 def _vector(raw: str) -> tuple:
@@ -285,32 +282,27 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> RunSummary:
 
     ok_seeds = sorted(records)
     first = records[ok_seeds[0]]
-    thetas = np.stack([records[s].thetas for s in ok_seeds])
-    vs = np.stack([records[s].vs for s in ok_seeds])
-    rates = np.stack([records[s].reward_rates for s in ok_seeds])
-    avgs = np.stack([records[s].running_avg for s in ok_seeds])
-
-    def _std(stack):
-        if stack.shape[0] < 2:
-            return np.zeros(stack.shape[1:])
-        return stack.std(axis=0, ddof=1)
-
+    # (seeds, rows, 11): theta0..5, v0..2, reward rate, running average
+    table = np.stack([np.column_stack([r.thetas, r.vs, r.reward_rates, r.running_avg])
+                      for r in map(records.get, ok_seeds)])
+    mean = table.mean(axis=0)
+    std = table.std(axis=0, ddof=1) if len(ok_seeds) > 1 else np.zeros(mean.shape)
     summary = RunSummary(
         seeds=tuple(seeds),
         failed_seeds=tuple(sorted(failures)),
         record_steps=first.steps,
         record_times=first.times,
-        theta_mean=thetas.mean(axis=0),
-        theta_std=_std(thetas),
-        v_mean=vs.mean(axis=0),
-        v_std=_std(vs),
-        reward_mean=rates.mean(axis=0),
-        reward_std=_std(rates),
-        avg_reward_mean=avgs.mean(axis=0),
-        avg_reward_std=_std(avgs),
-        final_thetas=thetas[:, -1, :],
-        final_vs=vs[:, -1, :],
-        final_avg_rewards=avgs[:, -1],
+        theta_mean=mean[:, :6],
+        theta_std=std[:, :6],
+        v_mean=mean[:, 6:9],
+        v_std=std[:, 6:9],
+        reward_mean=mean[:, 9],
+        reward_std=std[:, 9],
+        avg_reward_mean=mean[:, 10],
+        avg_reward_std=std[:, 10],
+        final_thetas=table[:, -1, :6],
+        final_vs=table[:, -1, 6:9],
+        final_avg_rewards=table[:, -1, 10],
         failure_reasons=tuple(str(failures[s]) for s in sorted(failures)),
     )
     write_summary_csv(summary, out / "summary.csv")

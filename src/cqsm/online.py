@@ -13,13 +13,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
 from .lq import LqParams, env_step, lq_reward
 from .policy import grad_a_q, psi_features, psi_v, q_features, q_theta, score_fn
-from .samplers import NoiseSchedule, ddpm_sample, langevin_sample, make_linear_schedule
+from .samplers import ddpm_sample, langevin_sample, make_linear_schedule
 from .sde import NoiseSource, SimulationError
 
 SAMPLERS = ("direct_sde", "langevin", "ddpm")
@@ -50,15 +49,17 @@ class AlgoConfig:
     The reference experiment, ``configs/reference.cfg``, sets langevin with
     50 inner steps and ``record_every`` 1000; it is an experiment, not a
     default.  Construction, ``dataclasses.replace`` included, checks the
-    fields.
+    fields and sets ``ddpm_schedule``, the linear DDPM noise schedule of
+    ``ddpm_steps``, ``ddpm_beta_start`` and ``ddpm_beta_end``; values that
+    form no schedule are refused under every sampler.
     """
 
     dt: float = 0.1
     n_steps: int = 100_000
     alpha_theta: float = 0.01
     alpha_v: float = 0.01
-    beta: float = 1.0
-    lam: float = 0.1
+    beta: float = LqParams.beta
+    lam: float = LqParams.lam
     seed: int = 0
     sampler: str = "direct_sde"
     record_every: int = 100
@@ -70,7 +71,7 @@ class AlgoConfig:
     ddpm_beta_start: float = 1e-3
     ddpm_beta_end: float = 0.19
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -91,19 +92,15 @@ class AlgoConfig:
             raise ValueError(f"unknown sampler {self.sampler!r}; choose from {SAMPLERS}")
         if self.langevin_dt <= 0 or self.langevin_steps < 1:
             raise ValueError("langevin_dt must be positive and langevin_steps >= 1")
-        if self.ddpm_steps < 1:
-            raise ValueError("ddpm_steps must be at least 1")
-        if not (0 < self.ddpm_beta_start <= self.ddpm_beta_end < 1):
-            raise ValueError("need 0 < ddpm_beta_start <= ddpm_beta_end < 1")
-
-    def __post_init__(self):
-        self.validate()
-
-    @cached_property
-    def ddpm_schedule(self) -> NoiseSchedule:
-        """The linear DDPM noise schedule of ``ddpm_steps``, ``ddpm_beta_start``
-        and ``ddpm_beta_end``, built on first use and kept with the config."""
-        return make_linear_schedule(self.ddpm_steps, self.ddpm_beta_start, self.ddpm_beta_end)
+        try:
+            schedule = make_linear_schedule(self.ddpm_steps, self.ddpm_beta_start,
+                                            self.ddpm_beta_end)
+        except (ValueError, MemoryError) as exc:  # an absurd ddpm_steps cannot be allocated
+            raise ValueError(f"ddpm_steps = {self.ddpm_steps}, ddpm_beta_start = "
+                             f"{self.ddpm_beta_start}, ddpm_beta_end = {self.ddpm_beta_end} "
+                             f"form no noise schedule: {exc}") from exc
+        # a plain attribute, not a field: no config key, and no lazy read to slow later loads
+        object.__setattr__(self, "ddpm_schedule", schedule)
 
 
 @dataclass(frozen=True)

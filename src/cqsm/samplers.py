@@ -35,12 +35,13 @@ class NoiseSchedule:
         betas = np.asarray(self.betas, dtype=float)
         if betas.ndim != 1 or len(betas) < 1:
             raise ValueError("betas must be a non-empty 1-d array")
-        if np.any(betas <= 0) or np.any(betas >= 1):
+        # array methods: every AlgoConfig builds a schedule, and np.any costs more
+        if (betas <= 0).any() or (betas >= 1).any():
             raise ValueError("betas must lie strictly inside (0, 1)")
         alphas = 1.0 - betas
-        alpha_bars = np.cumprod(alphas)
+        alpha_bars = alphas.cumprod()
         # a long schedule's running product can underflow to 0
-        if np.any(np.diff(alpha_bars) >= 0):
+        if (alpha_bars[1:] >= alpha_bars[:-1]).any():
             raise ValueError("alpha_bars must be strictly decreasing")
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "alphas", alphas)
@@ -90,6 +91,23 @@ def ddpm_sample(score, x: float, schedule: NoiseSchedule, noise: NoiseSource) ->
         if not math.isfinite(a):
             raise SimulationError(f"sampler fault: non-finite action at reverse step {t}")
     return a
+
+
+def ddpm_law(schedule: NoiseSchedule, c1: float, c0: float) -> tuple[float, float]:
+    """Exact output law (mean, variance) of :func:`ddpm_sample` for the affine
+    score c1 a + c0.
+
+    Each reverse step maps a to g a + coef c0 / sqrt(alpha_t) + sqrt(beta_t) z
+    with gain g = (1 + coef c1) / sqrt(alpha_t), so the N(0, 1) start stays
+    Gaussian: mean <- g mean + coef c0 / sqrt(alpha_t), var <- g^2 var + beta_t.
+    """
+    mean, var = 0.0, 1.0
+    betas = schedule.betas.tolist()
+    for t, coef, sqrt_alpha, _ in schedule.reverse_steps:
+        gain = (1.0 + coef * c1) / sqrt_alpha
+        mean = gain * mean + coef * c0 / sqrt_alpha
+        var = gain * gain * var + betas[t]
+    return mean, var
 
 
 def langevin_sample(score, x: float, a0, dt: float, n_steps: int, noise: NoiseSource):

@@ -1,3 +1,4 @@
+import functools
 import os
 import re
 import warnings
@@ -8,10 +9,13 @@ import numpy as np
 import pytest
 
 import cqsm.experiment as experiment
+import cqsm.online as online
 from cqsm import (
     AlgoConfig,
     ConfigError,
     DivergenceError,
+    ExperimentConfig,
+    LqParams,
     config_hash,
     estimate_discounted_return,
     format_config,
@@ -92,6 +96,16 @@ def test_configs_check_themselves_when_built():
         replace(cfg, n_seeds=0)
     with pytest.raises(ValueError, match="^record_every must be at least 1$"):
         replace(cfg.algo, record_every=0)
+
+
+def test_configs_hold_no_cached_property():
+    # a cached_property's first read slows every later attribute load on the
+    # instance, so the DDPM schedule is set when the config is built
+    for cls in (LqParams, AlgoConfig, ExperimentConfig):
+        cached = [name for name, value in vars(cls).items()
+                  if isinstance(value, functools.cached_property)]
+        assert cached == [], cls.__name__
+    assert "ddpm_schedule" in vars(AlgoConfig())
 
 
 def test_config_with_several_faults_names_the_algo_fault_first():
@@ -346,6 +360,50 @@ def _write_config(tmp_path, extra=""):
     return path
 
 
+def _assert_refused_before_the_run(tmp_path, capsys, extra, message):
+    """Config lines ``extra`` fail ``parse_config`` and ``cqsm run`` with
+    ``message``, and the run creates no output directory."""
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(extra)
+    path = _write_config(tmp_path, extra)
+    assert cli_main(["run", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# A schedule is built and checked with every config, so ddpm_* values that
+# form none are refused under any sampler, before the output directory exists.
+@pytest.mark.parametrize("extra, message", [
+    ("algo.sampler = ddpm\nalgo.ddpm_steps = 8000\n",
+     "ddpm_steps = 8000, ddpm_beta_start = 0.001, ddpm_beta_end = 0.19 form no noise schedule: "
+     "alpha_bars must be strictly decreasing"),
+    ("algo.ddpm_steps = 8000\n",
+     "ddpm_steps = 8000, ddpm_beta_start = 0.001, ddpm_beta_end = 0.19 form no noise schedule: "
+     "alpha_bars must be strictly decreasing"),
+    ("algo.ddpm_steps = 0\n",
+     "ddpm_steps = 0, ddpm_beta_start = 0.001, ddpm_beta_end = 0.19 form no noise schedule: "
+     "t_steps must be at least 1"),
+    ("algo.ddpm_beta_start = 0.3\nalgo.ddpm_beta_end = 0.2\n",
+     "ddpm_steps = 20, ddpm_beta_start = 0.3, ddpm_beta_end = 0.2 form no noise schedule: "
+     "need 0 < beta_start <= beta_end < 1"),
+], ids=["ddpm-8000", "default-sampler-8000", "zero-steps", "start-above-end"])
+def test_config_that_forms_no_ddpm_schedule_is_refused(tmp_path, capsys, extra, message):
+    _assert_refused_before_the_run(tmp_path, capsys, extra, message)
+
+
+def test_config_whose_ddpm_schedule_cannot_be_allocated_is_refused(monkeypatch):
+    # stands in for algo.ddpm_steps = 10**12, whose 8 TB schedule numpy refuses
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+    monkeypatch.setattr(online, "make_linear_schedule", out_of_memory)
+    message = ("ddpm_steps = 20, ddpm_beta_start = 0.001, ddpm_beta_end = 0.19 form no noise "
+               "schedule: Unable to allocate 7.28 TiB")
+    with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+        parse_config("")
+
+
 def test_cli_solve_lq_prints_reference_values(tmp_path, capsys):
     path = _write_config(tmp_path)
     assert cli_main(["solve-lq", "--config", str(path)]) == 0
@@ -387,14 +445,7 @@ def test_cli_rejects_invalid_discount(tmp_path, capsys):
     ("run.v0 = inf,0,0", "run.v0 must be finite, got (inf, 0.0, 0.0)"),
 ])
 def test_config_refuses_non_finite_values_and_negative_seeds(tmp_path, capsys, line, message):
-    with pytest.raises(ConfigError, match=re.escape(message)):
-        parse_config(line + "\n")
-    path = _write_config(tmp_path, line + "\n")
-    assert cli_main(["run", "--config", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"config error: {message}\n"
-    assert not (tmp_path / "out").exists()
+    _assert_refused_before_the_run(tmp_path, capsys, line + "\n", message)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -531,6 +582,26 @@ def test_cli_sample_actions_rejects_fewer_than_two(tmp_path, capsys, n):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"config error: --n must be at least 2 for a sample variance, got {n}\n"
+
+
+# Refused before any draw; at --n 10**12 the sample array alone would need 8 TB.
+@pytest.mark.parametrize("n", [str(10 ** 12), str(10 ** 400)], ids=["1e12", "1e400"])
+def test_cli_sample_actions_rejects_samples_beyond_memory(tmp_path, capsys, n):
+    path = _write_config(tmp_path)
+    assert cli_main(["sample-actions", "--config", str(path), "--n", n]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: --n {n} samples do not fit in the ")
+    assert captured.err.endswith(" bytes of physical memory (one float64 array of n values)\n")
+
+
+def test_cli_sample_actions_ddpm_target_is_the_chain_law(tmp_path, capsys):
+    path = _write_config(tmp_path)
+    assert cli_main(["sample-actions", "--config", str(path), "--sampler", "ddpm",
+                     "--n", "200"]) == 0
+    out = capsys.readouterr().out
+    assert "(target -0.785552)" in out.splitlines()[2]
+    assert out.splitlines()[3].endswith("(target 0.0153781)")
 
 
 def test_cli_sample_actions(tmp_path, capsys):

@@ -182,12 +182,12 @@ def test_run_cqsm_rejects_bad_shapes(lq_ref):
 
 def test_algo_config_validation():
     with pytest.raises(ValueError):
-        AlgoConfig(dt=0.0).validate()
+        AlgoConfig(dt=0.0)
     with pytest.raises(ValueError):
-        AlgoConfig(sampler="metropolis").validate()
+        AlgoConfig(sampler="metropolis")
     with pytest.raises(ValueError):
-        AlgoConfig(record_every=0).validate()
-    AlgoConfig(alpha_theta=0.0, alpha_v=0.0).validate()  # frozen runs allowed
+        AlgoConfig(record_every=0)
+    AlgoConfig(alpha_theta=0.0, alpha_v=0.0)  # frozen runs allowed
 
 
 def test_ddpm_schedule_is_built_once_from_the_config():

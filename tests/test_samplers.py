@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cqsm import (
     NoiseSchedule,
     NoiseSource,
+    ddpm_law,
     ddpm_sample,
     langevin_chain,
     langevin_sample,
@@ -107,6 +108,23 @@ def test_ddpm_deterministic_given_seed(k_ref, lq_ref):
     a1 = ddpm_sample(score, 0.3, sched, NoiseSource(5))
     a2 = ddpm_sample(score, 0.3, sched, NoiseSource(5))
     assert a1 == a2
+
+
+def test_ddpm_law_matches_the_oracle_at_the_reference_schedule(k_ref, lq_ref):
+    sched = make_linear_schedule(20, 1e-3, 0.19)
+    c1, c0 = k_ref.k2 / lq_ref.lam, k_ref.k3 / lq_ref.lam
+    mean, var = ddpm_law(sched, c1, c0)
+    np.testing.assert_allclose([mean, var], ddpm_affine_law(sched, c1, c0), rtol=1e-12)
+    assert (round(mean, 5), round(var, 7)) == (-0.78555, 0.0153781)
+
+
+@given(steps=st.integers(1, 60), start=st.floats(1e-5, 0.3), spread=st.floats(0.0, 0.5),
+       c1=st.floats(-20.0, 0.0), c0=st.floats(-5.0, 5.0))
+@settings(max_examples=60, deadline=None)
+def test_ddpm_law_matches_the_oracle_on_random_schedules(steps, start, spread, c1, c0):
+    sched = make_linear_schedule(steps, start, min(start + spread, 0.99))
+    np.testing.assert_allclose(ddpm_law(sched, c1, c0), ddpm_affine_law(sched, c1, c0),
+                               rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("steps, beta_start, beta_end", [
