@@ -272,6 +272,8 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> RunSummary:
     for seed, record, error in results:
         if record is None:
             failures[seed] = error
+            # a rerun into the same directory must not keep a stale CSV of this seed
+            (out / f"seed_{seed}.csv").unlink(missing_ok=True)
         else:
             records[seed] = record
             write_record_csv(record, out / f"seed_{seed}.csv")

@@ -191,8 +191,11 @@ def estimate_discounted_return(p: LqParams, score, cfg: AlgoConfig, n_traj: int)
     Left-endpoint sum of e^{-beta t} (r - lam/2 Psi^2) dt over cfg.n_steps
     steps, averaged over n_traj trajectories.  Returns (estimate, std error).
     Equal cfg.seed values reuse the same noise, enabling common-random-number
-    comparisons between scores.
+    comparisons between scores.  n_traj must be at least 2 for the standard
+    error.
     """
+    if n_traj < 2:
+        raise ValueError("n_traj must be at least 2")
     batch = _simulate(p, score, cfg, n_traj)
     w = discount_weights(batch, p.beta)[:-1]
     psi = score(batch.states[:-1], batch.actions[:-1])

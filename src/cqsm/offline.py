@@ -78,23 +78,19 @@ def offline_update(ep: Episode, theta, v, cfg: AlgoConfig, episode_index: int):
     does not follow its own gap-weighted sensitivities, because that rule
     drifts away from the critic's action-gradient fit when started far from
     it.  ``episode_index`` is the 1-based episode counter feeding the
-    learning-rate schedule.  A zero-length episode leaves the parameters
-    unchanged.
+    learning-rate schedule.
     """
     theta = np.asarray(theta, dtype=float)
     v = np.asarray(v, dtype=float)
-    if ep.n_transitions == 0:
-        return theta.copy(), v.copy()
     traj = ep.trajectory
-    slope, score = _score_of(v)
-    gaps = _episode_gaps(ep, theta, score, cfg.lam)
+    gaps = _episode_gaps(ep, theta, _score_of(v)[1], cfg.lam)
     grads = np.stack(np.broadcast_arrays(*q_features(traj.states[:-1], traj.actions[:-1])),
                      axis=1)
     lr = lr_schedule(float(episode_index))
     theta_next = theta + lr * cfg.alpha_theta * (traj.dt * grads.T @ gaps)
     if not np.all(np.isfinite(theta_next)):
         raise DivergenceError(f"offline update diverged at episode {episode_index}")
-    v_next = v + lr * cfg.alpha_v * _residual(theta_next, slope, score, cfg.lam, ep)
+    v_next = v + lr * cfg.alpha_v * score_gradient_residual(theta_next, v, cfg.lam, ep)
     if not np.all(np.isfinite(v_next)):
         raise DivergenceError(f"offline score update diverged at episode {episode_index}")
     return theta_next, v_next
@@ -106,14 +102,7 @@ def score_gradient_residual(theta, v, lam: float, ep: Episode) -> np.ndarray:
     Vanishes identically when the score reproduces the value model's scaled
     action gradient; otherwise its sign points back toward that fit.
     """
-    if ep.n_transitions == 0:
-        return np.zeros(3)
-    return _residual(theta, *_score_of(v), lam, ep)
-
-
-def _residual(theta, slope: float, score, lam: float, ep: Episode) -> np.ndarray:
-    """:func:`score_gradient_residual` of a nonempty episode, with v given as its
-    score slope and closure."""
+    slope, score = _score_of(v)
     traj = ep.trajectory
     xs = traj.states[:-1]
     as_ = traj.actions[:-1]
@@ -136,16 +125,14 @@ def run_offline(cfg: AlgoConfig, p: LqParams, theta0, v0, n_episodes: int) -> Le
     """
     if n_episodes < 0:
         raise ValueError("n_episodes must be nonnegative")
+    if cfg.n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1 for offline episodes, got {cfg.n_steps}")
     # offline_update returns fresh arrays, so the recorded ones are never aliased
     theta, v = _checked_params(theta0, v0)
     master = np.random.default_rng(cfg.seed)
     episode_time = cfg.n_steps * cfg.dt
 
-    steps = [0]
-    thetas = [theta]
-    vs = [v]
-    rates = [0.0]
-    avgs = [0.0]
+    rows = [(0, theta, v, 0.0, 0.0)]
     total_reward = 0.0
 
     for j in range(1, n_episodes + 1):
@@ -157,10 +144,7 @@ def run_offline(cfg: AlgoConfig, p: LqParams, theta0, v0, n_episodes: int) -> Le
             raise type(exc)(f"run with seed {cfg.seed}: episode {j}: {exc}") from exc
         total_reward += float(ep.trajectory.reward_rates.sum()) * cfg.dt
         if j % cfg.record_every == 0 or j == n_episodes:
-            steps.append(j)
-            thetas.append(theta)
-            vs.append(v)
-            rates.append(float(ep.trajectory.reward_rates.mean()))
-            avgs.append(total_reward / (j * episode_time))
+            rows.append((j, theta, v, float(ep.trajectory.reward_rates.mean()),
+                         total_reward / (j * episode_time)))
 
-    return _record(steps, episode_time, thetas, vs, rates, avgs, cfg.seed)
+    return _record(rows, episode_time, cfg.seed)

@@ -278,8 +278,12 @@ def _checked_params(theta0, v0) -> tuple[np.ndarray, np.ndarray]:
     return arrays[0], arrays[1]
 
 
-def _record(steps, time_per_step: float, thetas, vs, rates, avgs, seed: int) -> LearningRecord:
-    """The LearningRecord of the recorded rows; times are steps * time_per_step."""
+def _record(rows, time_per_step: float, seed: int) -> LearningRecord:
+    """The LearningRecord of the recorded rows; times are steps * time_per_step.
+
+    Each row is a tuple (step, theta, v, reward rate, running average).
+    """
+    steps, thetas, vs, rates, avgs = zip(*rows)
     steps_arr = np.asarray(steps, dtype=int)
     return LearningRecord(
         steps=steps_arr,
@@ -308,19 +312,13 @@ def run_cqsm(cfg: AlgoConfig, p: LqParams, theta0, v0) -> LearningRecord:
     try:
         x, a = cfg.x0, float(initial_action(cfg, v, cfg.x0, noise))
         cum = 0.0
-        steps, thetas, vs = [0], [theta], [v]
-        rates = [float(lq_reward(p, x, a))]
-        avgs = [0.0]
+        rows = [(0, theta, v, float(lq_reward(p, x, a)), 0.0)]
 
         for done in range(1, cfg.n_steps + 1):
             theta, v, x, a, r = _step(theta, v, x, a, done - 1, cfg, env, noise)
             prev_cum, cum = cum, cum + r * cfg.dt
             if done % cfg.record_every == 0 or done == cfg.n_steps:
-                steps.append(done)
-                thetas.append(theta)
-                vs.append(v)
-                rates.append((cum - prev_cum) / cfg.dt)
-                avgs.append(cum / (done * cfg.dt))
+                rows.append((done, theta, v, (cum - prev_cum) / cfg.dt, cum / (done * cfg.dt)))
     except SimulationError as exc:
         raise type(exc)(f"run with seed {cfg.seed}: {exc}") from exc
-    return _record(steps, cfg.dt, thetas, vs, rates, avgs, cfg.seed)
+    return _record(rows, cfg.dt, cfg.seed)

@@ -110,7 +110,8 @@ class Trajectory:
     has one row per transition and is evaluated at the pre-step pair,
     reward_rates[k] = reward(states[k], actions[k]).  A single scalar rollout
     has 1-d arrays; a batch of scalar rollouts keeps one column per trajectory
-    in all three arrays.
+    in all three arrays.  A trajectory has at least one transition, so two
+    time points give ``dt``.
     """
 
     times: np.ndarray
@@ -121,6 +122,8 @@ class Trajectory:
 
     def __post_init__(self):
         n = len(self.times)
+        if n < 2:
+            raise ValueError(f"a trajectory needs at least one transition, got {n} time points")
         if len(self.states) != n or len(self.actions) != n:
             raise ValueError("states and actions must have one row per time point")
         if len(self.reward_rates) != n - 1:

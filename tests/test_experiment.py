@@ -280,6 +280,25 @@ def test_divergent_seed_recorded_not_fatal(tmp_path, monkeypatch, lq_ref):
     assert "# failed_seeds: 1" in manifest
 
 
+def test_rerun_with_a_failed_seed_leaves_no_stale_seed_csv(tmp_path, monkeypatch):
+    cfg = parse_config(SMALL_CONFIG.format(out=tmp_path / "run"))
+    run_experiment(cfg)
+    assert (tmp_path / "run" / "seed_1.csv").exists()
+
+    real_run = experiment.run_cqsm
+
+    def flaky(algo, p, theta0, v0):
+        if algo.seed == 1:
+            raise DivergenceError("boom")
+        return real_run(algo, p, theta0, v0)
+
+    monkeypatch.setattr(experiment, "run_cqsm", flaky)
+    assert run_experiment(cfg).failed_seeds == (1,)
+    assert (tmp_path / "run" / "seed_0.csv").exists()
+    assert not (tmp_path / "run" / "seed_1.csv").exists()
+    assert "# failed_seeds: 1\n" in (tmp_path / "run" / "manifest.txt").read_text()
+
+
 def test_sampler_fault_stays_inside_its_seed(tmp_path, monkeypatch, capsys):
     real_run = experiment.run_cqsm
 
@@ -348,6 +367,13 @@ def test_discounted_return_common_random_numbers(k_ref, lq_ref, opt_params):
     assert est_opt1 == est_opt2  # identical seeds reuse identical noise
     est_weak, se2 = estimate_discounted_return(lq_ref, weak, cfg, 500)
     assert est_opt1 > est_weak  # the optimal score dominates
+
+
+@pytest.mark.parametrize("n_traj", [0, 1])
+def test_discounted_return_refuses_fewer_than_two_trajectories(lq_ref, n_traj):
+    score = lambda x, a: psi_v(np.zeros(3), x, a)
+    with pytest.raises(ValueError, match="^n_traj must be at least 2$"):
+        estimate_discounted_return(lq_ref, score, AlgoConfig(dt=0.05, n_steps=20), n_traj)
 
 
 # -- command line ------------------------------------------------------------

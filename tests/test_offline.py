@@ -114,18 +114,6 @@ def test_telescoping_identity(seed):
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
-def test_offline_update_zero_length_episode(lq_ref):
-    traj = Trajectory(np.array([0.0]), np.array([0.4]), np.array([-0.2]),
-                      np.empty(0), seed=0)
-    ep = make_episode(traj, lq_ref.beta)
-    cfg = AlgoConfig(dt=0.1, alpha_theta=0.05, alpha_v=0.05)
-    theta0 = np.arange(6.0)
-    v0 = np.array([0.1, 0.2, 0.3])
-    theta, v = offline_update(ep, theta0, v0, cfg, episode_index=1)
-    np.testing.assert_array_equal(theta, theta0)
-    np.testing.assert_array_equal(v, v0)
-
-
 def _rollout(lq_ref, seed=5):
     cfg = AlgoConfig(dt=0.1, n_steps=200, alpha_theta=0.02, alpha_v=0.3,
                      sampler="direct_sde")
@@ -160,12 +148,8 @@ def test_offline_update_divergence_messages(lq_ref, alphas, message):
         offline_update(ep, theta0, v, cfg, episode_index=3)
 
 
-@pytest.mark.parametrize("empty", [True, False])
-def test_offline_update_returns_fresh_arrays(lq_ref, empty):
+def test_offline_update_returns_fresh_arrays(lq_ref):
     _, v, ep = _rollout(lq_ref)
-    if empty:
-        ep = make_episode(Trajectory(np.array([0.0]), np.array([0.4]), np.array([-0.2]),
-                                     np.empty(0), seed=0), lq_ref.beta)
     cfg = AlgoConfig(dt=0.1, alpha_theta=0.0, alpha_v=0.0)
     theta0 = np.linspace(-0.5, 0.4, 6)
     theta, v_next = offline_update(ep, theta0, v, cfg, episode_index=1)
@@ -270,6 +254,19 @@ def test_run_offline_refuses_bad_initial_parameters_before_any_draw(
     cfg = AlgoConfig(dt=0.1, n_steps=10, seed=0)
     with pytest.raises(ValueError, match=re.escape(message)):
         run_offline(cfg, lq_ref, theta0, v0, n_episodes=n_episodes)
+
+
+@pytest.mark.parametrize("n_episodes", [0, 3])
+def test_run_offline_refuses_episodes_without_transitions_before_any_draw(
+        lq_ref, monkeypatch, n_episodes):
+    def no_draws(seed):
+        raise AssertionError("a NoiseSource was made before n_steps was checked")
+
+    monkeypatch.setattr(offline, "NoiseSource", no_draws)
+    message = "^n_steps must be at least 1 for offline episodes, got 0$"
+    with pytest.raises(ValueError, match=message):
+        run_offline(AlgoConfig(dt=0.1, n_steps=0, seed=0), lq_ref, np.zeros(6), np.zeros(3),
+                    n_episodes=n_episodes)
 
 
 @pytest.mark.parametrize("seed, v0, n_steps, error, message", [

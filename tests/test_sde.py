@@ -307,6 +307,9 @@ def test_batch_of_one_matches_single_trajectory_bitwise(lq_ref, k_ref):
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         Trajectory(np.arange(3.0), np.zeros(3), np.zeros(3), np.zeros(3), 0)
+    for n in (0, 1):
+        with pytest.raises(ValueError, match=f"at least one transition, got {n} time points"):
+            Trajectory(np.arange(float(n)), np.zeros(n), np.zeros(n), np.empty(0), 0)
 
 
 def test_simulate_from_continues_a_stream():
