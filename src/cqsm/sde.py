@@ -11,9 +11,10 @@ Everything is deterministic given a seed.
 One Euler-Maruyama loop, :func:`simulate_from`, runs a single scalar
 trajectory on Python floats and a batch of scalar trajectories on numpy
 arrays; :func:`simulate` and :func:`simulate_batch` only choose its start and
-noise source.  The loop checks nothing per step:
-one finiteness check over each finished rollout finds a fault and names the
-step and the field that caused it.
+noise source.  The loop takes its variates in blocks of several steps and
+evaluates the reward once, over the finished grid.  It checks nothing per
+step: one finiteness check over each finished rollout finds a fault and names
+the step and the field that caused it.
 """
 
 from __future__ import annotations
@@ -91,9 +92,11 @@ class DynamicsSpec:
     """Coefficient functions of the joint state-action SDE.
 
     Each field maps (x, a) to a value broadcastable against x (state fields)
-    or a (action fields).  Evaluations must stay finite on finite inputs;
-    a non-finite value aborts the simulation with a diagnostic naming the
-    step and the field.
+    or a (action fields); the fields are evaluated once per step.  The reward
+    that goes with them is evaluated pointwise, once over the finished grid of
+    a rollout, so it must map arrays of any shape elementwise.  Evaluations
+    must stay finite on finite inputs; a non-finite value aborts the
+    simulation with a diagnostic naming the step and the field.
     """
 
     state_drift: Callable
@@ -157,11 +160,6 @@ def _fault(dyn: DynamicsSpec, reward, x, a, column=None) -> str:
     return f"the step from x={at_x!r}, a={at_a!r} overflowed to a non-finite state or action"
 
 
-def _advance(x, a, dyn: DynamicsSpec, dt: float, root: float, zx, za):
-    return (x + dyn.state_drift(x, a) * dt + dyn.state_diffusion(x, a) * root * zx,
-            a + dyn.action_score(x, a) * dt + dyn.action_diffusion(x, a) * root * za)
-
-
 def simulate(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int, seed: int) -> Trajectory:
     """Roll out ``n_steps`` Euler-Maruyama steps from (x0, a0) with a fresh seed."""
     return simulate_from(dyn, reward, x0, a0, dt, n_steps, NoiseSource(seed))
@@ -174,8 +172,12 @@ def simulate_from(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int,
     Scalar (x0, a0) run on Python floats.  Two 1-d arrays of equal length are
     a batch of scalar trajectories, one per entry, and ``reward`` must return
     one value per entry.  Any other start, or a reward of another shape, raises
-    ValueError before the first draw.  Per step the draw order is: one state
-    noise block, then one action noise block.
+    ValueError before the first draw.  The variates are drawn in blocks of
+    max(1, TAPE // (2 * width)) steps, width 1 for a scalar start, and are
+    consumed step by step: the state's variates, then the action's.  This is
+    the stream a state draw and an action draw per step would give.  The
+    reward is evaluated pointwise, once over the finished grid:
+    reward_rates = reward(states[:-1], actions[:-1]).
 
     Finiteness is checked once, over the whole rollout, after the last step;
     a non-finite value raises SimulationError naming the first faulty step
@@ -197,22 +199,35 @@ def simulate_from(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int,
     if np.shape(reward(x, a)) != np.shape(x):
         raise ValueError("reward must return one value per trajectory")
 
-    states = np.empty((n_steps + 1,) + np.shape(x))
-    actions = np.empty_like(states)
-    rates = np.empty((n_steps,) + np.shape(x))
-    states[0] = x
-    actions[0] = a
+    drift, diffusion = dyn.state_drift, dyn.state_diffusion
+    score, action_diffusion = dyn.action_score, dyn.action_diffusion
     root = math.sqrt(dt)
-    for k in range(n_steps):
-        rates[k] = reward(x, a)
-        zx = noise.normal(size)
-        za = noise.normal(size)
-        x, a = _advance(x, a, dyn, dt, root, zx, za)
-        states[k + 1] = x
-        actions[k + 1] = a
-    if not (np.isfinite(states).all() and np.isfinite(actions).all()
-            and np.isfinite(rates).all()):
-        raise SimulationError(_first_fault(dyn, reward, states, actions, rates))
+    m = max(1, TAPE // (2 * (size or 1)))  # steps per block of draws
+    if size is None:
+        states, actions = [x] * (n_steps + 1), [a] * (n_steps + 1)
+    else:
+        states, actions = np.empty((n_steps + 1, size)), np.empty((n_steps + 1, size))
+        states[0], actions[0] = x, a
+    for done in range(0, n_steps, m):
+        steps = min(m, n_steps - done)
+        if size is None:
+            z = iter(noise.normals(2 * steps))
+            block = zip(z, z)
+        else:
+            block = noise.normal((steps, 2, size))
+        for k, (zx, za) in enumerate(block, done + 1):
+            x, a = (x + drift(x, a) * dt + diffusion(x, a) * root * zx,
+                    a + score(x, a) * dt + action_diffusion(x, a) * root * za)
+            states[k] = x
+            actions[k] = a
+    states, actions = np.asarray(states, dtype=float), np.asarray(actions, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = np.asarray(reward(states[:-1], actions[:-1]), dtype=float)
+        if rates.shape != states[:-1].shape:  # a constant reward
+            rates = np.full(states[:-1].shape, rates)
+        if not (np.isfinite(states).all() and np.isfinite(actions).all()
+                and np.isfinite(rates).all()):
+            raise SimulationError(_first_fault(dyn, reward, states, actions, rates))
     times = np.arange(n_steps + 1) * dt
     return Trajectory(times, states, actions, rates, noise.seed)
 
@@ -238,9 +253,10 @@ def simulate_batch(dyn: DynamicsSpec, reward, x0: float, a0: float, dt: float,
     """Simulate ``n_traj`` scalar trajectories at once, one column each.
 
     All trajectories start from the same (x0, a0) and draw from a single seeded
-    stream, one state block and one action block per step.  Dynamics and reward
-    callables must accept numpy arrays elementwise and return one value per
-    trajectory.
+    stream in the order of :func:`simulate_from`.  Dynamics callables must
+    accept numpy arrays elementwise and return one value per trajectory; the
+    reward is evaluated pointwise, once over the finished (n_steps, n_traj)
+    grid.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")

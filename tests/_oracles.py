@@ -4,8 +4,9 @@ Everything here is computed by a route independent of the code under test:
 finite differences for gradients, direct linear solves for policy evaluation,
 affine-map composition for the denoising chain's output law, and plain
 two-pass statistics.  The ``reference_*`` functions keep earlier versions of
-the sampler and learner steps (numpy scalars, a draw and a check per Langevin
-step), against which the current ones are checked bit for bit.
+the simulator, sampler and learner steps (a reward call and two draws per
+simulator step, numpy scalars, a draw and a check per Langevin step), against
+which the current ones are checked bit for bit.
 """
 
 import math
@@ -113,6 +114,31 @@ def random_admissible_params(rng, force_d_zero: bool = False) -> LqParams:
         R=rng.uniform(-2.0, 2.0), P=rng.uniform(-2.0, 2.0), Pp=rng.uniform(-2.0, 2.0),
         beta=rng.uniform(lo, lo + 2.0), lam=rng.uniform(0.05, 1.0),
     )
+
+
+def reference_simulate(dyn, reward, x0, a0, dt: float, n_steps: int, noise):
+    """The Euler-Maruyama loop with one reward call and two draws per step.
+
+    Returns (states, actions, reward_rates) for a scalar start (x0, a0) or a
+    batch start of two 1-d arrays, one column per trajectory.
+    """
+    x, a = np.asarray(x0, dtype=float), np.asarray(a0, dtype=float)
+    size = None if x.ndim == 0 else x.size
+    if size is None:
+        x, a = float(x), float(a)
+    states = np.empty((n_steps + 1,) + np.shape(x))
+    actions = np.empty_like(states)
+    rates = np.empty((n_steps,) + np.shape(x))
+    states[0], actions[0] = x, a
+    root = math.sqrt(dt)
+    for k in range(n_steps):
+        rates[k] = reward(x, a)
+        zx = noise.normal(size)
+        za = noise.normal(size)
+        x, a = (x + dyn.state_drift(x, a) * dt + dyn.state_diffusion(x, a) * root * zx,
+                a + dyn.action_score(x, a) * dt + dyn.action_diffusion(x, a) * root * za)
+        states[k + 1], actions[k + 1] = x, a
+    return states, actions, rates
 
 
 def reference_ddpm_sample(score, x: float, schedule, noise) -> float:

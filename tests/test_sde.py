@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from cqsm import (
 )
 from cqsm.sde import TAPE
 
-from _oracles import SequenceNoise
+from _oracles import SequenceNoise, reference_simulate
 
 ZERO_DYN = DynamicsSpec(
     state_drift=lambda x, a: 0.0 * x,
@@ -262,13 +263,16 @@ def test_simulate_batch_deterministic_and_shaped(lq_ref, k_ref):
 
 
 # x_k = k on a drift-only grid of dt 1, so the drift turns NaN exactly at step 3;
-# in a batch only the middle column (trajectory 1 of 3) turns NaN
+# in a batch only the middle column (trajectory 1 of 3) runs at that pace and
+# turns NaN, the others move at half of it.  The dynamics are evaluated on one
+# row of the batch per step, so they may tell the columns apart; the reward is
+# evaluated once over the whole grid and must be pointwise in (x, a).
 def _middle(x):
     return np.arange(np.size(x)).reshape(np.shape(x)) == np.size(x) // 2
 
 
 NAN_AT_3 = DynamicsSpec(
-    state_drift=lambda x, a: np.where((x >= 3.0) & _middle(x), np.nan, 1.0),
+    state_drift=lambda x, a: np.where(_middle(x), np.where(x >= 3.0, np.nan, 1.0), 0.5),
     state_diffusion=lambda x, a: 0.0 * x,
     action_score=lambda x, a: 0.0 * a,
     action_diffusion=lambda x, a: 0.0 * a,
@@ -285,7 +289,7 @@ def test_non_finite_field_names_step_and_field(run, where):
         run(NAN_AT_3, lambda x, a: 0.0 * x)
     assert str(info.value) == (f"step 3{where}: state_drift evaluated to a non-finite value "
                                "at x=3.0, a=0.0")
-    nan_reward = lambda x, a: np.where((x >= 2.0) & _middle(x), np.nan, 0.0 * x)
+    nan_reward = lambda x, a: np.where(x >= 2.0, np.nan, 0.0 * x)
     with pytest.raises(SimulationError) as info:
         run(NAN_AT_3, nan_reward)
     assert str(info.value) == (f"step 2{where}: reward evaluated to a non-finite value "
@@ -302,6 +306,101 @@ def test_batch_of_one_matches_single_trajectory_bitwise(lq_ref, k_ref):
                           (batch.reward_rates, single.reward_rates)):
             assert np.array_equal(got[:, 0].view(np.uint64), want.view(np.uint64))
         assert batch.states.shape == single.states.shape + (1,)
+
+
+def _block_steps(width):
+    """Steps per block of draws in simulate_from: max(1, TAPE // (2 * width))."""
+    return max(1, TAPE // (2 * (width or 1)))
+
+
+@pytest.mark.parametrize("width", [None, 1, 3, 200, TAPE], ids=lambda w: f"width-{w}")
+@pytest.mark.parametrize("used", [0, 5], ids=lambda u: f"used-{u}")
+def test_simulate_from_bitwise_equals_per_step_reference(lq_ref, k_ref, width, used):
+    # block draws and one grid reward pass give the per-step loop's bits, and
+    # leave the noise stream where it leaves it; the tape is fresh (used 0) or
+    # partly drained by scalar draws
+    dyn = lq_dynamics(lq_ref, lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a))
+    reward = lq_reward_fn(lq_ref)
+    if width is None:
+        x0, a0 = 0.4, -0.2
+    else:
+        x0, a0 = np.linspace(-1.0, 1.0, width), np.linspace(0.5, -0.5, width)
+    m = _block_steps(width)
+    for n_steps in sorted({1, max(1, m - 1), m, m + 1, 3 * TAPE}):
+        got_noise, want_noise = NoiseSource(31), NoiseSource(31)
+        for _ in range(used):
+            got_noise.normal(), want_noise.normal()
+        got = simulate_from(dyn, reward, x0, a0, 0.1, n_steps, got_noise)
+        want = reference_simulate(dyn, reward, x0, a0, 0.1, n_steps, want_noise)
+        for g, w in zip((got.states, got.actions, got.reward_rates), want):
+            assert g.shape == w.shape
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64)), n_steps
+        assert got_noise.normal() == want_noise.normal()
+
+
+class _CountingNoise:
+    """A NoiseSource stand-in that records every draw request."""
+
+    def __init__(self, seed):
+        self._source = NoiseSource(seed)
+        self.seed = seed
+        self.requests = []
+
+    def normal(self, size=None):
+        self.requests.append(size)
+        return self._source.normal(size)
+
+    def normals(self, k):
+        self.requests.append([k])
+        return self._source.normals(k)
+
+
+@pytest.mark.parametrize("width", [None, 3, 200], ids=lambda w: f"width-{w}")
+def test_one_rollout_calls_reward_twice_and_draws_once_per_block(lq_ref, k_ref, width):
+    dyn = lq_dynamics(lq_ref, lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a))
+    calls = []
+
+    def reward(x, a):
+        calls.append(np.shape(x))
+        return lq_reward_fn(lq_ref)(x, a)
+
+    m = _block_steps(width)
+    rest = (m + 1) // 2
+    n_steps = 2 * m + rest
+    start = 0.0 if width is None else np.zeros(width)
+    noise = _CountingNoise(6)
+    simulate_from(dyn, reward, start, start, 0.1, n_steps, noise)
+    # the shape check at the start, then one pass over the finished grid
+    assert calls == [np.shape(start), (n_steps,) + np.shape(start)]
+    if width is None:
+        assert noise.requests == [[2 * m], [2 * m], [2 * rest]]
+    else:
+        assert noise.requests == [(m, 2, width), (m, 2, width), (rest, 2, width)]
+    assert len(noise.requests) == -(-n_steps // m)
+
+
+# a drift of 1e200 per unit step keeps the state finite for a few steps, while
+# the reward x*x overflows from step 1 on
+FAR = DynamicsSpec(
+    state_drift=lambda x, a: 1e200 + 0.0 * x,
+    state_diffusion=lambda x, a: 0.0 * x,
+    action_score=lambda x, a: 0.0 * a,
+    action_diffusion=lambda x, a: 0.0 * a,
+)
+
+
+@pytest.mark.parametrize("run, where", [
+    (lambda reward: simulate(FAR, reward, 0.0, 0.0, 1.0, 6, seed=0), ""),
+    (lambda reward: simulate_batch(FAR, reward, 0.0, 0.0, 1.0, 6, 3, seed=0),
+     ", trajectory 0"),
+], ids=["simulate", "simulate_batch"])
+def test_overflowing_reward_raises_without_runtime_warnings(run, where):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimulationError) as info:
+            run(lambda x, a: x * x - x * a)
+    assert str(info.value) == (f"step 1{where}: reward evaluated to a non-finite value "
+                               "at x=1e+200, a=0.0")
 
 
 def test_trajectory_validation():
