@@ -252,7 +252,8 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> RunSummary:
     Seeds are base_seed..base_seed + n_seeds - 1.  A seed whose run raises a
     SimulationError (a divergence, or a sampler or environment fault) is
     recorded as failed rather than aborting the experiment; when every seed
-    fails, the first seed's error class is raised.  Output is deterministic:
+    fails, the first seed's error class is raised and the directory keeps no
+    CSV or manifest of an earlier run.  Output is deterministic:
     rerunning the same config (or its manifest) reproduces every CSV byte for
     byte.
     """
@@ -279,6 +280,9 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> RunSummary:
             write_record_csv(record, out / f"seed_{seed}.csv")
 
     if not records:
+        # a rerun that writes no summary must not keep an earlier run's summary or manifest
+        (out / "summary.csv").unlink(missing_ok=True)
+        (out / "manifest.txt").unlink(missing_ok=True)
         errors = list(failures.values())
         raise type(errors[0])("every seed failed: " + "; ".join(map(str, errors)))
 

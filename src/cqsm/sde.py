@@ -41,11 +41,11 @@ class NoiseSource:
     Scalar draws are served from a tape of ``TAPE`` variates pre-drawn as one
     block.  :meth:`normals` hands out k scalar draws as one list, sliced off
     the tape and refilled in ``TAPE`` blocks as k calls of :meth:`normal`
-    would be; a block draw takes its variates through it while the tape holds
-    any, and straight from the generator once the tape is empty.  The
-    generator yields the same stream whether its variates are drawn one at a
-    time or in blocks, so every caller receives the values it would receive
-    from the generator directly, in the same order.
+    would be; a block draw takes what the tape still holds, never refilling
+    it, and the rest straight from the generator.  The generator yields the
+    same stream whether its variates are drawn one at a time or in blocks, so
+    every caller receives the values it would receive from the generator
+    directly, in the same order.
     """
 
     def __init__(self, seed: int):
@@ -62,7 +62,9 @@ class NoiseSource:
             return tape.pop()
         if not tape:
             return self._rng.standard_normal(size)
-        return np.reshape(self.normals(int(np.prod(size))), size)
+        n = int(np.prod(size))
+        head = self.normals(min(n, len(tape)))
+        return np.reshape(np.concatenate((head, self._rng.standard_normal(n - len(head)))), size)
 
     def normals(self, k: int) -> list:
         """k standard normal draws as a list of Python floats.

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cqsm import LqParams, k_to_optimal_params, solve_lq
+from cqsm.lq import LqParams
+from cqsm.lq_analytic import k_to_optimal_params, solve_lq
 
 # published optimum of the reference configuration, frozen as ground truth
 REF_THETA = np.array([-0.59047134, -0.23069812, -0.46141679,

@@ -14,32 +14,13 @@ import pytest
 import scipy.stats
 
 import cqsm.experiment as experiment
-from cqsm import (
-    AlgoConfig,
-    SolveError,
-    coefficient_residuals,
-    config_hash,
-    constant_test,
-    ddpm_sample,
-    estimate_discounted_return,
-    grad_a_q,
-    grad_theta_q,
-    hjb_residual,
-    k_to_optimal_params,
-    langevin_sample,
-    make_linear_schedule,
-    optimal_score,
-    orthogonality_residual,
-    parse_config,
-    psi_v,
-    q_star,
-    q_theta,
-    run_cqsm,
-    run_experiment,
-    score_params_from_q,
-    solve_lq,
-)
-from cqsm.policy import psi_features
+from cqsm.experiment import config_hash, parse_config, run_experiment
+from cqsm.lq_analytic import (SolveError, coefficient_residuals, hjb_residual,
+                              k_to_optimal_params, optimal_score, q_star, solve_lq)
+from cqsm.martingale import constant_test, estimate_discounted_return, orthogonality_residual
+from cqsm.online import AlgoConfig, run_cqsm
+from cqsm.policy import grad_a_q, grad_theta_q, psi_features, psi_v, q_theta, score_params_from_q
+from cqsm.samplers import ddpm_sample, langevin_sample, make_linear_schedule
 from cqsm.sde import NoiseSource
 from conftest import REF_THETA, REF_V
 from _oracles import central_diff_vec, ddpm_affine_law, random_admissible_params

@@ -10,23 +10,14 @@ import pytest
 
 import cqsm.experiment as experiment
 import cqsm.online as online
-from cqsm import (
-    AlgoConfig,
-    ConfigError,
-    DivergenceError,
-    ExperimentConfig,
-    LqParams,
-    config_hash,
-    estimate_discounted_return,
-    format_config,
-    k_to_optimal_params,
-    optimal_score,
-    parse_config,
-    psi_v,
-    run_cqsm,
-    run_experiment,
-)
 from cqsm.cli import main as cli_main, parallel_workers
+from cqsm.experiment import (ConfigError, ExperimentConfig, config_hash, format_config,
+                             parse_config, run_experiment)
+from cqsm.lq import LqParams
+from cqsm.lq_analytic import k_to_optimal_params, optimal_score
+from cqsm.martingale import estimate_discounted_return
+from cqsm.online import AlgoConfig, DivergenceError, run_cqsm
+from cqsm.policy import psi_v
 from cqsm.sde import SimulationError
 from _oracles import two_pass_mean_std
 
@@ -297,6 +288,21 @@ def test_rerun_with_a_failed_seed_leaves_no_stale_seed_csv(tmp_path, monkeypatch
     assert (tmp_path / "run" / "seed_0.csv").exists()
     assert not (tmp_path / "run" / "seed_1.csv").exists()
     assert "# failed_seeds: 1\n" in (tmp_path / "run" / "manifest.txt").read_text()
+
+
+def test_rerun_whose_seeds_all_fail_leaves_no_stale_artifact(tmp_path, monkeypatch):
+    cfg = parse_config(SMALL_CONFIG.format(out=tmp_path / "run"))
+    run_experiment(cfg)
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+        "manifest.txt", "seed_0.csv", "seed_1.csv", "summary.csv"]
+
+    def failing(algo, p, theta0, v0):
+        raise DivergenceError("boom")
+
+    monkeypatch.setattr(experiment, "run_cqsm", failing)
+    with pytest.raises(DivergenceError, match="every seed failed"):
+        run_experiment(cfg)
+    assert list((tmp_path / "run").iterdir()) == []
 
 
 def test_sampler_fault_stays_inside_its_seed(tmp_path, monkeypatch, capsys):

@@ -21,11 +21,16 @@ import numpy as np
 import pytest
 
 from cqsm.cli import main as cli_main
-from cqsm import (AlgoConfig, LqParams, constant_test, estimate_discounted_return,
-                  lagged_state_test, lq_dynamics, lq_reward_fn, martingale_loss, optimal_score,
-                  orthogonality_residual, orthogonality_statistics, parse_config, psi_v,
-                  q_gradient_test, q_star, run_experiment, run_offline, simulate_batch, solve_lq,
-                  trajectory_gaps, write_record_csv)
+from cqsm.experiment import parse_config, run_experiment, write_record_csv
+from cqsm.lq import LqParams, lq_dynamics, lq_reward_fn
+from cqsm.lq_analytic import optimal_score, q_star, solve_lq
+from cqsm.martingale import (constant_test, estimate_discounted_return, lagged_state_test,
+                             martingale_loss, orthogonality_residual, orthogonality_statistics,
+                             q_gradient_test, trajectory_gaps)
+from cqsm.offline import run_offline
+from cqsm.online import AlgoConfig
+from cqsm.policy import psi_v
+from cqsm.sde import simulate_batch
 
 REFERENCE_PATH = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
 REFERENCE = REFERENCE_PATH.read_text()

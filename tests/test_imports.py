@@ -4,8 +4,9 @@ every public function and class is read by the package or the benchmark, and
 no module imports one from a later layer, and configs are checked only
 where they are built.
 
-``__init__.py`` is skipped as an importer: its imports are the package's
-public API.
+The package root re-exports nothing: ``__init__.py`` binds only
+``__version__``, and every other name is imported from the module that
+defines it, never from ``cqsm`` itself.
 """
 
 import ast
@@ -88,6 +89,35 @@ def test_dead_definitions_are_found():
 def test_module_defines_nothing_dead(path):
     package = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
     assert dead_definitions(path.read_text(encoding="utf-8"), package) == []
+
+
+def root_imports(source: str) -> list[str]:
+    """``line n: name`` for each name that ``from cqsm import`` in ``source``
+    takes from the package root and that is not a submodule."""
+    return [f"line {node.lineno}: {alias.name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "cqsm"
+            for alias in node.names if alias.name not in {p.stem for p in MODULES}]
+
+
+def test_root_imports_are_found():
+    source = ("from cqsm import online, sde\nfrom cqsm.sde import simulate\n"
+              "from cqsm import run_cqsm\n")
+    assert root_imports(source) == ["line 3: run_cqsm"]
+
+
+def test_package_root_binds_only_the_version():
+    body = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8")).body
+    assert isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+    assert [ast.dump(node) for node in body[1:]] == [ast.dump(ast.ImportFrom(
+        module="_version", names=[ast.alias(name="__version__")], level=1))]
+
+
+def test_no_name_is_imported_from_the_package_root():
+    sources = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    sources += sorted((ROOT / "bench").glob("*.py"))
+    found = [f"{path.relative_to(ROOT)}: {hit}" for path in sources
+             for hit in root_imports(path.read_text(encoding="utf-8"))]
+    assert found == []
 
 
 # the paper's objects: public for study and tested directly, though no other

@@ -3,16 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqsm import (
-    LqParams,
-    NoiseSource,
-    env_step,
-    lq_dynamics,
-    lq_reward,
-    lq_reward_fn,
-    optimal_score,
-    simulate,
-)
+from cqsm.lq import LqParams, env_step, lq_dynamics, lq_reward, lq_reward_fn
+from cqsm.lq_analytic import optimal_score
+from cqsm.sde import NoiseSource, simulate
 
 
 def test_lq_params_defaults_are_the_reference_instance(lq_ref):

@@ -4,17 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from cqsm import (
-    KCoefficients,
-    LqParams,
-    SolveError,
-    coefficient_residuals,
-    hjb_residual,
-    k_to_optimal_params,
-    optimal_score,
-    q_star,
-    solve_lq,
-)
+from cqsm.lq import LqParams
+from cqsm.lq_analytic import (KCoefficients, SolveError, coefficient_residuals, hjb_residual,
+                              k_to_optimal_params, optimal_score, q_star, solve_lq)
 from conftest import REF_THETA, REF_V
 from _oracles import central_diff, evaluate_affine_score_q, random_admissible_params
 

@@ -3,23 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from cqsm import (
-    AlgoConfig,
-    LqParams,
-    ResidualReport,
-    constant_test,
-    lagged_state_test,
-    lq_dynamics,
-    lq_reward_fn,
-    martingale_loss,
-    optimal_score,
-    orthogonality_residual,
-    orthogonality_statistics,
-    q_gradient_test,
-    q_star,
-    simulate_batch,
-    trajectory_gaps,
-)
+from cqsm.lq import LqParams, lq_dynamics, lq_reward_fn
+from cqsm.lq_analytic import optimal_score, q_star
+from cqsm.martingale import (ResidualReport, constant_test, lagged_state_test, martingale_loss,
+                             orthogonality_residual, orthogonality_statistics, q_gradient_test,
+                             trajectory_gaps)
+from cqsm.online import AlgoConfig
+from cqsm.sde import simulate_batch
 from _oracles import evaluate_affine_score_q
 
 
@@ -31,7 +21,7 @@ def test_zero_everything_gives_exact_zero():
     # zero reward, zero score, zero value model: the integrand is identically
     # zero regardless of the visited states
     rng = np.random.default_rng(0)
-    from cqsm import Trajectory
+    from cqsm.sde import Trajectory
 
     batch = Trajectory(times=np.arange(21) * 0.1,
                        states=rng.normal(size=(21, 30)),
@@ -130,7 +120,7 @@ def test_statistics_with_gradient_test_process(k_ref, lq_ref):
 
 
 def test_martingale_loss_zero_case():
-    from cqsm import Trajectory
+    from cqsm.sde import Trajectory
 
     rng = np.random.default_rng(1)
     batch = Trajectory(times=np.arange(11) * 0.1,

@@ -7,30 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqsm import (
-    AlgoConfig,
-    DivergenceError,
-    Episode,
-    NoiseSource,
-    SimulationError,
-    Trajectory,
-    discount_weights,
-    episode_return_to_go,
-    k_to_optimal_params,
-    lq_dynamics,
-    lq_reward_fn,
-    lr_schedule,
-    make_episode,
-    offline_update,
-    optimal_score,
-    psi_v,
-    q_theta,
-    return_gaps,
-    rollout_episode,
-    run_offline,
-    score_gradient_residual,
-    simulate_batch,
-)
+from cqsm.lq import lq_dynamics, lq_reward_fn
+from cqsm.lq_analytic import k_to_optimal_params, optimal_score
+from cqsm.martingale import discount_weights, return_gaps
+from cqsm.offline import (Episode, episode_return_to_go, make_episode, offline_update,
+                          rollout_episode, run_offline, score_gradient_residual)
+from cqsm.online import AlgoConfig, DivergenceError, lr_schedule
+from cqsm.policy import psi_v, q_theta
+from cqsm.sde import NoiseSource, SimulationError, Trajectory, simulate_batch
 import cqsm.offline as offline
 
 

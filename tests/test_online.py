@@ -8,36 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqsm import (
-    AlgoConfig,
-    DivergenceError,
-    LearnState,
-    NoiseSource,
-    cqsm_step,
-    env_step,
-    grad_a_q,
-    initial_action,
-    k_to_optimal_params,
-    lq_dynamics,
-    lq_reward,
-    lq_reward_fn,
-    lr_schedule,
-    make_linear_schedule,
-    optimal_score,
-    parse_config,
-    psi_v,
-    q_star,
-    q_theta,
-    run_cqsm,
-    run_experiment,
-    simulate,
-    td_delta,
-)
+from cqsm.experiment import parse_config, run_experiment
+from cqsm.lq import env_step, lq_dynamics, lq_reward, lq_reward_fn
+from cqsm.lq_analytic import k_to_optimal_params, optimal_score, q_star
+from cqsm.online import (DIVERGENCE_LIMIT, EXP_LIMIT, SAMPLERS, AlgoConfig, DivergenceError,
+                         LearnState, cqsm_step, initial_action, lr_schedule, run_cqsm, td_delta)
+from cqsm.policy import grad_a_q, psi_features, psi_v, q_theta
+from cqsm.samplers import make_linear_schedule
+from cqsm.sde import NoiseSource, SimulationError, simulate
 import cqsm.experiment as experiment
 import cqsm.online as online
-from cqsm.online import DIVERGENCE_LIMIT, EXP_LIMIT, SAMPLERS
-from cqsm.policy import psi_features
-from cqsm.sde import SimulationError
 from _oracles import SequenceNoise, reference_cqsm_step, reference_sample_action
 
 

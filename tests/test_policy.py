@@ -3,18 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqsm import (
-    grad_a_q,
-    grad_theta_q,
-    k_to_optimal_params,
-    optimal_score,
-    psi_v,
-    q_star,
-    q_theta,
-    score_params_from_q,
-)
+from cqsm.lq_analytic import k_to_optimal_params, optimal_score, q_star
 from cqsm.online import EXP_LIMIT, DivergenceError, _score
-from cqsm.policy import psi_features
+from cqsm.policy import grad_a_q, grad_theta_q, psi_features, psi_v, q_theta, score_params_from_q
 from conftest import REF_THETA, REF_V
 from _oracles import central_diff_vec
 

@@ -6,19 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cqsm import (
-    NoiseSchedule,
-    NoiseSource,
-    ddpm_law,
-    ddpm_sample,
-    langevin_chain,
-    langevin_sample,
-    make_linear_schedule,
-    optimal_score,
-)
+from cqsm.lq_analytic import optimal_score
 from cqsm.online import EXP_LIMIT
 from cqsm.policy import score_fn
-from cqsm.sde import TAPE, SimulationError
+from cqsm.samplers import (NoiseSchedule, ddpm_law, ddpm_sample, langevin_chain, langevin_sample,
+                           make_linear_schedule)
+from cqsm.sde import TAPE, NoiseSource, SimulationError
 from _oracles import (SequenceNoise, ddpm_affine_law, reference_ddpm_sample,
                       reference_langevin_batch, reference_langevin_sample)
 

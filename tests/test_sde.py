@@ -6,19 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqsm import (
-    DynamicsSpec,
-    NoiseSource,
-    SimulationError,
-    Trajectory,
-    lq_dynamics,
-    lq_reward_fn,
-    optimal_score,
-    simulate,
-    simulate_batch,
-    simulate_from,
-)
-from cqsm.sde import TAPE
+from cqsm.lq import lq_dynamics, lq_reward_fn
+from cqsm.lq_analytic import optimal_score
+from cqsm.sde import (TAPE, DynamicsSpec, NoiseSource, SimulationError, Trajectory, simulate,
+                      simulate_batch, simulate_from)
 
 from _oracles import SequenceNoise, reference_simulate
 
@@ -236,6 +227,26 @@ def test_noise_source_normals_equal_k_scalar_draws(k, used):
         lists.normal(), scalars.normal()
     assert lists.normals(k) == [scalars.normal() for _ in range(k)]
     assert lists._tape == scalars._tape  # the tape is left as by k scalar draws
+
+
+@pytest.mark.parametrize("extra", [-7, -1, 0, 1, 3 * TAPE])
+def test_block_draw_drains_the_tape_and_reads_the_rest_from_the_generator(extra):
+    # a block smaller than, equal to or larger than what the tape holds takes
+    # the tape's variates first; one at least that long leaves the tape empty,
+    # so later blocks come straight from the generator
+    noise = NoiseSource(13)
+    noise.normals(5)
+    left = TAPE - 5
+    got = [noise.normal()]
+    left -= 1
+    got += noise.normals(20)
+    left -= 20
+    block = noise.normal((left + extra,))
+    assert len(noise._tape) == max(0, -extra)
+    got += block.tolist() + [noise.normal()] + noise.normal(TAPE // 2).tolist()
+    got += noise.normals(3)
+    want = np.random.default_rng(13).standard_normal(5 + len(got))[5:]
+    assert np.array_equal(np.array(got).view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("x0, a0, reward, message", [
