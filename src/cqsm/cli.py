@@ -3,9 +3,9 @@
 Subcommands: ``run`` (multi-seed experiment), ``solve-lq`` (closed-form
 coefficients and optimal parameters), ``check-martingale`` (orthogonality
 diagnostic of the analytic optimum), ``sample-actions`` (sampler moments
-against the sampler's exact target: the Boltzmann law for langevin, the
-reverse chain's own law for ddpm).  Exit codes: 0 success, 1 config error,
-2 numerical failure.
+against the law of the chain the sampler runs: the Langevin chain's
+stationary law, the reverse chain's output law).  Exit codes: 0 success,
+1 config error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .experiment import load_config, run_experiment
 from .lq_analytic import coefficient_residuals, k_to_optimal_params, solve_lq
 from .martingale import constant_test, orthogonality_residual
 from .policy import grad_a_q, q_theta
-from .samplers import ddpm_law, ddpm_sample, langevin_chain
+from .samplers import ddpm_law, ddpm_sample, langevin_chain, langevin_law
 from .sde import NoiseSource
 
 
@@ -167,18 +167,18 @@ def _cmd_sample(args) -> int:
     k = solve_lq(p)
     score = lambda x, a: grad_a_q(k, x, a) / p.lam
     noise = NoiseSource(args.seed)
+    # each sampler's target is its own chain's law, which is not the Boltzmann law
+    c1, c0 = k.k2 / p.lam, (k.k3 + k.k4 * args.x) / p.lam
     if args.sampler == "langevin":
         samples = langevin_chain(score, args.x, cfg.algo.a0, cfg.algo.langevin_dt,
                                  cfg.algo.langevin_steps, args.n, 10, noise)
-        target_mean = -(k.k3 + k.k4 * args.x) / k.k2
-        target_var = -p.lam / k.k2
+        target_mean, target_var = langevin_law(cfg.algo.langevin_dt, math.inf, cfg.algo.a0,
+                                               c1, c0)
     else:
         schedule = cfg.algo.ddpm_schedule
         samples = np.fromiter((ddpm_sample(score, args.x, schedule, noise)
                                for _ in range(args.n)), float, count=args.n)
-        # the reverse chain's own law, which is not the Boltzmann law
-        target_mean, target_var = ddpm_law(schedule, k.k2 / p.lam,
-                                           (k.k3 + k.k4 * args.x) / p.lam)
+        target_mean, target_var = ddpm_law(schedule, c1, c0)
     print(f"sampler        = {args.sampler}")
     print(f"samples        = {args.n}")
     print(f"empirical mean = {samples.mean():.6g}   (target {target_mean:.6g})")

@@ -1,9 +1,5 @@
-"""Scalar linear-quadratic control environment.
-
-Linear state drift A x + B a with state noise amplitude C x + D a, a quadratic
-reward, and action noise fixed at sqrt(2) so that the stationary action law at
-a frozen state is the Boltzmann distribution of the value function.
-"""
+"""Scalar linear-quadratic control environment: the linear dynamics of
+:class:`sde.DynamicsSpec` and a quadratic reward."""
 
 from __future__ import annotations
 
@@ -11,8 +7,6 @@ import math
 from dataclasses import dataclass, fields
 
 from .sde import DynamicsSpec, NoiseSource, SimulationError
-
-SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -82,17 +76,10 @@ def env_step(p: LqParams, x: float, a: float, dt: float, noise: NoiseSource):
 
 
 def lq_dynamics(p: LqParams, score) -> DynamicsSpec:
-    """Joint state-action dynamics for this instance under a given score.
-
-    Action noise amplitude is sqrt(2); the callables broadcast over arrays so
-    the same dynamics drive both scalar and batched simulation.
-    """
-    return DynamicsSpec(
-        state_drift=lambda x, a: p.A * x + p.B * a,
-        state_diffusion=lambda x, a: p.C * x + p.D * a,
-        action_score=score,
-        action_diffusion=lambda x, a: SQRT2,
-    )
+    """The joint state-action SDE of this instance under a given score: its
+    coefficients A, B, C, D packed with the score, which must broadcast over
+    arrays so the same dynamics drive scalar and batched simulation."""
+    return DynamicsSpec(p.A, p.B, p.C, p.D, score)
 
 
 def lq_reward_fn(p: LqParams):

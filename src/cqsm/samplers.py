@@ -166,6 +166,25 @@ def langevin_sample(score, x: float, a0, dt: float, n_steps: int, noise: NoiseSo
     return a
 
 
+def langevin_law(dt: float, n_steps, a0: float, c1: float, c0: float) -> tuple[float, float]:
+    """Exact law (mean, variance) of :func:`langevin_sample`'s final iterate
+    from a0 for the affine score c1 a + c0, stable for -2 < c1 dt < 0.
+
+    A step maps a to rho a + c0 dt + sqrt(2 dt) z with rho = 1 + c1 dt, so after
+    K steps the mean is rho^K a0 + c0 dt (1 - rho^K) / (1 - rho) and the
+    variance 2 dt (1 - rho^2K) / (1 - rho^2).  K = ``math.inf`` gives the
+    stationary law, which for dt > 0 is not the Boltzmann law.
+    """
+    if not n_steps >= 1:
+        raise ValueError("n_steps must be at least 1")
+    if not -2.0 < c1 * dt < 0.0:
+        raise ValueError(f"the chain needs -2 < c1 * dt < 0, got {c1 * dt}")
+    rho = 1.0 + c1 * dt
+    decay = rho ** n_steps
+    return (decay * a0 + c0 * dt * (1.0 - decay) / (1.0 - rho),
+            2.0 * dt * (1.0 - decay * decay) / (1.0 - rho * rho))
+
+
 def langevin_chain(score, x: float, a0: float, dt: float, n_burn: int,
                    n_samples: int, thin: int, noise: NoiseSource) -> np.ndarray:
     """Thinned samples from one Langevin chain after a burn-in.

@@ -1,12 +1,5 @@
-"""Seeded Euler-Maruyama simulation of joint state-action diffusions.
-
-The joint process is
-
-    dx = state_drift(x, a) dt + state_diffusion(x, a) dB_x
-    da = action_score(x, a) dt + action_diffusion(x, a) dB_a
-
-with two independent Brownian motions and scalar diffusion amplitudes.
-Everything is deterministic given a seed.
+"""Seeded Euler-Maruyama simulation of the joint state-action SDE of an LQ
+problem, :class:`DynamicsSpec`.  Everything is deterministic given a seed.
 
 One Euler-Maruyama loop, :func:`simulate_from`, runs a single scalar
 trajectory on Python floats and a batch of scalar trajectories on numpy
@@ -14,22 +7,23 @@ arrays; :func:`simulate` and :func:`simulate_batch` only choose its start and
 noise source.  The loop takes its variates in blocks of several steps and
 evaluates the reward once, over the finished grid.  It checks nothing per
 step: one finiteness check over each finished rollout finds a fault and names
-the step and the field that caused it.
+the step and whether the reward, the score or the step itself caused it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 TAPE = 1024  # scalar variates pre-drawn per refill of a NoiseSource tape
+SQRT2 = math.sqrt(2.0)  # action noise: the score's Boltzmann law is stationary
 
 
 class SimulationError(RuntimeError):
-    """A drift, diffusion, score, or reward evaluation produced a non-finite value."""
+    """A simulation, sampler or score evaluation produced a non-finite value."""
 
 
 class NoiseSource:
@@ -89,22 +83,21 @@ class NoiseSource:
         return f"NoiseSource(seed={self.seed})"
 
 
-@dataclass(frozen=True)
-class DynamicsSpec:
-    """Coefficient functions of the joint state-action SDE.
+class DynamicsSpec(NamedTuple):
+    """The joint state-action SDE of one LQ instance under a score,
 
-    Each field maps (x, a) to a value broadcastable against x (state fields)
-    or a (action fields); the fields are evaluated once per step.  The reward
-    that goes with them is evaluated pointwise, once over the finished grid of
-    a rollout, so it must map arrays of any shape elementwise.  Evaluations
-    must stay finite on finite inputs; a non-finite value aborts the
-    simulation with a diagnostic naming the step and the field.
+        dx = (A x + B a) dt + (C x + D a) dB_x
+        da = score(x, a) dt + SQRT2 dB_a
+
+    with two independent Brownian motions.  The score maps (x, a) to a value
+    broadcastable against a and is evaluated once per step.
     """
 
-    state_drift: Callable
-    state_diffusion: Callable
-    action_score: Callable
-    action_diffusion: Callable
+    A: float
+    B: float
+    C: float
+    D: float
+    score: Callable
 
 
 @dataclass(frozen=True)
@@ -146,14 +139,13 @@ def _finite(value) -> bool:
 
 
 def _fault(dyn: DynamicsSpec, reward, x, a, column=None) -> str:
-    """Name the first of reward and the dynamics fields that is non-finite at (x, a).
+    """Name the first of the reward and the score that is non-finite at (x, a).
 
-    With ``column`` set, (x, a) are rows of a batch: the fields are evaluated
-    on the rows, and only that trajectory's value and point are reported.
+    With ``column`` set, (x, a) are rows of a batch: both are evaluated on the
+    rows, and only that trajectory's value and point are reported.
     """
-    named = [("reward", reward)] + [(f.name, getattr(dyn, f.name)) for f in fields(DynamicsSpec)]
     at_x, at_a = (x, a) if column is None else (float(x[column]), float(a[column]))
-    for name, fn in named:
+    for name, fn in (("reward", reward), ("score", dyn.score)):
         value = fn(x, a)
         if column is not None:
             value = np.broadcast_to(value, np.shape(x))[column]
@@ -183,7 +175,7 @@ def simulate_from(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int,
 
     Finiteness is checked once, over the whole rollout, after the last step;
     a non-finite value raises SimulationError naming the first faulty step
-    and the reward or dynamics field that produced it.
+    and the reward or the score that produced it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -201,9 +193,9 @@ def simulate_from(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int,
     if np.shape(reward(x, a)) != np.shape(x):
         raise ValueError("reward must return one value per trajectory")
 
-    drift, diffusion = dyn.state_drift, dyn.state_diffusion
-    score, action_diffusion = dyn.action_score, dyn.action_diffusion
+    A, B, C, D, score = dyn
     root = math.sqrt(dt)
+    noise_a = SQRT2 * root
     m = max(1, TAPE // (2 * (size or 1)))  # steps per block of draws
     if size is None:
         states, actions = [x] * (n_steps + 1), [a] * (n_steps + 1)
@@ -218,8 +210,8 @@ def simulate_from(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int,
         else:
             block = noise.normal((steps, 2, size))
         for k, (zx, za) in enumerate(block, done + 1):
-            x, a = (x + drift(x, a) * dt + diffusion(x, a) * root * zx,
-                    a + score(x, a) * dt + action_diffusion(x, a) * root * za)
+            x, a = (x + (A * x + B * a) * dt + (C * x + D * a) * root * zx,
+                    a + score(x, a) * dt + noise_a * za)
             states[k] = x
             actions[k] = a
     states, actions = np.asarray(states, dtype=float), np.asarray(actions, dtype=float)
@@ -255,10 +247,9 @@ def simulate_batch(dyn: DynamicsSpec, reward, x0: float, a0: float, dt: float,
     """Simulate ``n_traj`` scalar trajectories at once, one column each.
 
     All trajectories start from the same (x0, a0) and draw from a single seeded
-    stream in the order of :func:`simulate_from`.  Dynamics callables must
-    accept numpy arrays elementwise and return one value per trajectory; the
-    reward is evaluated pointwise, once over the finished (n_steps, n_traj)
-    grid.
+    stream in the order of :func:`simulate_from`.  The score must accept
+    numpy arrays elementwise and return one value per trajectory; the reward
+    is evaluated pointwise, once over the finished (n_steps, n_traj) grid.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")

@@ -2,7 +2,7 @@
 
 Everything here is computed by a route independent of the code under test:
 finite differences for gradients, direct linear solves for policy evaluation,
-affine-map composition for the denoising chain's output law, and plain
+affine-map composition for the sampler chains' output laws, and plain
 two-pass statistics.  The ``reference_*`` functions keep earlier versions of
 the simulator, sampler and learner steps (a reward call and two draws per
 simulator step, numpy scalars, a draw and a check per Langevin step), against
@@ -45,6 +45,20 @@ def ddpm_affine_law(schedule, c1: float, c0: float):
         shift = coef * c0 / np.sqrt(alpha)
         mean = gain * mean + shift
         var = gain * gain * var + schedule.betas[t]
+    return mean, var
+
+
+def langevin_affine_law(dt: float, n_steps, a0: float, c1: float, c0: float):
+    """Exact output law (mean, variance) of the Langevin chain for an affine
+    score psi(a) = c1 a + c0 from a0, by iterating the one-step moment map
+    n_steps times; with n_steps None, until the moments stop changing."""
+    gain = 1.0 + c1 * dt
+    mean, var = float(a0), 0.0
+    for _ in range(10 ** 6 if n_steps is None else n_steps):
+        step = (mean + (c1 * mean + c0) * dt, gain * gain * var + 2.0 * dt)
+        if step == (mean, var):
+            break
+        mean, var = step
     return mean, var
 
 
@@ -136,8 +150,8 @@ def reference_simulate(dyn, reward, x0, a0, dt: float, n_steps: int, noise):
         rates[k] = reward(x, a)
         zx = noise.normal(size)
         za = noise.normal(size)
-        x, a = (x + dyn.state_drift(x, a) * dt + dyn.state_diffusion(x, a) * root * zx,
-                a + dyn.action_score(x, a) * dt + dyn.action_diffusion(x, a) * root * za)
+        x, a = (x + (dyn.A * x + dyn.B * a) * dt + (dyn.C * x + dyn.D * a) * root * zx,
+                a + dyn.score(x, a) * dt + math.sqrt(2.0) * root * za)
         states[k + 1], actions[k + 1] = x, a
     return states, actions, rates
 

@@ -170,7 +170,7 @@ run.v0_mode = uniform01
 def learning_summary(tmp_path_factory):
     out = tmp_path_factory.mktemp("learning")
     cfg = parse_config(LEARNING_CONFIG + f"run.output_dir = {out}\n")
-    return run_experiment(cfg)
+    return run_experiment(cfg, parallel=2)
 
 
 @pytest.fixture(scope="module")

@@ -636,6 +636,17 @@ def test_cli_sample_actions_ddpm_target_is_the_chain_law(tmp_path, capsys):
     assert out.splitlines()[3].endswith("(target 0.0153781)")
 
 
+def test_cli_sample_actions_langevin_target_is_the_chain_law(tmp_path, capsys):
+    # the unadjusted chain at step 0.01 is stationary at variance 0.221842, not
+    # at the Boltzmann variance 0.216724
+    path = _write_config(tmp_path)
+    assert cli_main(["sample-actions", "--config", str(path), "--sampler", "langevin",
+                     "--n", "200"]) == 0
+    out = capsys.readouterr().out
+    assert "(target -0.77206)" in out.splitlines()[2]
+    assert out.splitlines()[3].endswith("(target 0.221842)")
+
+
 def test_cli_sample_actions(tmp_path, capsys):
     path = _write_config(tmp_path, extra="algo.langevin_steps = 200\n")
     code = cli_main(["sample-actions", "--config", str(path),

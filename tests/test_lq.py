@@ -76,11 +76,3 @@ def test_optimal_policy_state_second_moment_is_stationary(lq_ref, k_ref):
     assert np.isfinite(second_moment)
     assert second_moment < 5.0
 
-
-def test_lq_dynamics_broadcasts_over_arrays(lq_ref, k_ref):
-    dyn = lq_dynamics(lq_ref, lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a))
-    x = np.linspace(-1, 1, 7)
-    a = np.linspace(1, -1, 7)
-    assert dyn.state_drift(x, a).shape == (7,)
-    assert dyn.state_diffusion(x, a).shape == (7,)
-    assert np.isscalar(dyn.action_diffusion(x, a))

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from cqsm.lq_analytic import optimal_score
 from cqsm.online import EXP_LIMIT
 from cqsm.policy import score_fn
-from cqsm.samplers import (NoiseSchedule, ddpm_law, ddpm_sample, langevin_chain, langevin_sample,
-                           make_linear_schedule)
+from cqsm.samplers import (NoiseSchedule, ddpm_law, ddpm_sample, langevin_chain, langevin_law,
+                           langevin_sample, make_linear_schedule)
 from cqsm.sde import TAPE, NoiseSource, SimulationError
-from _oracles import (SequenceNoise, ddpm_affine_law, reference_ddpm_sample,
+from _oracles import (SequenceNoise, ddpm_affine_law, langevin_affine_law, reference_ddpm_sample,
                       reference_langevin_batch, reference_langevin_sample)
 
 SLOPE_LIMIT = -math.exp(EXP_LIMIT)  # the steepest slope online._score lets through
@@ -188,6 +188,36 @@ def test_langevin_boltzmann_moments_parallel_chains(k_ref, lq_ref):
     chain_m2 = ((kept - kept.mean()) ** 2).mean(axis=0)
     se_var = chain_m2.std(ddof=1) / math.sqrt(n_chains)
     assert abs(chain_m2.mean() - target_var) < 3 * se_var
+
+
+# the reference optimal score at x = 0.3 and step 0.01; a slow chain; a chain
+# whose gain 1 + c1 dt is negative
+@pytest.mark.parametrize("dt, a0, c1, c0", [
+    (0.01, 0.5, None, None), (0.001, -2.0, -0.4, 1.3), (0.05, 3.0, -38.0, -2.5)],
+    ids=["reference", "slow", "negative-gain"])
+@pytest.mark.parametrize("n_steps", [1, 50, 2000, math.inf])
+def test_langevin_law_matches_the_moment_recursion(k_ref, lq_ref, dt, a0, c1, c0, n_steps):
+    if c1 is None:
+        c1, c0 = k_ref.k2 / lq_ref.lam, (k_ref.k3 + k_ref.k4 * 0.3) / lq_ref.lam
+    want = langevin_affine_law(dt, None if n_steps == math.inf else n_steps, a0, c1, c0)
+    np.testing.assert_allclose(langevin_law(dt, n_steps, a0, c1, c0), want, rtol=1e-12, atol=0.0)
+
+
+def test_langevin_law_is_the_law_of_parallel_chains(k_ref, lq_ref):
+    # 20000 chains of 50 steps at x = 0.3 through the array path, within 4 SE
+    c1, c0 = k_ref.k2 / lq_ref.lam, (k_ref.k3 + k_ref.k4 * 0.3) / lq_ref.lam
+    a = langevin_sample(score_fn(c1, k_ref.k4 / lq_ref.lam, k_ref.k3 / lq_ref.lam), 0.3,
+                        np.full(20_000, 0.5), 0.01, 50, NoiseSource(8))
+    mean, var = langevin_law(0.01, 50, 0.5, c1, c0)
+    assert abs(a.mean() - mean) < 4 * math.sqrt(var / a.size)
+    assert abs(a.var(ddof=1) - var) < 4 * var * math.sqrt(2 / (a.size - 1))
+
+
+@pytest.mark.parametrize("dt, n_steps, c1", [(0.01, 10, 0.0), (0.01, 10, 5.0), (0.1, 10, -20.0),
+                                             (0.01, 0, -1.0), (0.01, 10, math.nan)])
+def test_langevin_law_refuses_unstable_chains_and_no_steps(dt, n_steps, c1):
+    with pytest.raises(ValueError):
+        langevin_law(dt, n_steps, 0.0, c1, 1.0)
 
 
 def test_langevin_validates_arguments():

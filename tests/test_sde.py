@@ -6,19 +6,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cqsm.sde as sde
 from cqsm.lq import lq_dynamics, lq_reward_fn
-from cqsm.lq_analytic import optimal_score
-from cqsm.sde import (TAPE, DynamicsSpec, NoiseSource, SimulationError, Trajectory, simulate,
-                      simulate_batch, simulate_from)
+from cqsm.lq_analytic import SolveError, optimal_score, solve_lq
+from cqsm.policy import grad_a_q, score_fn
+from cqsm.sde import (SQRT2, TAPE, DynamicsSpec, NoiseSource, SimulationError, Trajectory,
+                      simulate, simulate_batch, simulate_from)
 
-from _oracles import SequenceNoise, reference_simulate
+from _oracles import SequenceNoise, random_admissible_params, reference_simulate
 
-ZERO_DYN = DynamicsSpec(
-    state_drift=lambda x, a: 0.0 * x,
-    state_diffusion=lambda x, a: 0.0 * x,
-    action_score=lambda x, a: 0.0 * a,
-    action_diffusion=lambda x, a: 0.0 * a,
-)
+# no state dynamics and a zero score: only the action noise moves anything
+ZERO_DYN = DynamicsSpec(0.0, 0.0, 0.0, 0.0, lambda x, a: 0.0 * a)
+
+
+class _ZeroNoise:
+    """A NoiseSource stand-in whose every variate is 0.0."""
+
+    def __init__(self, seed=-1):
+        self.seed = seed
+
+    def normal(self, size=None):
+        return 0.0 if size is None else np.zeros(size)
+
+    def normals(self, k):
+        return [0.0] * k
+
+
+@pytest.fixture
+def no_noise(monkeypatch):
+    """simulate and simulate_batch with every variate 0.0, so the action noise,
+    fixed at SQRT2 by the joint SDE, drops out and a rollout is forward Euler."""
+    monkeypatch.setattr(sde, "NoiseSource", _ZeroNoise)
 
 
 def one_step(dyn, x, a, dt, zx, za, reward=lambda x, a: 0.0):
@@ -28,8 +46,10 @@ def one_step(dyn, x, a, dt, zx, za, reward=lambda x, a: 0.0):
 
 
 def test_em_step_zero_dynamics_fixed_point():
+    # the state stays at the origin whatever its draw; the action takes its noise alone
     x, a = one_step(ZERO_DYN, 0.0, 0.0, 0.1, 1.7, -2.3)
-    assert x == 0.0 and a == 0.0
+    assert x == 0.0
+    assert a == SQRT2 * math.sqrt(0.1) * -2.3
 
 
 def test_em_step_lq_optimal_score_hand_values(lq_ref, k_ref):
@@ -43,15 +63,12 @@ def test_em_step_lq_optimal_score_hand_values(lq_ref, k_ref):
 
 
 def test_em_step_noise_enters_linearly():
+    # at (0, 1) the state noise amplitude C x + D a is D
     s = 0.37
-    dyn = DynamicsSpec(
-        state_drift=lambda x, a: 0.0,
-        state_diffusion=lambda x, a: s,
-        action_score=lambda x, a: 0.0,
-        action_diffusion=lambda x, a: 0.0,
-    )
-    x2, _ = one_step(dyn, 0.0, 0.0, 0.25, 1.0, 0.0)
+    dyn = DynamicsSpec(0.0, 0.0, 0.0, s, lambda x, a: 0.0)
+    x2, a2 = one_step(dyn, 0.0, 1.0, 0.25, 1.0, 1.0)
     assert x2 == s * math.sqrt(0.25)
+    assert a2 == 1.0 + SQRT2 * math.sqrt(0.25)
 
 
 def test_em_step_rejects_nonpositive_dt():
@@ -60,23 +77,14 @@ def test_em_step_rejects_nonpositive_dt():
 
 
 def test_em_step_reports_diverging_field():
-    bad = DynamicsSpec(
-        state_drift=lambda x, a: float("nan"),
-        state_diffusion=lambda x, a: 0.0,
-        action_score=lambda x, a: 0.0,
-        action_diffusion=lambda x, a: 0.0,
-    )
-    with pytest.raises(SimulationError, match="state_drift"):
+    bad = DynamicsSpec(-1.0, 0.0, 0.0, 1.0, lambda x, a: float("nan"))
+    with pytest.raises(SimulationError, match="^step 0: score evaluated to a non-finite value "
+                                              "at x=1.0, a=1.0$"):
         one_step(bad, 1.0, 1.0, 0.1, 0.0, 0.0)
 
 
 def test_simulate_single_step_is_one_em_step():
-    dyn = DynamicsSpec(
-        state_drift=lambda x, a: -x + a,
-        state_diffusion=lambda x, a: 0.5,
-        action_score=lambda x, a: -a,
-        action_diffusion=lambda x, a: 1.0,
-    )
+    dyn = DynamicsSpec(-1.0, 1.0, 0.25, 0.5, lambda x, a: -a)
     reward = lambda x, a: x - a
     traj = simulate(dyn, reward, 1.0, 2.0, 0.1, 1, seed=42)
     noise = NoiseSource(42)
@@ -84,8 +92,9 @@ def test_simulate_single_step_is_one_em_step():
     x2, a2 = one_step(dyn, 1.0, 2.0, 0.1, zx, za, reward)
     assert len(traj.times) == 2
     assert traj.states[1] == x2 and traj.actions[1] == a2
-    assert x2 == 1.0 + (-1.0 + 2.0) * 0.1 + 0.5 * math.sqrt(0.1) * zx
-    assert a2 == 2.0 + -2.0 * 0.1 + 1.0 * math.sqrt(0.1) * za
+    assert x2 == (1.0 + (-1.0 * 1.0 + 1.0 * 2.0) * 0.1
+                  + (0.25 * 1.0 + 0.5 * 2.0) * math.sqrt(0.1) * zx)
+    assert a2 == 2.0 + -2.0 * 0.1 + SQRT2 * math.sqrt(0.1) * za
     assert traj.reward_rates[0] == reward(1.0, 2.0)
 
 
@@ -110,17 +119,12 @@ def test_simulate_optimal_policy_second_moment_stays_bounded(lq_ref, k_ref):
     assert running[-1] < 2.0 * running[len(running) // 2]
 
 
-def test_zero_noise_simulation_matches_forward_euler():
-    dyn = DynamicsSpec(
-        state_drift=lambda x, a: math.sin(x) + a,
-        state_diffusion=lambda x, a: 0.0,
-        action_score=lambda x, a: -a + 0.3 * x,
-        action_diffusion=lambda x, a: 0.0,
-    )
+def test_zero_noise_simulation_matches_forward_euler(no_noise):
+    dyn = DynamicsSpec(-0.7, 0.9, 0.4, -0.3, lambda x, a: -a + 0.3 * x)
     traj = simulate(dyn, lambda x, a: 0.0, 0.3, -0.2, 0.05, 200, seed=0)
     x, a = 0.3, -0.2
     for _ in range(200):
-        x_new = x + (math.sin(x) + a) * 0.05
+        x_new = x + (-0.7 * x + 0.9 * a) * 0.05
         a_new = a + (-a + 0.3 * x) * 0.05
         x, a = x_new, a_new
     assert traj.states[-1] == x
@@ -273,20 +277,19 @@ def test_simulate_batch_deterministic_and_shaped(lq_ref, k_ref):
         simulate_batch(dyn, lambda x, a: 0.0, 0.0, 0.0, 0.1, 50, 20, seed=8)
 
 
-# x_k = k on a drift-only grid of dt 1, so the drift turns NaN exactly at step 3;
-# in a batch only the middle column (trajectory 1 of 3) runs at that pace and
-# turns NaN, the others move at half of it.  The dynamics are evaluated on one
-# row of the batch per step, so they may tell the columns apart; the reward is
-# evaluated once over the whole grid and must be pointwise in (x, a).
-def _middle(x):
-    return np.arange(np.size(x)).reshape(np.shape(x)) == np.size(x) // 2
+# Without noise, on a grid of dt 1, a score of 1 gives a_k = k and dx = a dt
+# gives x_k = k (k - 1) / 2, so the score turns NaN exactly at step 3.  In a
+# batch only the middle column (trajectory 1 of 3) runs at that pace and turns
+# NaN, the others move at half of it.  The score is evaluated on one row of the
+# batch per step, so it may tell the columns apart; the reward is evaluated
+# once over the whole grid and must be pointwise in (x, a).
+def _middle(a):
+    return np.arange(np.size(a)).reshape(np.shape(a)) == np.size(a) // 2
 
 
 NAN_AT_3 = DynamicsSpec(
-    state_drift=lambda x, a: np.where(_middle(x), np.where(x >= 3.0, np.nan, 1.0), 0.5),
-    state_diffusion=lambda x, a: 0.0 * x,
-    action_score=lambda x, a: 0.0 * a,
-    action_diffusion=lambda x, a: 0.0 * a,
+    0.0, 1.0, 0.0, 0.0,
+    lambda x, a: np.where(_middle(a), np.where(a >= 3.0, np.nan, 1.0), 0.5),
 )
 
 
@@ -295,16 +298,16 @@ NAN_AT_3 = DynamicsSpec(
     (lambda dyn, reward: simulate_batch(dyn, reward, 0.0, 0.0, 1.0, 6, 3, seed=0),
      ", trajectory 1"),
 ], ids=["simulate", "simulate_batch"])
-def test_non_finite_field_names_step_and_field(run, where):
+def test_non_finite_field_names_step_and_field(no_noise, run, where):
     with pytest.raises(SimulationError) as info:
         run(NAN_AT_3, lambda x, a: 0.0 * x)
-    assert str(info.value) == (f"step 3{where}: state_drift evaluated to a non-finite value "
-                               "at x=3.0, a=0.0")
-    nan_reward = lambda x, a: np.where(x >= 2.0, np.nan, 0.0 * x)
+    assert str(info.value) == (f"step 3{where}: score evaluated to a non-finite value "
+                               "at x=3.0, a=3.0")
+    nan_reward = lambda x, a: np.where(a >= 2.0, np.nan, 0.0 * x)
     with pytest.raises(SimulationError) as info:
         run(NAN_AT_3, nan_reward)
     assert str(info.value) == (f"step 2{where}: reward evaluated to a non-finite value "
-                               "at x=2.0, a=0.0")
+                               "at x=1.0, a=2.0")
 
 
 def test_batch_of_one_matches_single_trajectory_bitwise(lq_ref, k_ref):
@@ -324,29 +327,50 @@ def _block_steps(width):
     return max(1, TAPE // (2 * (width or 1)))
 
 
+def _random_instances_and_scores():
+    """Two random admissible instances, with B and C nonzero, each under its
+    optimal score as a ``score_fn`` closure and as a plain lambda."""
+    rng = np.random.default_rng(12)
+    cases = []
+    while len(cases) < 4:
+        p = random_admissible_params(rng)
+        try:
+            k = solve_lq(p)
+        except SolveError:
+            continue
+        assert p.B != 0.0 and p.C != 0.0
+        cases.append((p, score_fn(k.k2 / p.lam, k.k4 / p.lam, k.k3 / p.lam)))
+        cases.append((p, lambda x, a, k=k, lam=p.lam: grad_a_q(k, x, a) / lam))
+    return cases
+
+
 @pytest.mark.parametrize("width", [None, 1, 3, 200, TAPE], ids=lambda w: f"width-{w}")
 @pytest.mark.parametrize("used", [0, 5], ids=lambda u: f"used-{u}")
 def test_simulate_from_bitwise_equals_per_step_reference(lq_ref, k_ref, width, used):
     # block draws and one grid reward pass give the per-step loop's bits, and
     # leave the noise stream where it leaves it; the tape is fresh (used 0) or
-    # partly drained by scalar draws
-    dyn = lq_dynamics(lq_ref, lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a))
-    reward = lq_reward_fn(lq_ref)
+    # partly drained by scalar draws.  The reference instance has B = C = 0, so
+    # random instances check the B a and C x terms, from a scalar start and a batch.
+    cases = [(lq_ref, lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a))]
+    if width in (None, 3):
+        cases += _random_instances_and_scores()
     if width is None:
         x0, a0 = 0.4, -0.2
     else:
         x0, a0 = np.linspace(-1.0, 1.0, width), np.linspace(0.5, -0.5, width)
     m = _block_steps(width)
-    for n_steps in sorted({1, max(1, m - 1), m, m + 1, 3 * TAPE}):
-        got_noise, want_noise = NoiseSource(31), NoiseSource(31)
-        for _ in range(used):
-            got_noise.normal(), want_noise.normal()
-        got = simulate_from(dyn, reward, x0, a0, 0.1, n_steps, got_noise)
-        want = reference_simulate(dyn, reward, x0, a0, 0.1, n_steps, want_noise)
-        for g, w in zip((got.states, got.actions, got.reward_rates), want):
-            assert g.shape == w.shape
-            assert np.array_equal(g.view(np.uint64), w.view(np.uint64)), n_steps
-        assert got_noise.normal() == want_noise.normal()
+    for p, score in cases:
+        dyn, reward = lq_dynamics(p, score), lq_reward_fn(p)
+        for n_steps in sorted({1, max(1, m - 1), m, m + 1, 3 * TAPE}):
+            got_noise, want_noise = NoiseSource(31), NoiseSource(31)
+            for _ in range(used):
+                got_noise.normal(), want_noise.normal()
+            got = simulate_from(dyn, reward, x0, a0, 0.1, n_steps, got_noise)
+            want = reference_simulate(dyn, reward, x0, a0, 0.1, n_steps, want_noise)
+            for g, w in zip((got.states, got.actions, got.reward_rates), want):
+                assert g.shape == w.shape
+                assert np.array_equal(g.view(np.uint64), w.view(np.uint64)), (p, n_steps)
+            assert got_noise.normal() == want_noise.normal()
 
 
 class _CountingNoise:
@@ -390,22 +414,18 @@ def test_one_rollout_calls_reward_twice_and_draws_once_per_block(lq_ref, k_ref, 
     assert len(noise.requests) == -(-n_steps // m)
 
 
-# a drift of 1e200 per unit step keeps the state finite for a few steps, while
-# the reward x*x overflows from step 1 on
-FAR = DynamicsSpec(
-    state_drift=lambda x, a: 1e200 + 0.0 * x,
-    state_diffusion=lambda x, a: 0.0 * x,
-    action_score=lambda x, a: 0.0 * a,
-    action_diffusion=lambda x, a: 0.0 * a,
-)
+# without noise, from (0, 1) on a grid of dt 1, a drift of B a = 1e200 takes the
+# state to 1e200 in one step while the score -a takes the action to 0; the state
+# then stays finite, while the reward x*x overflows from step 1 on
+FAR = DynamicsSpec(0.0, 1e200, 0.0, 0.0, lambda x, a: -a)
 
 
 @pytest.mark.parametrize("run, where", [
-    (lambda reward: simulate(FAR, reward, 0.0, 0.0, 1.0, 6, seed=0), ""),
-    (lambda reward: simulate_batch(FAR, reward, 0.0, 0.0, 1.0, 6, 3, seed=0),
+    (lambda reward: simulate(FAR, reward, 0.0, 1.0, 1.0, 6, seed=0), ""),
+    (lambda reward: simulate_batch(FAR, reward, 0.0, 1.0, 1.0, 6, 3, seed=0),
      ", trajectory 0"),
 ], ids=["simulate", "simulate_batch"])
-def test_overflowing_reward_raises_without_runtime_warnings(run, where):
+def test_overflowing_reward_raises_without_runtime_warnings(no_noise, run, where):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SimulationError) as info:
@@ -423,8 +443,16 @@ def test_trajectory_validation():
 
 
 def test_simulate_from_continues_a_stream():
+    # the second rollout draws the ten variates after the first one's ten
+    reward = lambda x, a: 0.0
     noise = NoiseSource(4)
-    first = simulate_from(ZERO_DYN, lambda x, a: 0.0, 0.0, 0.0, 0.1, 5, noise)
-    again = simulate_from(ZERO_DYN, lambda x, a: 0.0, 0.0, 0.0, 0.1, 5, noise)
-    assert np.array_equal(first.states, again.states)  # zero dynamics: all zero
+    first = simulate_from(ZERO_DYN, reward, 0.0, 0.0, 0.1, 5, noise)
+    again = simulate_from(ZERO_DYN, reward, 0.0, 0.0, 0.1, 5, noise)
+    skipped = NoiseSource(4)
+    skipped.normals(10)
+    want = simulate_from(ZERO_DYN, reward, 0.0, 0.0, 0.1, 5, skipped)
+    assert np.array_equal(first.actions, simulate(ZERO_DYN, reward, 0.0, 0.0, 0.1, 5, 4).actions)
+    assert np.array_equal(again.actions, want.actions)
+    assert not np.array_equal(first.actions, again.actions)
+    assert np.array_equal(first.states, again.states)  # no state dynamics: all zero
     assert first.seed == again.seed == 4
