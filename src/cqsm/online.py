@@ -3,9 +3,9 @@
 Each iteration observes one environment transition, forms the one-step
 temporal difference of the discounted value model, updates the critic along
 the model's parameter gradient, and nudges the score toward the critic's
-scaled action gradient.  Actions are produced by the configured sampler: a
-denoising chain, a Langevin chain, or by carrying the action forward
-continuously through its own SDE ("direct_sde").
+scaled action gradient.  One dispatch, ``_next_action``, draws the next
+action from the configured sampler: a denoising chain, a Langevin chain, or
+an Euler-Maruyama step of the action's own SDE ("direct_sde").
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .lq import LqParams, env_step, lq_reward
-from .policy import grad_a_q, psi_features, psi_v, q_features, q_theta, score_fn
+from .policy import grad_a_q, psi_features, q_features, q_theta, score_fn
 from .samplers import ddpm_sample, langevin_sample, make_linear_schedule
 from .sde import NoiseSource, SimulationError
 
@@ -163,10 +163,12 @@ def td_delta(theta, v, x, a, x_next, a_next, r, dt, beta, lam) -> float:
     """One-step temporal difference of the discounted value model.
 
     delta = Q(x', a') - Q(x, a) + r dt - (lam/2) Psi(x, a)^2 dt - beta Q(x, a) dt
+
+    Psi is the step's score closure: an overflowing exp(v0) raises DivergenceError.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    return _td(q_theta(theta, x, a), q_theta(theta, x_next, a_next), psi_v(v, x, a),
+    return _td(q_theta(theta, x, a), q_theta(theta, x_next, a_next), _score_of(v)[1](x, a),
                r, dt, beta, lam)
 
 
@@ -191,28 +193,28 @@ def _score_of(v):
     return _score(*np.asarray(v, dtype=float).tolist(), 0)
 
 
-def _sample_action(cfg: AlgoConfig, score, x: float, noise: NoiseSource) -> float:
-    """Draw an action at state x from the configured langevin or ddpm sampler.
+def _next_action(cfg: AlgoConfig, score, x: float, a: float, x_next: float,
+                 noise: NoiseSource) -> float:
+    """The sampler's next action once the pair (x, a) has moved the state to x_next.
 
-    A Langevin chain restarts from cfg.a0 at every state; the fixed start
-    also bounds how far one environment step can carry the action while the
-    score is still poorly fitted.
+    "direct_sde" steps the action SDE by Euler-Maruyama at (x, a).  A Langevin
+    chain restarts from cfg.a0 at x_next, which bounds how far one environment
+    step can carry the action while the score is poorly fitted; DDPM denoises
+    a fresh draw there.
     """
+    if cfg.sampler == "direct_sde":
+        return a + score(x, a) * cfg.dt + math.sqrt(2.0 * cfg.dt) * noise.normal()
     if cfg.sampler == "ddpm":
-        return ddpm_sample(score, x, cfg.ddpm_schedule, noise)
-    return langevin_sample(score, x, cfg.a0, cfg.langevin_dt, cfg.langevin_steps, noise)
+        return ddpm_sample(score, x_next, cfg.ddpm_schedule, noise)
+    return langevin_sample(score, x_next, cfg.a0, cfg.langevin_dt, cfg.langevin_steps, noise)
 
 
 def initial_action(cfg: AlgoConfig, v, x: float, noise: NoiseSource) -> float:
-    """Draw the first action at state x according to the configured sampler.
-
-    For "direct_sde" there is no fresh-sampling mechanism, so the configured
-    initial action cfg.a0 is used.
-    """
+    """The first action at state x: cfg.a0 for "direct_sde", which has no
+    fresh draw, and otherwise the sampler's draw at x."""
     if cfg.sampler == "direct_sde":
         return cfg.a0
-    _, score = _score_of(v)
-    return _sample_action(cfg, score, x, noise)
+    return _next_action(cfg, _score_of(v)[1], x, cfg.a0, x, noise)
 
 
 def _step(theta: list, v: list, x: float, a: float, step: int, cfg: AlgoConfig, env,
@@ -226,11 +228,7 @@ def _step(theta: list, v: list, x: float, a: float, step: int, cfg: AlgoConfig, 
     slope, score = _score(*v, step)
     psi = score(x, a)
     x_next, r = env(x, a)
-    if cfg.sampler == "direct_sde":
-        # Euler-Maruyama step of the action SDE, evaluated at the pre-step pair
-        a_next = a + psi * cfg.dt + math.sqrt(2.0 * cfg.dt) * noise.normal()
-    else:
-        a_next = _sample_action(cfg, score, x_next, noise)
+    a_next = _next_action(cfg, score, x, a, x_next, noise)
 
     delta = _td(q_theta(theta, x, a), q_theta(theta, x_next, a_next), psi,
                 r, cfg.dt, cfg.beta, cfg.lam)

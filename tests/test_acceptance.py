@@ -174,16 +174,16 @@ def learning_summary(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def optimal_baseline(lq_ref, opt_params):
-    """The frozen optimal pair pushed through the identical pipeline."""
+def optimal_baseline(tmp_path_factory, opt_params):
+    """The frozen optimal pair pushed through the identical pipeline: the
+    learning config with zero learning rates, started at (theta*, v*)."""
     theta_star, v_star = opt_params
-    algo = parse_config(LEARNING_CONFIG).algo
-    finals = []
-    for seed in range(5):
-        frozen = replace(algo, seed=seed, alpha_theta=0.0, alpha_v=0.0)
-        rec = run_cqsm(frozen, lq_ref, theta_star, v_star)
-        finals.append(rec.final_running_avg)
-    return np.asarray(finals)
+    out = tmp_path_factory.mktemp("baseline")
+    cfg = parse_config(LEARNING_CONFIG + f"run.output_dir = {out}\n")
+    frozen = replace(cfg, algo=replace(cfg.algo, alpha_theta=0.0, alpha_v=0.0),
+                     theta0_mode="explicit", v0_mode="explicit",
+                     theta0=tuple(theta_star.tolist()), v0=tuple(v_star.tolist()))
+    return run_experiment(frozen, parallel=2).final_avg_rewards
 
 
 def test_07a_learning_parameter_recovery(learning_summary, opt_params):

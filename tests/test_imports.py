@@ -1,8 +1,9 @@
 """Every name a ``cqsm`` module imports is used in that module, every
 private helper and constant a ``cqsm`` module defines is read in the package,
 every public function and class is read by the package or the benchmark, and
-no module imports one from a later layer, and configs are checked only
-where they are built.
+no module imports one from a later layer, configs are checked only where
+they are built, and the sampler setting is read only where it picks the next
+action.
 
 The package root re-exports nothing: ``__init__.py`` binds only
 ``__version__``, and every other name is imported from the module that
@@ -150,14 +151,16 @@ def test_every_public_name_has_a_reader_besides_the_tests():
     assert unread == []
 
 
-BENCH_ONLY = {"simulate", "grad_theta_q", "LearnState", "cqsm_step", "q_star", "optimal_score"}
+BENCH_ONLY = {"simulate", "grad_theta_q", "psi_v", "LearnState", "cqsm_step", "q_star",
+              "optimal_score"}
 
 
 def test_bench_only_names_have_no_reader_in_the_package():
-    """``simulate``, ``grad_theta_q``, ``LearnState``, ``cqsm_step``, ``q_star`` and
-    ``optimal_score`` survive only for ``bench/``; ROADMAP direction 8 deletes
-    them.  Until then no module but the defining one may read them, so the
-    package already runs on the one surviving statement of each object."""
+    """``simulate``, ``grad_theta_q``, ``psi_v``, ``LearnState``, ``cqsm_step``,
+    ``q_star`` and ``optimal_score`` survive only for ``bench/``; ROADMAP
+    direction 8 deletes them.  Until then no module but the defining one may
+    read them, so the package already runs on the one surviving statement of
+    each object."""
     readers = [f"{path.name}: {name}" for path in MODULES
                for name in sorted(BENCH_ONLY & names_read([path.read_text(encoding="utf-8")])
                                   - module_level_definitions(path))]
@@ -222,3 +225,45 @@ def test_configs_are_validated_only_when_built():
     calls = [f"{path.name}: {call}" for path in MODULES
              for call in validate_calls(path.read_text(encoding="utf-8"))]
     assert calls == []
+
+
+def sampler_reads(source: str) -> list[tuple[str, int]]:
+    """(``Class.function``, line) for each read of a ``.sampler`` attribute in
+    ``source``, named by the function it sits in (``<module>`` outside any)."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "sampler"
+                    and isinstance(child.ctx, ast.Load)):
+                found.append((".".join(scope) or "<module>", child.lineno))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_sampler_reads_are_found():
+    source = ("class C:\n    def __post_init__(self):\n        return self.sampler\n"
+              "def pick(cfg):\n    def inner():\n        return cfg.sampler\n"
+              "    cfg.sampler = 1\n    return cfg.algo.sampler\n"
+              "KIND = C().sampler\n")
+    assert sampler_reads(source) == [("C.__post_init__", 3), ("pick.inner", 6), ("pick", 8),
+                                     ("<module>", 9)]
+
+
+# the one dispatch from the sampler setting to the next action, the config's
+# own check, the first action's "direct_sde keeps a0" rule, and the CLI's
+# ``--sampler`` flag, which picks the CLI's own chains
+SAMPLER_READERS = {"online.py: AlgoConfig.__post_init__", "online.py: _next_action",
+                   "online.py: initial_action", "cli.py: _cmd_sample"}
+
+
+def test_the_sampler_is_read_only_by_the_one_dispatch():
+    reads = [f"{path.name}: {scope} (line {line})" for path in MODULES
+             for scope, line in sampler_reads(path.read_text(encoding="utf-8"))
+             if f"{path.name}: {scope}" not in SAMPLER_READERS]
+    assert reads == []

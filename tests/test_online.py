@@ -41,6 +41,25 @@ def test_td_delta_hand_example():
     assert delta == pytest.approx(-0.2, abs=1e-15)
 
 
+def test_td_delta_takes_psi_bitwise_from_the_score_model():
+    rng = np.random.default_rng(23)
+    for theta, v, (x, a, x2, a2, r) in zip(rng.uniform(-2, 2, (200, 6)),
+                                           rng.uniform(-2, 2, (200, 3)),
+                                           rng.uniform(-2, 2, (200, 5))):
+        q_here, psi = q_theta(theta, x, a), psi_v(v, x, a)
+        want = (q_theta(theta, x2, a2) - q_here + r * 0.1 - 0.5 * 0.2 * psi * psi * 0.1
+                - 1.5 * q_here * 0.1)
+        assert td_delta(theta, v, x, a, x2, a2, r, 0.1, 1.5, 0.2) == want
+
+
+def test_td_delta_names_an_overflowing_score_slope():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        with pytest.raises(DivergenceError, match=re.escape("(v0 = 800)")):
+            td_delta(np.zeros(6), np.array([800.0, 0.0, 0.0]), 0.0, 1.0, 0.0, 1.0,
+                     r=0.0, dt=0.1, beta=1.0, lam=0.1)
+
+
 def test_td_delta_small_dt_limit(k_ref, lq_ref):
     theta, v = k_to_optimal_params(k_ref, lq_ref.lam)
     x, a, x2, a2 = 0.4, -0.9, 0.6, -0.5
