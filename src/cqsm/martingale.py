@@ -7,7 +7,11 @@ E sum_k xi_k dM_k = 0.  The estimators here form that sum along simulated
 trajectories and z-score it across independent replications; a wrong Q (for
 example a constant offset, which the discounting term detects) produces a
 significant mean.  Every estimate here, the discounted return of a score
-included, runs on one vectorised batch of trajectories.
+included, runs on one vectorised batch of trajectories.  The value function,
+the score and the sums along each trajectory are evaluated pointwise on row
+blocks of the batch's grid (:func:`sde.row_blocks`), so a batch holds its
+three grid arrays plus a block's temporaries; a test process sees the whole
+path.
 
 This module also states the pieces of that condition that the offline learner
 fits: the discount weights e^{-beta t} (:func:`discount_weights`), the
@@ -29,7 +33,7 @@ import numpy as np
 from .lq import LqParams, lq_dynamics, lq_reward_fn
 from .online import AlgoConfig
 from .policy import q_features
-from .sde import Trajectory, simulate_batch
+from .sde import Trajectory, row_blocks, simulate_batch
 
 # A test process maps (times, states, actions) to per-step weights xi with one
 # entry per transition; xi[k] may depend on the path only up to index k.
@@ -47,10 +51,10 @@ class ResidualReport:
 
 
 def constant_test(value: float = 1.0) -> TestProcess:
-    """xi identically equal to ``value``."""
+    """xi identically equal to ``value``, as a read-only broadcast view."""
 
     def xi(times, states, actions):
-        return np.full((len(times) - 1,) + states.shape[1:], value)
+        return np.broadcast_to(value, (len(times) - 1,) + states.shape[1:])
 
     return xi
 
@@ -113,21 +117,46 @@ def return_gaps(discount, reward_rates, q_values, psi_values, dt: float,
     return suffix - discount[:-1] * np.asarray(q_values)[:-1]
 
 
+def _column_sums(terms, shape) -> np.ndarray:
+    """Column sums of a grid of ``shape`` built one :func:`sde.row_blocks`
+    block at a time: ``terms(rows)`` returns the grid's rows ``rows`` as a
+    fresh array.
+
+    Each block's first row takes the running total before the block is
+    summed.  numpy sums a C-contiguous grid at least two columns wide row
+    after row, so the result is bitwise that of summing the whole grid.
+    """
+    total = None
+    for rows in row_blocks(shape):
+        block = terms(rows)
+        if total is not None:
+            block[0] += total
+        total = block.sum(axis=0)
+    return total
+
+
 def orthogonality_statistics(batch: Trajectory, qfun, score, test_fn: TestProcess,
                              beta: float, lam: float) -> np.ndarray:
     """Per-trajectory orthogonality sums over a simulated batch.
 
     S = sum_k xi_k [ w_{k+1} q_{k+1} - w_k q_k + w_k (r_k - lam/2 Psi_k^2) dt ]
-    with w = exp(-beta t) from :func:`discount_weights`.
+    with w = exp(-beta t) from :func:`discount_weights`.  ``qfun`` and
+    ``score`` are evaluated pointwise on row blocks of the grid; the test
+    process is called once, on the whole path.
     """
     dt = batch.dt
     w = discount_weights(batch, beta)
-    q_vals = qfun(batch.states, batch.actions)
-    psi = score(batch.states[:-1], batch.actions[:-1])
-    inc = (w[1:] * q_vals[1:] - w[:-1] * q_vals[:-1]
-           + net_reward_flow(w[:-1], batch.reward_rates, psi, dt, lam))
-    xi = test_fn(batch.times, batch.states, batch.actions)
-    return np.atleast_1d((xi * inc).sum(axis=0))
+    states, actions, rates = batch.states, batch.actions, batch.reward_rates
+    xi = test_fn(batch.times, states, actions)
+
+    def terms(rows):
+        ends = slice(rows.start, rows.stop + 1)
+        wq = w[ends] * qfun(states[ends], actions[ends])
+        psi = score(states[rows], actions[rows])
+        inc = wq[1:] - wq[:-1] + net_reward_flow(w[rows], rates[rows], psi, dt, lam)
+        return xi[rows] * inc
+
+    return np.atleast_1d(_column_sums(terms, rates.shape))
 
 
 def _jackknife_se(values: np.ndarray) -> float:
@@ -197,7 +226,11 @@ def estimate_discounted_return(p: LqParams, score, cfg: AlgoConfig, n_traj: int)
     if n_traj < 2:
         raise ValueError("n_traj must be at least 2")
     batch = _simulate(p, score, cfg, n_traj)
-    w = discount_weights(batch, p.beta)[:-1]
-    psi = score(batch.states[:-1], batch.actions[:-1])
-    returns = net_reward_flow(w, batch.reward_rates, psi, batch.dt, p.lam).sum(axis=0)
+    w = discount_weights(batch, p.beta)
+
+    def flow(rows):
+        psi = score(batch.states[rows], batch.actions[rows])
+        return net_reward_flow(w[rows], batch.reward_rates[rows], psi, batch.dt, p.lam)
+
+    returns = _column_sums(flow, batch.reward_rates.shape)
     return float(returns.mean()), float(returns.std(ddof=1) / np.sqrt(n_traj))

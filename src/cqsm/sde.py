@@ -5,9 +5,10 @@ One Euler-Maruyama loop, :func:`simulate_from`, runs a single scalar
 trajectory on Python floats and a batch of scalar trajectories on numpy
 arrays; :func:`simulate` and :func:`simulate_batch` only choose its start and
 noise source.  The loop takes its variates in blocks of several steps and
-evaluates the reward once, over the finished grid.  It checks nothing per
-step: one finiteness check over each finished rollout finds a fault and names
-the step and whether the reward, the score or the step itself caused it.
+evaluates the reward over the finished grid in row blocks of about ``BLOCK``
+values (:func:`row_blocks`).  It checks nothing per step: one finiteness check
+over each finished rollout, block by block, finds a fault and names the step
+and whether the reward, the score or the step itself caused it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 TAPE = 1024  # scalar variates pre-drawn per refill of a NoiseSource tape
+BLOCK = 2 ** 16  # grid values per row block of pointwise arithmetic on a finished grid
 SQRT2 = math.sqrt(2.0)  # action noise: the score's Boltzmann law is stationary
 
 
@@ -132,6 +134,20 @@ class Trajectory:
         return float(self.times[1] - self.times[0])
 
 
+def row_blocks(shape) -> list:
+    """Row slices that cover a grid of ``shape`` in blocks of about ``BLOCK``
+    values, at least one row each.
+
+    A grid less than two values wide (1-d, or one column) is a single block:
+    numpy sums such a column pairwise, so splitting it would change its sum.
+    """
+    n_rows, width = shape[0], math.prod(shape[1:])
+    if width < 2:
+        return [slice(0, n_rows)]
+    rows = max(1, BLOCK // width)
+    return [slice(lo, min(lo + rows, n_rows)) for lo in range(0, n_rows, rows)]
+
+
 def _finite(value) -> bool:
     if isinstance(value, float):
         return math.isfinite(value)
@@ -170,12 +186,14 @@ def simulate_from(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int,
     max(1, TAPE // (2 * width)) steps, width 1 for a scalar start, and are
     consumed step by step: the state's variates, then the action's.  This is
     the stream a state draw and an action draw per step would give.  The
-    reward is evaluated pointwise, once over the finished grid:
-    reward_rates = reward(states[:-1], actions[:-1]).
+    reward is evaluated pointwise over the finished grid, in the row blocks
+    of :func:`row_blocks`: reward_rates[rows] = reward(states[rows],
+    actions[rows]).
 
-    Finiteness is checked once, over the whole rollout, after the last step;
-    a non-finite value raises SimulationError naming the first faulty step
-    and the reward or the score that produced it.
+    Finiteness is checked after the last step, over the whole rollout, block
+    by block with the reward; a non-finite value raises SimulationError
+    naming the first faulty step and the reward or the score that produced
+    it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -215,13 +233,15 @@ def simulate_from(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int,
             states[k] = x
             actions[k] = a
     states, actions = np.asarray(states, dtype=float), np.asarray(actions, dtype=float)
+    rates = np.empty_like(states[1:])
     with np.errstate(over="ignore", invalid="ignore"):
-        rates = np.asarray(reward(states[:-1], actions[:-1]), dtype=float)
-        if rates.shape != states[:-1].shape:  # a constant reward
-            rates = np.full(states[:-1].shape, rates)
-        if not (np.isfinite(states).all() and np.isfinite(actions).all()
-                and np.isfinite(rates).all()):
-            raise SimulationError(_first_fault(dyn, reward, states, actions, rates))
+        for rows in row_blocks(rates.shape):
+            rates[rows] = reward(states[rows], actions[rows])  # broadcasts a constant
+            ends = slice(rows.start, rows.stop + 1)
+            if not (np.isfinite(rates[rows]).all() and np.isfinite(states[ends]).all()
+                    and np.isfinite(actions[ends]).all()):
+                # later rows are not filled yet; the first fault lies in this block
+                raise SimulationError(_first_fault(dyn, reward, states, actions, rates))
     times = np.arange(n_steps + 1) * dt
     return Trajectory(times, states, actions, rates, noise.seed)
 
@@ -249,7 +269,8 @@ def simulate_batch(dyn: DynamicsSpec, reward, x0: float, a0: float, dt: float,
     All trajectories start from the same (x0, a0) and draw from a single seeded
     stream in the order of :func:`simulate_from`.  The score must accept
     numpy arrays elementwise and return one value per trajectory; the reward
-    is evaluated pointwise, once over the finished (n_steps, n_traj) grid.
+    is evaluated pointwise over the finished (n_steps, n_traj) grid, in row
+    blocks.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")

@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cqsm import sde
 from cqsm.lq import LqParams, lq_dynamics, lq_reward_fn
 from cqsm.lq_analytic import optimal_score, q_star
-from cqsm.martingale import (ResidualReport, constant_test, lagged_state_test, martingale_loss,
-                             orthogonality_residual, orthogonality_statistics, q_gradient_test,
-                             trajectory_gaps)
+from cqsm.martingale import (ResidualReport, constant_test, estimate_discounted_return,
+                             lagged_state_test, martingale_loss, orthogonality_residual,
+                             orthogonality_statistics, q_gradient_test, trajectory_gaps)
 from cqsm.online import AlgoConfig
 from cqsm.sde import simulate_batch
 from _oracles import evaluate_affine_score_q
@@ -184,3 +186,111 @@ def test_orthogonality_requires_two_trajectories(k_ref, lq_ref):
 def test_report_fields():
     report = ResidualReport(1.0, 0.5, 10, 2.0)
     assert report.z_score == report.estimate / report.std_error
+
+
+# Row blocks.  With BLOCK at 1000 values a block is 5 rows at width 200 and
+# 500 at width 2, and a single column is one block; 1003 steps is a multiple
+# of neither, so every grid below ends on a short block.
+BLOCK_STEPS = 1003
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(sde, "BLOCK", 1000)
+
+
+class _BlockCounter:
+    """Wraps a function of (x, a) and counts its calls on 2-d row blocks."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, x, a):
+        self.calls += np.ndim(x) == 2
+        return self.fn(x, a)
+
+
+def _bits(values):
+    values = np.asarray(values)
+    return values.shape, values.tobytes()
+
+
+def _assert_blocks_ran(counter, width):
+    if width == 1:
+        assert counter.calls == 1  # a single column is summed pairwise, never split
+    else:
+        assert counter.calls > 1
+
+
+@pytest.mark.parametrize("width", [1, 2, 200])
+def test_blocked_reward_rates_equal_the_one_shot_reward_bitwise(small_blocks, k_ref, lq_ref,
+                                                                width):
+    score = lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a)
+    reward = _BlockCounter(lq_reward_fn(lq_ref))
+    batch = simulate_batch(lq_dynamics(lq_ref, score), reward, 0.3, -0.2, 0.01, BLOCK_STEPS,
+                           width, seed=13)
+    want = lq_reward_fn(lq_ref)(batch.states[:-1], batch.actions[:-1])
+    assert _bits(batch.reward_rates) == _bits(want)
+    _assert_blocks_ran(reward, width)
+
+
+@pytest.mark.parametrize("width", [1, 2, 200])
+@pytest.mark.parametrize("test_fn", [constant_test(0.5), lagged_state_test(lag=3, power=2),
+                                     q_gradient_test(4)], ids=["constant", "lagged", "q-gradient"])
+def test_blocked_orthogonality_sums_equal_the_one_shot_formula_bitwise(small_blocks, k_ref,
+                                                                       lq_ref, width, test_fn):
+    plain_q = lambda x, a: q_star(k_ref, x, a)
+    score = lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a)
+    batch = simulate_batch(lq_dynamics(lq_ref, score), lq_reward_fn(lq_ref), 0.3, -0.2, 0.01,
+                           BLOCK_STEPS, width, seed=11)
+    qfun = _BlockCounter(plain_q)
+    got = orthogonality_statistics(batch, qfun, score, test_fn, lq_ref.beta, lq_ref.lam)
+
+    w = np.exp(-lq_ref.beta * batch.times)[:, None]
+    q = plain_q(batch.states, batch.actions)
+    psi = score(batch.states[:-1], batch.actions[:-1])
+    inc = (w[1:] * q[1:] - w[:-1] * q[:-1]
+           + w[:-1] * (batch.reward_rates - 0.5 * lq_ref.lam * psi ** 2) * batch.dt)
+    want = (test_fn(batch.times, batch.states, batch.actions) * inc).sum(axis=0)
+    assert _bits(got) == _bits(want)
+    _assert_blocks_ran(qfun, width)
+
+
+@pytest.mark.parametrize("width", [2, 200])
+def test_blocked_discounted_return_equals_the_one_shot_formula_bitwise(small_blocks, k_ref,
+                                                                       lq_ref, width):
+    plain_score = lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a)
+    score = _BlockCounter(plain_score)
+    cfg = AlgoConfig(dt=0.01, n_steps=BLOCK_STEPS, seed=12, x0=0.3, a0=-0.2)
+    got = estimate_discounted_return(lq_ref, score, cfg, width)
+
+    batch = simulate_batch(lq_dynamics(lq_ref, plain_score), lq_reward_fn(lq_ref), cfg.x0,
+                           cfg.a0, cfg.dt, cfg.n_steps, width, cfg.seed)
+    w = np.exp(-lq_ref.beta * batch.times)[:-1, None]
+    psi = plain_score(batch.states[:-1], batch.actions[:-1])
+    returns = (w * (batch.reward_rates - 0.5 * lq_ref.lam * psi ** 2) * batch.dt).sum(axis=0)
+    assert got == (float(returns.mean()), float(returns.std(ddof=1) / np.sqrt(width)))
+    _assert_blocks_ran(score, width)
+
+
+def test_orthogonality_residual_peak_stays_within_the_cli_memory_rule(k_ref, lq_ref):
+    # check-martingale refuses a grid whose three float64 arrays of
+    # traj x (steps + 1) values (states, actions, reward rates) exceed memory;
+    # everything else is built a row block at a time, so the rule bounds the
+    # traced peak up to a few blocks
+    def run(n_traj, n_steps):
+        orthogonality_residual(lambda x, a: q_star(k_ref, x, a),
+                               lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a),
+                               constant_test(), lq_ref,
+                               AlgoConfig(dt=0.01, n_steps=n_steps, seed=0), n_traj)
+
+    run(2, 2)  # the first call imports the parts of numpy it uses
+    n_traj, n_steps = 200, 2000
+    tracemalloc.start()
+    try:
+        run(n_traj, n_steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rule = 3 * 8 * n_traj * (n_steps + 1)
+    assert peak <= rule + 8 * (8 * sde.BLOCK)
