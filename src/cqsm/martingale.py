@@ -8,10 +8,9 @@ trajectories and z-score it across independent replications; a wrong Q (for
 example a constant offset, which the discounting term detects) produces a
 significant mean.  Every estimate here, the discounted return of a score
 included, runs on one vectorised batch of trajectories.  The value function,
-the score and the sums along each trajectory are evaluated pointwise on row
-blocks of the batch's grid (:func:`sde.row_blocks`), so a batch holds its
-three grid arrays plus a block's temporaries; a test process sees the whole
-path.
+the score, the test process and the sums along each trajectory are evaluated
+on row blocks of the batch's grid (:func:`sde.row_blocks`), so a batch holds
+its three grid arrays plus a block's temporaries.
 
 This module also states the pieces of that condition that the offline learner
 fits: the discount weights e^{-beta t} (:func:`discount_weights`), the
@@ -35,9 +34,10 @@ from .online import AlgoConfig
 from .policy import q_features
 from .sde import Trajectory, row_blocks, simulate_batch
 
-# A test process maps (times, states, actions) to per-step weights xi with one
-# entry per transition; xi[k] may depend on the path only up to index k.
-TestProcess = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+# A test process maps (states, actions, rows) to the per-transition weights
+# xi[rows], shaped as states[rows], for a block ``rows = slice(start, stop)``
+# of transition indices; xi[k] may depend on the path only up to index k.
+TestProcess = Callable[[np.ndarray, np.ndarray, slice], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,7 @@ class ResidualReport:
 
 def constant_test(value: float = 1.0) -> TestProcess:
     """xi identically equal to ``value``, as a read-only broadcast view."""
-
-    def xi(times, states, actions):
-        return np.broadcast_to(value, (len(times) - 1,) + states.shape[1:])
-
-    return xi
+    return lambda states, actions, rows: np.broadcast_to(value, states[rows].shape)
 
 
 def q_gradient_test(component: int) -> TestProcess:
@@ -64,9 +60,9 @@ def q_gradient_test(component: int) -> TestProcess:
     if not 0 <= component < 6:
         raise ValueError("component must be in 0..5")
 
-    def xi(times, states, actions):
-        x = states[:-1]
-        return np.broadcast_to(q_features(x, actions[:-1])[component], x.shape)
+    def xi(states, actions, rows):
+        x = states[rows]
+        return np.broadcast_to(q_features(x, actions[rows])[component], x.shape)
 
     return xi
 
@@ -76,13 +72,10 @@ def lagged_state_test(lag: int = 1, power: int = 2) -> TestProcess:
     if lag < 0:
         raise ValueError("lag must be nonnegative")
 
-    def xi(times, states, actions):
-        x = states[:-1]
-        out = np.zeros_like(x)
-        if lag == 0:
-            out[:] = x ** power
-        else:
-            out[lag:] = x[:-lag] ** power
+    def xi(states, actions, rows):
+        out = np.zeros_like(states[rows])
+        first = min(max(rows.start, lag), rows.stop)
+        out[first - rows.start:] = states[first - lag:rows.stop - lag] ** power
         return out
 
     return xi
@@ -140,21 +133,20 @@ def orthogonality_statistics(batch: Trajectory, qfun, score, test_fn: TestProces
     """Per-trajectory orthogonality sums over a simulated batch.
 
     S = sum_k xi_k [ w_{k+1} q_{k+1} - w_k q_k + w_k (r_k - lam/2 Psi_k^2) dt ]
-    with w = exp(-beta t) from :func:`discount_weights`.  ``qfun`` and
-    ``score`` are evaluated pointwise on row blocks of the grid; the test
-    process is called once, on the whole path.
+    with w = exp(-beta t) from :func:`discount_weights`.  ``qfun``,
+    ``score`` and ``test_fn`` are evaluated on row blocks of the grid, the
+    test process once per block.
     """
     dt = batch.dt
     w = discount_weights(batch, beta)
     states, actions, rates = batch.states, batch.actions, batch.reward_rates
-    xi = test_fn(batch.times, states, actions)
 
     def terms(rows):
         ends = slice(rows.start, rows.stop + 1)
         wq = w[ends] * qfun(states[ends], actions[ends])
         psi = score(states[rows], actions[rows])
         inc = wq[1:] - wq[:-1] + net_reward_flow(w[rows], rates[rows], psi, dt, lam)
-        return xi[rows] * inc
+        return test_fn(states, actions, rows) * inc
 
     return np.atleast_1d(_column_sums(terms, rates.shape))
 

@@ -31,17 +31,6 @@ class Episode:
     trajectory: Trajectory
     discount_weights: np.ndarray
 
-    @property
-    def n_transitions(self) -> int:
-        return len(self.trajectory.reward_rates)
-
-
-def make_episode(traj: Trajectory, beta: float) -> Episode:
-    """Attach discount weights to a rollout (beta = 0 gives the undiscounted case)."""
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    return Episode(traj, discount_weights(traj, beta))
-
 
 def rollout_episode(p: LqParams, v, cfg: AlgoConfig, noise: NoiseSource) -> Episode:
     """Simulate one on-policy episode of cfg.n_steps transitions.
@@ -53,7 +42,7 @@ def rollout_episode(p: LqParams, v, cfg: AlgoConfig, noise: NoiseSource) -> Epis
     _, score = _score_of(v)
     traj = simulate_from(lq_dynamics(p, score), lq_reward_fn(p), cfg.x0, a0, cfg.dt,
                          cfg.n_steps, noise)
-    return make_episode(traj, cfg.beta)
+    return Episode(traj, discount_weights(traj, cfg.beta))
 
 
 def _episode_gaps(ep: Episode, theta, score, lam: float) -> np.ndarray:
@@ -65,8 +54,9 @@ def _episode_gaps(ep: Episode, theta, score, lam: float) -> np.ndarray:
 
 def episode_return_to_go(ep: Episode, theta, v, lam: float, k: int) -> float:
     """The gap G_k at grid index k (0 <= k < number of transitions)."""
-    if not 0 <= k < ep.n_transitions:
-        raise IndexError(f"k={k} outside the episode's {ep.n_transitions} transitions")
+    n = len(ep.trajectory.reward_rates)
+    if not 0 <= k < n:
+        raise IndexError(f"k={k} outside the episode's {n} transitions")
     return float(_episode_gaps(ep, theta, _score_of(v)[1], lam)[k])
 
 

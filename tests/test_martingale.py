@@ -95,10 +95,9 @@ def test_gradient_and_lagged_test_processes(k_ref, lq_ref):
         lq_dynamics(lq_ref, lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a)),
         lq_reward_fn(lq_ref), 0.0, 0.0, 0.1, 40, 6, seed=2)
     for i in range(6):
-        xi = q_gradient_test(i)(batch.times, batch.states, batch.actions)
+        xi = q_gradient_test(i)(batch.states, batch.actions, slice(0, 40))
         assert xi.shape == (40, 6)
-    lagged = lagged_state_test(lag=3, power=2)(batch.times, batch.states,
-                                               batch.actions)
+    lagged = lagged_state_test(lag=3, power=2)(batch.states, batch.actions, slice(0, 40))
     assert np.all(lagged[:3] == 0)
     np.testing.assert_allclose(lagged[3:], batch.states[:-4] ** 2)
     with pytest.raises(ValueError):
@@ -234,16 +233,45 @@ def test_blocked_reward_rates_equal_the_one_shot_reward_bitwise(small_blocks, k_
     _assert_blocks_ran(reward, width)
 
 
+def _lagged_xi(lag, power):
+    """xi_k = x_{k-lag}^power, 0 for k < lag, one transition row at a time."""
+    def xi(states, actions):
+        zero = np.zeros_like(states[0])
+        return np.array([states[k - lag] ** power if k >= lag else zero
+                         for k in range(len(states) - 1)])
+
+    return xi
+
+
+# (test process, its xi over the whole path written out); the lags are 0, one
+# under and one over a 5-row block, and past the end of the path (xi all zero)
+XI_CASES = {
+    "constant": (constant_test(0.5), lambda s, a: np.full((len(s) - 1,) + s.shape[1:], 0.5)),
+    "lagged-0": (lagged_state_test(lag=0, power=3), _lagged_xi(0, 3)),
+    "lagged-3": (lagged_state_test(lag=3, power=2), _lagged_xi(3, 2)),
+    "lagged-7": (lagged_state_test(lag=7, power=2), _lagged_xi(7, 2)),
+    "lagged-past-end": (lagged_state_test(lag=BLOCK_STEPS + 2), _lagged_xi(BLOCK_STEPS + 2, 2)),
+    "q-gradient": (q_gradient_test(4), lambda s, a: s[:-1] * a[:-1]),
+}
+BLOCKS_AT_WIDTH = {1: 1, 2: 3, 200: 201}  # one column is one block, else ceil(1003 / rows)
+
+
 @pytest.mark.parametrize("width", [1, 2, 200])
-@pytest.mark.parametrize("test_fn", [constant_test(0.5), lagged_state_test(lag=3, power=2),
-                                     q_gradient_test(4)], ids=["constant", "lagged", "q-gradient"])
+@pytest.mark.parametrize("case", list(XI_CASES))
 def test_blocked_orthogonality_sums_equal_the_one_shot_formula_bitwise(small_blocks, k_ref,
-                                                                       lq_ref, width, test_fn):
+                                                                       lq_ref, width, case):
+    process, xi_formula = XI_CASES[case]
     plain_q = lambda x, a: q_star(k_ref, x, a)
     score = lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a)
     batch = simulate_batch(lq_dynamics(lq_ref, score), lq_reward_fn(lq_ref), 0.3, -0.2, 0.01,
                            BLOCK_STEPS, width, seed=11)
     qfun = _BlockCounter(plain_q)
+    seen = []
+
+    def test_fn(states, actions, rows):
+        seen.append(rows)
+        return process(states, actions, rows)
+
     got = orthogonality_statistics(batch, qfun, score, test_fn, lq_ref.beta, lq_ref.lam)
 
     w = np.exp(-lq_ref.beta * batch.times)[:, None]
@@ -251,9 +279,13 @@ def test_blocked_orthogonality_sums_equal_the_one_shot_formula_bitwise(small_blo
     psi = score(batch.states[:-1], batch.actions[:-1])
     inc = (w[1:] * q[1:] - w[:-1] * q[:-1]
            + w[:-1] * (batch.reward_rates - 0.5 * lq_ref.lam * psi ** 2) * batch.dt)
-    want = (test_fn(batch.times, batch.states, batch.actions) * inc).sum(axis=0)
+    want = (xi_formula(batch.states, batch.actions) * inc).sum(axis=0)
     assert _bits(got) == _bits(want)
     _assert_blocks_ran(qfun, width)
+    # the test process ran once per block, on consecutive blocks covering the path
+    assert len(seen) == BLOCKS_AT_WIDTH[width]
+    assert [r.start for r in seen] == [0] + [r.stop for r in seen[:-1]]
+    assert seen[-1].stop == BLOCK_STEPS
 
 
 @pytest.mark.parametrize("width", [2, 200])
@@ -273,15 +305,17 @@ def test_blocked_discounted_return_equals_the_one_shot_formula_bitwise(small_blo
     _assert_blocks_ran(score, width)
 
 
-def test_orthogonality_residual_peak_stays_within_the_cli_memory_rule(k_ref, lq_ref):
+@pytest.mark.parametrize("test_fn", [constant_test(), lagged_state_test(), q_gradient_test(4)],
+                         ids=["constant", "lagged", "q-gradient"])
+def test_orthogonality_residual_peak_stays_within_the_cli_memory_rule(k_ref, lq_ref, test_fn):
     # check-martingale refuses a grid whose three float64 arrays of
     # traj x (steps + 1) values (states, actions, reward rates) exceed memory;
-    # everything else is built a row block at a time, so the rule bounds the
-    # traced peak up to a few blocks
+    # everything else, the test process included, is built a row block at a
+    # time, so the rule bounds the traced peak up to a few blocks
     def run(n_traj, n_steps):
         orthogonality_residual(lambda x, a: q_star(k_ref, x, a),
                                lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a),
-                               constant_test(), lq_ref,
+                               test_fn, lq_ref,
                                AlgoConfig(dt=0.01, n_steps=n_steps, seed=0), n_traj)
 
     run(2, 2)  # the first call imports the parts of numpy it uses

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from cqsm.lq import lq_dynamics, lq_reward_fn
 from cqsm.lq_analytic import k_to_optimal_params, optimal_score
 from cqsm.martingale import discount_weights, return_gaps
-from cqsm.offline import (Episode, episode_return_to_go, make_episode, offline_update,
-                          rollout_episode, run_offline, score_gradient_residual)
+from cqsm.offline import (Episode, episode_return_to_go, offline_update, rollout_episode,
+                          run_offline, score_gradient_residual)
 from cqsm.online import AlgoConfig, DivergenceError, lr_schedule
 from cqsm.policy import psi_v, q_theta
 from cqsm.sde import NoiseSource, SimulationError, Trajectory, simulate_batch
@@ -21,7 +21,7 @@ import cqsm.offline as offline
 def _episode_from_arrays(times, xs, as_, rs, beta):
     traj = Trajectory(np.asarray(times, float), np.asarray(xs, float),
                       np.asarray(as_, float), np.asarray(rs, float), seed=0)
-    return make_episode(traj, beta)
+    return Episode(traj, discount_weights(traj, beta))
 
 
 def test_return_to_go_all_zero_case():
@@ -177,7 +177,7 @@ def test_score_gradient_residual_vanishes_at_exact_fit(k_ref, lq_ref, opt_params
         lq_reward_fn(lq_ref), 0.0, 0.0, 0.1, 100, 1, seed=3)
     traj = Trajectory(batch.times, batch.states[:, 0], batch.actions[:, 0],
                       batch.reward_rates[:, 0], seed=3)
-    ep = make_episode(traj, lq_ref.beta)
+    ep = Episode(traj, discount_weights(traj, lq_ref.beta))
     res = score_gradient_residual(theta, v, lq_ref.lam, ep)
     assert np.max(np.abs(res)) < 1e-10
 
@@ -191,7 +191,7 @@ def test_score_gradient_residual_points_back_after_perturbation(k_ref, lq_ref, o
                                0.0, 0.0, 0.1, 200, 1, seed=seed)
         traj = Trajectory(batch.times, batch.states[:, 0], batch.actions[:, 0],
                           batch.reward_rates[:, 0], seed=seed)
-        ep = make_episode(traj, lq_ref.beta)
+        ep = Episode(traj, discount_weights(traj, lq_ref.beta))
         v = v_star.copy()
         v[2] += shift
         res = score_gradient_residual(theta, v, lq_ref.lam, ep)
@@ -281,8 +281,6 @@ def test_run_offline_deterministic(lq_ref):
 
 
 def test_episode_weights_match_times(lq_ref):
-    traj = Trajectory(np.array([0.0, 0.5, 1.0]), np.zeros(3), np.zeros(3),
-                      np.zeros(2), seed=0)
-    ep = make_episode(traj, beta=2.0)
-    np.testing.assert_allclose(ep.discount_weights, np.exp(-2.0 * traj.times))
-    assert ep.n_transitions == 2
+    cfg, _, ep = _rollout(lq_ref)
+    np.testing.assert_allclose(ep.discount_weights, np.exp(-cfg.beta * ep.trajectory.times))
+    assert len(ep.trajectory.reward_rates) == cfg.n_steps
