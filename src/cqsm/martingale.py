@@ -9,8 +9,13 @@ example a constant offset, which the discounting term detects) produces a
 significant mean.  Every estimate here, the discounted return of a score
 included, runs on one vectorised batch of trajectories.  The value function,
 the score, the test process and the sums along each trajectory are evaluated
-on row blocks of the batch's grid (:func:`sde.row_blocks`), so a batch holds
-its three grid arrays plus a block's temporaries.
+on the batch's row blocks (:func:`sde.row_blocks`) and added into a running
+column total.  :func:`orthogonality_residual` and
+:func:`estimate_discounted_return` read those blocks straight from the
+simulator's stream (:func:`sde.simulate_blocks`), so they hold one block and
+the discount column, never the grid; :func:`orthogonality_statistics` reads
+them as views of a finished :class:`sde.Trajectory`.  The squared-gap loss
+keeps the whole batch: its suffix sums run backward in time.
 
 This module also states the pieces of that condition that the offline learner
 fits: the discount weights e^{-beta t} (:func:`discount_weights`), the
@@ -32,11 +37,13 @@ import numpy as np
 from .lq import LqParams, lq_dynamics, lq_reward_fn
 from .online import AlgoConfig
 from .policy import q_features
-from .sde import Trajectory, row_blocks, simulate_batch
+from .sde import NoiseSource, Trajectory, row_blocks, simulate_batch, simulate_blocks
 
-# A test process maps (states, actions, rows) to the per-transition weights
-# xi[rows], shaped as states[rows], for a block ``rows = slice(start, stop)``
-# of transition indices; xi[k] may depend on the path only up to index k.
+# A test process maps a row block (states, actions, rows) to the block's
+# per-transition weights xi[rows], shaped as states[:-1]: ``states`` and
+# ``actions`` hold the path's grid rows rows.start..rows.stop, end point
+# included.  It is called once per block, in order from row 0, and xi[k] may
+# depend on the path only up to index k.
 TestProcess = Callable[[np.ndarray, np.ndarray, slice], np.ndarray]
 
 
@@ -52,7 +59,7 @@ class ResidualReport:
 
 def constant_test(value: float = 1.0) -> TestProcess:
     """xi identically equal to ``value``, as a read-only broadcast view."""
-    return lambda states, actions, rows: np.broadcast_to(value, states[rows].shape)
+    return lambda states, actions, rows: np.broadcast_to(value, states[:-1].shape)
 
 
 def q_gradient_test(component: int) -> TestProcess:
@@ -61,21 +68,30 @@ def q_gradient_test(component: int) -> TestProcess:
         raise ValueError("component must be in 0..5")
 
     def xi(states, actions, rows):
-        x = states[rows]
-        return np.broadcast_to(q_features(x, actions[rows])[component], x.shape)
+        x = states[:-1]
+        return np.broadcast_to(q_features(x, actions[:-1])[component], x.shape)
 
     return xi
 
 
 def lagged_state_test(lag: int = 1, power: int = 2) -> TestProcess:
-    """xi_k = x_{k-lag}^power (zero while the lag window is unfilled)."""
+    """xi_k = x_{k-lag}^power (zero while the lag window is unfilled).
+
+    The process keeps the last ``lag`` states of the blocks it has seen and
+    forgets them when a new path starts (a block at row 0).
+    """
     if lag < 0:
         raise ValueError("lag must be nonnegative")
+    seen = None  # the last ``lag`` states before the current block
 
     def xi(states, actions, rows):
-        out = np.zeros_like(states[rows])
-        first = min(max(rows.start, lag), rows.stop)
-        out[first - rows.start:] = states[first - lag:rows.stop - lag] ** power
+        nonlocal seen
+        x = states[:-1]
+        seen = x if rows.start == 0 else np.concatenate((seen, x))  # up to row rows.stop - 1
+        out = np.zeros_like(x)
+        n = max(0, len(seen) - lag)  # rows k >= lag: the last n of the block
+        out[len(x) - n:] = seen[:n] ** power
+        seen = seen[max(0, len(seen) - lag):].copy()  # not a view that keeps the block
         return out
 
     return xi
@@ -110,22 +126,42 @@ def return_gaps(discount, reward_rates, q_values, psi_values, dt: float,
     return suffix - discount[:-1] * np.asarray(q_values)[:-1]
 
 
-def _column_sums(terms, shape) -> np.ndarray:
-    """Column sums of a grid of ``shape`` built one :func:`sde.row_blocks`
-    block at a time: ``terms(rows)`` returns the grid's rows ``rows`` as a
-    fresh array.
+def _column_sums(blocks, term) -> np.ndarray:
+    """Column sums of the grid whose row blocks are ``term(rows, states,
+    actions, rates)``, a fresh array each, for the row blocks of a rollout
+    shaped as :func:`sde.simulate_blocks` yields them, in order.
 
     Each block's first row takes the running total before the block is
     summed.  numpy sums a C-contiguous grid at least two columns wide row
     after row, so the result is bitwise that of summing the whole grid.
     """
     total = None
-    for rows in row_blocks(shape):
-        block = terms(rows)
+    for block in blocks:
+        part = term(*block)
         if total is not None:
-            block[0] += total
-        total = block.sum(axis=0)
+            part[0] += total
+        total = part.sum(axis=0)
+        del block, part  # neither is held while the next block is simulated
     return total
+
+
+def _blocks_of(batch: Trajectory):
+    """The row blocks of a finished batch as views, shaped as
+    :func:`sde.simulate_blocks` yields them."""
+    for rows in row_blocks(batch.reward_rates.shape):
+        ends = slice(rows.start, rows.stop + 1)
+        yield rows, batch.states[ends], batch.actions[ends], batch.reward_rates[rows]
+
+
+def _orthogonality_sums(blocks, w, qfun, score, test_fn: TestProcess, dt: float,
+                        lam: float) -> np.ndarray:
+    def term(rows, states, actions, rates):
+        wq = w[rows.start:rows.stop + 1] * qfun(states, actions)
+        psi = score(states[:-1], actions[:-1])
+        inc = wq[1:] - wq[:-1] + net_reward_flow(w[rows], rates, psi, dt, lam)
+        return test_fn(states, actions, rows) * inc
+
+    return np.atleast_1d(_column_sums(blocks, term))
 
 
 def orthogonality_statistics(batch: Trajectory, qfun, score, test_fn: TestProcess,
@@ -137,18 +173,8 @@ def orthogonality_statistics(batch: Trajectory, qfun, score, test_fn: TestProces
     ``score`` and ``test_fn`` are evaluated on row blocks of the grid, the
     test process once per block.
     """
-    dt = batch.dt
-    w = discount_weights(batch, beta)
-    states, actions, rates = batch.states, batch.actions, batch.reward_rates
-
-    def terms(rows):
-        ends = slice(rows.start, rows.stop + 1)
-        wq = w[ends] * qfun(states[ends], actions[ends])
-        psi = score(states[rows], actions[rows])
-        inc = wq[1:] - wq[:-1] + net_reward_flow(w[rows], rates[rows], psi, dt, lam)
-        return test_fn(states, actions, rows) * inc
-
-    return np.atleast_1d(_column_sums(terms, rates.shape))
+    return _orthogonality_sums(_blocks_of(batch), discount_weights(batch, beta), qfun, score,
+                               test_fn, batch.dt, lam)
 
 
 def _jackknife_se(values: np.ndarray) -> float:
@@ -157,11 +183,15 @@ def _jackknife_se(values: np.ndarray) -> float:
     return math.sqrt((n - 1) / n * float(((loo - loo.mean()) ** 2).sum()))
 
 
-def _simulate(p: LqParams, score, cfg: AlgoConfig, n_traj: int) -> Trajectory:
-    """``n_traj`` trajectories of the joint dynamics of ``p`` under ``score``
-    from (cfg.x0, cfg.a0), cfg.n_steps steps of cfg.dt, noise seeded by cfg.seed."""
-    return simulate_batch(lq_dynamics(p, score), lq_reward_fn(p), cfg.x0, cfg.a0,
-                          cfg.dt, cfg.n_steps, n_traj, cfg.seed)
+def _stream(p: LqParams, score, cfg: AlgoConfig, n_traj: int):
+    """The row blocks of ``n_traj`` trajectories of the joint dynamics of ``p``
+    under ``score`` from (cfg.x0, cfg.a0), cfg.n_steps steps of cfg.dt, noise
+    seeded by cfg.seed (the batch of :func:`sde.simulate_batch`), and their
+    discount column exp(-beta t)."""
+    blocks = simulate_blocks(lq_dynamics(p, score), lq_reward_fn(p),
+                             np.full(n_traj, float(cfg.x0)), np.full(n_traj, float(cfg.a0)),
+                             cfg.dt, cfg.n_steps, NoiseSource(cfg.seed))
+    return blocks, np.exp(-p.beta * (np.arange(cfg.n_steps + 1) * cfg.dt))[:, None]
 
 
 def orthogonality_residual(qfun, score, test_fn: TestProcess, p: LqParams,
@@ -170,12 +200,14 @@ def orthogonality_residual(qfun, score, test_fn: TestProcess, p: LqParams,
 
     Trajectories follow the joint dynamics of ``p`` under ``score`` from
     (cfg.x0, cfg.a0) with step cfg.dt for cfg.n_steps steps; the discount and
-    regularization weights come from ``p``.
+    regularization weights come from ``p``.  The sums are those of
+    :func:`orthogonality_statistics` on that batch, taken from the simulator's
+    row blocks as they are made.
     """
     if n_traj < 2:
         raise ValueError("n_traj must be at least 2")
-    batch = _simulate(p, score, cfg, n_traj)
-    stats = orthogonality_statistics(batch, qfun, score, test_fn, p.beta, p.lam)
+    blocks, w = _stream(p, score, cfg, n_traj)
+    stats = _orthogonality_sums(blocks, w, qfun, score, test_fn, cfg.dt, p.lam)
     estimate = float(stats.mean())
     se = _jackknife_se(stats)
     if se > 0:
@@ -201,7 +233,8 @@ def martingale_loss(qfun, score, p: LqParams, cfg: AlgoConfig, n_traj: int) -> f
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
-    batch = _simulate(p, score, cfg, n_traj)
+    batch = simulate_batch(lq_dynamics(p, score), lq_reward_fn(p), cfg.x0, cfg.a0, cfg.dt,
+                           cfg.n_steps, n_traj, cfg.seed)
     gaps = trajectory_gaps(batch, qfun, score, p.beta, p.lam)
     return 0.5 * float(np.mean(gaps * gaps)) * batch.dt
 
@@ -217,12 +250,7 @@ def estimate_discounted_return(p: LqParams, score, cfg: AlgoConfig, n_traj: int)
     """
     if n_traj < 2:
         raise ValueError("n_traj must be at least 2")
-    batch = _simulate(p, score, cfg, n_traj)
-    w = discount_weights(batch, p.beta)
-
-    def flow(rows):
-        psi = score(batch.states[rows], batch.actions[rows])
-        return net_reward_flow(w[rows], batch.reward_rates[rows], psi, batch.dt, p.lam)
-
-    returns = _column_sums(flow, batch.reward_rates.shape)
+    blocks, w = _stream(p, score, cfg, n_traj)
+    returns = _column_sums(blocks, lambda rows, states, actions, rates: net_reward_flow(
+        w[rows], rates, score(states[:-1], actions[:-1]), cfg.dt, p.lam))
     return float(returns.mean()), float(returns.std(ddof=1) / np.sqrt(n_traj))

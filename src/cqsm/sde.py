@@ -1,14 +1,17 @@
 """Seeded Euler-Maruyama simulation of the joint state-action SDE of an LQ
 problem, :class:`DynamicsSpec`.  Everything is deterministic given a seed.
 
-One Euler-Maruyama loop, :func:`simulate_from`, runs a single scalar
-trajectory on Python floats and a batch of scalar trajectories on numpy
-arrays; :func:`simulate` and :func:`simulate_batch` only choose its start and
-noise source.  The loop takes its variates in blocks of several steps and
-evaluates the reward over the finished grid in row blocks of about ``BLOCK``
-values (:func:`row_blocks`).  It checks nothing per step: one finiteness check
-over each finished rollout, block by block, finds a fault and names the step
-and whether the reward, the score or the step itself caused it.
+One Euler-Maruyama loop, the generator :func:`simulate_blocks`, runs a single
+scalar trajectory on Python floats and a batch of scalar trajectories on numpy
+arrays, and yields the rollout one row block of about ``BLOCK`` values at a
+time (:func:`row_blocks`; a scalar rollout is one block), with the block's
+reward rates.  :func:`simulate_from` writes the blocks into one grid, a
+:class:`Trajectory`; :func:`simulate` and :func:`simulate_batch` only choose
+its start and noise source.  A consumer that only sums forward in time reads
+the stream itself and never holds the grid.  The loop takes its variates in
+blocks of several steps and checks nothing per step: one finiteness check per
+row block finds a fault and names the step and whether the reward, the score
+or the step itself caused it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 TAPE = 1024  # scalar variates pre-drawn per refill of a NoiseSource tape
-BLOCK = 2 ** 16  # grid values per row block of pointwise arithmetic on a finished grid
+BLOCK = 2 ** 16  # grid values per row block of a rollout and of its pointwise arithmetic
 SQRT2 = math.sqrt(2.0)  # action noise: the score's Boltzmann law is stationary
 
 
@@ -177,23 +180,42 @@ def simulate(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int, seed: i
 
 def simulate_from(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int,
                   noise: NoiseSource) -> Trajectory:
-    """Like :func:`simulate` but drawing from an existing noise source.
+    """Like :func:`simulate` but drawing from an existing noise source: the
+    row blocks of :func:`simulate_blocks` written into one grid."""
+    grid = None
+    for rows, states, actions, rates in simulate_blocks(dyn, reward, x0, a0, dt, n_steps, noise):
+        if grid is None:
+            width = states.shape[1:]
+            grid = (np.empty((n_steps + 1,) + width), np.empty((n_steps + 1,) + width),
+                    np.empty((n_steps,) + width))
+        ends = slice(rows.start, rows.stop + 1)
+        grid[0][ends], grid[1][ends], grid[2][rows] = states, actions, rates
+        del states, actions, rates  # free the block before the next one is made
+    return Trajectory(np.arange(n_steps + 1) * dt, *grid, noise.seed)
+
+
+def simulate_blocks(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int,
+                    noise: NoiseSource):
+    """Roll out ``n_steps`` Euler-Maruyama steps from (x0, a0), one row block
+    at a time.
 
     Scalar (x0, a0) run on Python floats.  Two 1-d arrays of equal length are
     a batch of scalar trajectories, one per entry, and ``reward`` must return
     one value per entry.  Any other start, or a reward of another shape, raises
-    ValueError before the first draw.  The variates are drawn in blocks of
-    max(1, TAPE // (2 * width)) steps, width 1 for a scalar start, and are
-    consumed step by step: the state's variates, then the action's.  This is
-    the stream a state draw and an action draw per step would give.  The
-    reward is evaluated pointwise over the finished grid, in the row blocks
-    of :func:`row_blocks`: reward_rates[rows] = reward(states[rows],
-    actions[rows]).
+    ValueError before the first draw (at the first ``next``).
 
-    Finiteness is checked after the last step, over the whole rollout, block
-    by block with the reward; a non-finite value raises SimulationError
-    naming the first faulty step and the reward or the score that produced
-    it.
+    Yields ``(rows, states, actions, rates)`` for the :func:`row_blocks` of
+    the (n_steps, width) transition grid, in order: ``states`` and
+    ``actions`` are fresh arrays of grid rows rows.start..rows.stop, end point
+    included, and rates = reward(states[:-1], actions[:-1]).  A scalar
+    rollout is one block of 1-d arrays.  The variates are drawn in blocks of
+    max(1, TAPE // (2 * width)) steps from each row block's start, width 1 for
+    a scalar start, and are consumed step by step: the state's variates, then
+    the action's, the stream of a state draw and an action draw per step.
+
+    A non-finite value in a block raises SimulationError, before the block
+    is yielded, naming the first faulty step and the reward or the score that
+    produced it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -215,39 +237,40 @@ def simulate_from(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int,
     root = math.sqrt(dt)
     noise_a = SQRT2 * root
     m = max(1, TAPE // (2 * (size or 1)))  # steps per block of draws
-    if size is None:
-        states, actions = [x] * (n_steps + 1), [a] * (n_steps + 1)
-    else:
-        states, actions = np.empty((n_steps + 1, size)), np.empty((n_steps + 1, size))
-        states[0], actions[0] = x, a
-    for done in range(0, n_steps, m):
-        steps = min(m, n_steps - done)
+    for rows in row_blocks((n_steps, size or 1)):
+        n = rows.stop - rows.start + 1
         if size is None:
-            z = iter(noise.normals(2 * steps))
-            block = zip(z, z)
+            states, actions = [x] * n, [a] * n
         else:
-            block = noise.normal((steps, 2, size))
-        for k, (zx, za) in enumerate(block, done + 1):
-            x, a = (x + (A * x + B * a) * dt + (C * x + D * a) * root * zx,
-                    a + score(x, a) * dt + noise_a * za)
-            states[k] = x
-            actions[k] = a
-    states, actions = np.asarray(states, dtype=float), np.asarray(actions, dtype=float)
-    rates = np.empty_like(states[1:])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for rows in row_blocks(rates.shape):
-            rates[rows] = reward(states[rows], actions[rows])  # broadcasts a constant
-            ends = slice(rows.start, rows.stop + 1)
-            if not (np.isfinite(rates[rows]).all() and np.isfinite(states[ends]).all()
-                    and np.isfinite(actions[ends]).all()):
-                # later rows are not filled yet; the first fault lies in this block
-                raise SimulationError(_first_fault(dyn, reward, states, actions, rates))
-    times = np.arange(n_steps + 1) * dt
-    return Trajectory(times, states, actions, rates, noise.seed)
+            states, actions = np.empty((n, size)), np.empty((n, size))
+            states[0], actions[0] = x, a
+        for done in range(rows.start, rows.stop, m):
+            steps = min(m, rows.stop - done)
+            if size is None:
+                z = iter(noise.normals(2 * steps))
+                block = zip(z, z)
+            else:
+                block = noise.normal((steps, 2, size))
+            for k, (zx, za) in enumerate(block, done - rows.start + 1):
+                x, a = (x + (A * x + B * a) * dt + (C * x + D * a) * root * zx,
+                        a + score(x, a) * dt + noise_a * za)
+                states[k] = x
+                actions[k] = a
+        if size is None:
+            states, actions = np.fromiter(states, float, n), np.fromiter(actions, float, n)
+        rates = np.empty_like(states[1:])
+        with np.errstate(over="ignore", invalid="ignore"):
+            rates[...] = reward(states[:-1], actions[:-1])  # broadcasts a constant
+            if not (np.isfinite(rates).all() and np.isfinite(states).all()
+                    and np.isfinite(actions).all()):
+                raise SimulationError(_first_fault(dyn, reward, states, actions, rates,
+                                                   rows.start))
+        yield rows, states, actions, rates
 
 
-def _first_fault(dyn: DynamicsSpec, reward, states, actions, rates) -> str:
-    """Diagnose the first transition whose reward or end point is non-finite.
+def _first_fault(dyn: DynamicsSpec, reward, states, actions, rates, start: int) -> str:
+    """Diagnose the first transition of a row block whose reward or end point
+    is non-finite; the block starts at step ``start``.
 
     In a batch (one column per trajectory) the first faulty trajectory of that
     transition is named, with its own scalar state and action.
@@ -256,10 +279,10 @@ def _first_fault(dyn: DynamicsSpec, reward, states, actions, rates) -> str:
     good = np.isfinite(rates) & points[:-1] & points[1:]
     if good.ndim == 1:
         k = int(np.argmax(~good))
-        return f"step {k}: {_fault(dyn, reward, float(states[k]), float(actions[k]))}"
+        return f"step {start + k}: {_fault(dyn, reward, float(states[k]), float(actions[k]))}"
     k = int(np.argmax(~good.all(axis=1)))
     j = int(np.argmax(~good[k]))
-    return f"step {k}, trajectory {j}: {_fault(dyn, reward, states[k], actions[k], j)}"
+    return f"step {start + k}, trajectory {j}: {_fault(dyn, reward, states[k], actions[k], j)}"
 
 
 def simulate_batch(dyn: DynamicsSpec, reward, x0: float, a0: float, dt: float,
@@ -269,8 +292,7 @@ def simulate_batch(dyn: DynamicsSpec, reward, x0: float, a0: float, dt: float,
     All trajectories start from the same (x0, a0) and draw from a single seeded
     stream in the order of :func:`simulate_from`.  The score must accept
     numpy arrays elementwise and return one value per trajectory; the reward
-    is evaluated pointwise over the finished (n_steps, n_traj) grid, in row
-    blocks.
+    is evaluated pointwise on each row block of the (n_steps, n_traj) grid.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cqsm import sde
 from cqsm.lq import LqParams
 from cqsm.lq_analytic import k_to_optimal_params, solve_lq
 
@@ -25,3 +26,11 @@ def k_ref(lq_ref):
 @pytest.fixture(scope="session")
 def opt_params(k_ref, lq_ref):
     return k_to_optimal_params(k_ref, lq_ref.lam)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Row blocks of 1000 values: 5 rows at width 200 and 500 at width 2, a
+    single column still one block.  1003 steps is a multiple of neither, so a
+    rollout of that length ends on a short block."""
+    monkeypatch.setattr(sde, "BLOCK", 1000)

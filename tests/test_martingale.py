@@ -4,14 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cqsm import sde
+from cqsm import martingale, sde
 from cqsm.lq import LqParams, lq_dynamics, lq_reward_fn
 from cqsm.lq_analytic import optimal_score, q_star
 from cqsm.martingale import (ResidualReport, constant_test, estimate_discounted_return,
                              lagged_state_test, martingale_loss, orthogonality_residual,
                              orthogonality_statistics, q_gradient_test, trajectory_gaps)
 from cqsm.online import AlgoConfig
-from cqsm.sde import simulate_batch
+from cqsm.sde import SimulationError, simulate_batch
 from _oracles import evaluate_affine_score_q
 
 
@@ -187,15 +187,9 @@ def test_report_fields():
     assert report.z_score == report.estimate / report.std_error
 
 
-# Row blocks.  With BLOCK at 1000 values a block is 5 rows at width 200 and
-# 500 at width 2, and a single column is one block; 1003 steps is a multiple
-# of neither, so every grid below ends on a short block.
+# Row blocks, under the small_blocks fixture (conftest.py): every grid below
+# ends on a short block.
 BLOCK_STEPS = 1003
-
-
-@pytest.fixture
-def small_blocks(monkeypatch):
-    monkeypatch.setattr(sde, "BLOCK", 1000)
 
 
 class _BlockCounter:
@@ -305,26 +299,107 @@ def test_blocked_discounted_return_equals_the_one_shot_formula_bitwise(small_blo
     _assert_blocks_ran(score, width)
 
 
-@pytest.mark.parametrize("test_fn", [constant_test(), lagged_state_test(), q_gradient_test(4)],
-                         ids=["constant", "lagged", "q-gradient"])
-def test_orthogonality_residual_peak_stays_within_the_cli_memory_rule(k_ref, lq_ref, test_fn):
-    # check-martingale refuses a grid whose three float64 arrays of
-    # traj x (steps + 1) values (states, actions, reward rates) exceed memory;
-    # everything else, the test process included, is built a row block at a
-    # time, so the rule bounds the traced peak up to a few blocks
-    def run(n_traj, n_steps):
-        orthogonality_residual(lambda x, a: q_star(k_ref, x, a),
-                               lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a),
-                               test_fn, lq_ref,
-                               AlgoConfig(dt=0.01, n_steps=n_steps, seed=0), n_traj)
+@pytest.fixture
+def residual_sums(monkeypatch):
+    """The per-trajectory sums behind each orthogonality_residual report, in
+    call order (recorded where the report takes its standard error)."""
+    sums = []
+    jackknife = martingale._jackknife_se
+    monkeypatch.setattr(martingale, "_jackknife_se",
+                        lambda values: sums.append(values) or jackknife(values))
+    return sums
 
-    run(2, 2)  # the first call imports the parts of numpy it uses
-    n_traj, n_steps = 200, 2000
+
+# orthogonality_residual refuses a single trajectory, so the streamed tests
+# run at widths 2 and 200 (a single column is one block in any case)
+@pytest.mark.parametrize("width", [2, 200])
+@pytest.mark.parametrize("case", list(XI_CASES))
+def test_streamed_residual_equals_the_statistics_of_the_batch_bitwise(
+        small_blocks, residual_sums, k_ref, lq_ref, width, case):
+    process = XI_CASES[case][0]
+    qfun = lambda x, a: q_star(k_ref, x, a)
+    score = lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a)
+    cfg = AlgoConfig(dt=0.01, n_steps=BLOCK_STEPS, seed=11, x0=0.3, a0=-0.2)
+    report = orthogonality_residual(qfun, score, process, lq_ref, cfg, width)
+
+    batch = simulate_batch(lq_dynamics(lq_ref, score), lq_reward_fn(lq_ref), cfg.x0, cfg.a0,
+                           cfg.dt, cfg.n_steps, width, cfg.seed)
+    want = orthogonality_statistics(batch, qfun, score, process, lq_ref.beta, lq_ref.lam)
+    assert [_bits(sums) for sums in residual_sums] == [_bits(want)]
+    assert report.estimate == float(want.mean())
+
+
+# the state doubles every step without noise (1 + A dt = 2, C = D = 0), so
+# x_k = 2^k: x^2 overflows the reward at step 512, and the score below turns
+# NaN at step 600, both past the first block of 500 (width 2) or 5 (width 200) rows
+FAULTS = {
+    "reward": (LqParams(A=100.0, C=0.0, D=0.0, beta=300.0), lambda x, a: -a,
+               "step 512, trajectory 0: reward evaluated to a non-finite value at x=1.34"),
+    "score": (LqParams(A=100.0, C=0.0, D=0.0, M=0.0, R=0.0, P=0.0, beta=300.0),
+              lambda x, a: np.where(x >= 2.0 ** 600, np.nan, -a),
+              "step 600, trajectory 0: score evaluated to a non-finite value at x=4.14"),
+}
+
+
+@pytest.mark.parametrize("width", [2, 200])
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_streamed_residual_raises_the_batch_fault_of_a_later_block(small_blocks, width, fault):
+    p, score, head = FAULTS[fault]
+    cfg = AlgoConfig(dt=0.01, n_steps=BLOCK_STEPS, seed=3, x0=1.0, a0=0.0)
+    with pytest.raises(SimulationError) as batch_error:
+        simulate_batch(lq_dynamics(p, score), lq_reward_fn(p), cfg.x0, cfg.a0, cfg.dt,
+                       cfg.n_steps, width, cfg.seed)
+    with pytest.raises(SimulationError) as stream_error:
+        orthogonality_residual(lambda x, a: 0.0 * x, score, constant_test(), p, cfg, width)
+    assert str(stream_error.value) == str(batch_error.value)
+    assert str(batch_error.value).startswith(head)
+
+
+@pytest.mark.parametrize("width", [2, 200])
+def test_one_lagged_process_serves_consecutive_batches(small_blocks, residual_sums, k_ref,
+                                                       lq_ref, width):
+    # the process forgets one path's last rows when the next starts at row 0
+    qfun = lambda x, a: q_star(k_ref, x, a)
+    score = lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a)
+    cfgs = [AlgoConfig(dt=0.01, n_steps=BLOCK_STEPS, seed=11, x0=0.3, a0=-0.2),
+            AlgoConfig(dt=0.01, n_steps=BLOCK_STEPS - 2, seed=12, x0=0.3, a0=-0.2)]
+    shared = lagged_state_test(lag=7)
+    for make in (lambda: shared, lambda: lagged_state_test(lag=7)):
+        for cfg in cfgs:
+            orthogonality_residual(qfun, score, make(), lq_ref, cfg, width)
+    got, want = residual_sums[:2], residual_sums[2:]
+    assert [_bits(sums) for sums in got] == [_bits(sums) for sums in want]
+
+
+def _traced_peak(run) -> int:
     tracemalloc.start()
     try:
-        run(n_traj, n_steps)
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    rule = 3 * 8 * n_traj * (n_steps + 1)
-    assert peak <= rule + 8 * (8 * sde.BLOCK)
+
+
+@pytest.mark.parametrize("case", ["constant", "lagged", "q-gradient", "discounted-return"])
+def test_streamed_estimates_peak_does_not_grow_with_the_horizon(k_ref, lq_ref, case):
+    # orthogonality_residual and estimate_discounted_return read the rollout
+    # one row block at a time: a horizon four times longer adds less than a
+    # block and the discount column to the traced peak, which stays far below
+    # the three float64 grid arrays that check-martingale's memory rule counts
+    processes = {"constant": constant_test, "lagged": lagged_state_test,
+                 "q-gradient": lambda: q_gradient_test(4)}
+    qfun = lambda x, a: q_star(k_ref, x, a)
+    score = lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a)
+
+    def run(n_traj, n_steps):
+        cfg = AlgoConfig(dt=0.01, n_steps=n_steps, seed=0)
+        if case == "discounted-return":
+            estimate_discounted_return(lq_ref, score, cfg, n_traj)
+        else:
+            orthogonality_residual(qfun, score, processes[case](), lq_ref, cfg, n_traj)
+
+    run(2, 2)  # the first call imports the parts of numpy it uses
+    n_traj, short, long = 200, 2000, 8000
+    peaks = [_traced_peak(lambda: run(n_traj, n_steps)) for n_steps in (short, long)]
+    assert abs(peaks[1] - peaks[0]) < 8 * sde.BLOCK + 8 * (long + 1)
+    assert peaks[1] < 3 * 8 * n_traj * (long + 1) / 4

@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -201,16 +202,21 @@ def test_score_gradient_residual_points_back_after_perturbation(k_ref, lq_ref, o
         assert res[2] == pytest.approx(expected, rel=1e-9)
 
 
+def _train_reference(lq_ref, seed):
+    """Final theta of one seed of the offline acceptance run."""
+    cfg = AlgoConfig(dt=0.1, n_steps=500, alpha_theta=0.02, alpha_v=0.3,
+                     seed=seed, sampler="direct_sde", record_every=500)
+    v0 = np.random.default_rng((seed, 1)).uniform(0.0, 1.0, 3)
+    return run_offline(cfg, lq_ref, np.zeros(6), v0, n_episodes=2000).final_theta
+
+
 def test_offline_training_reaches_reference_optimum(lq_ref, opt_params):
+    # the five seeds are independent, so two worker processes run them
     theta_star, _ = opt_params
-    passing = 0
-    for seed in range(5):
-        cfg = AlgoConfig(dt=0.1, n_steps=500, alpha_theta=0.02, alpha_v=0.3,
-                         seed=seed, sampler="direct_sde", record_every=500)
-        v0 = np.random.default_rng((seed, 1)).uniform(0.0, 1.0, 3)
-        rec = run_offline(cfg, lq_ref, np.zeros(6), v0, n_episodes=2000)
-        err = np.abs(rec.final_theta - theta_star)
-        passing += bool(np.all(err[[0, 1, 4, 5]] < 0.2))
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        finals = list(pool.map(_train_reference, [lq_ref] * 5, range(5)))
+    passing = sum(bool(np.all(np.abs(final - theta_star)[[0, 1, 4, 5]] < 0.2))
+                  for final in finals)
     assert passing >= 4
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from cqsm.lq import lq_dynamics, lq_reward_fn
 from cqsm.lq_analytic import SolveError, optimal_score, solve_lq
 from cqsm.policy import grad_a_q, score_fn
 from cqsm.sde import (SQRT2, TAPE, DynamicsSpec, NoiseSource, SimulationError, Trajectory,
-                      simulate, simulate_batch, simulate_from)
+                      row_blocks, simulate, simulate_batch, simulate_blocks, simulate_from)
 
 from _oracles import SequenceNoise, random_admissible_params, reference_simulate
 
@@ -371,6 +372,61 @@ def test_simulate_from_bitwise_equals_per_step_reference(lq_ref, k_ref, width, u
                 assert g.shape == w.shape
                 assert np.array_equal(g.view(np.uint64), w.view(np.uint64)), (p, n_steps)
             assert got_noise.normal() == want_noise.normal()
+
+
+def _same_bits(got, want) -> bool:
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("width", [None, 1, 2, 200], ids=lambda w: f"width-{w}")
+@pytest.mark.parametrize("used", [0, 5], ids=lambda u: f"used-{u}")
+def test_row_blocks_of_a_rollout_equal_the_per_step_reference_bitwise(small_blocks, lq_ref,
+                                                                      k_ref, width, used):
+    # 1003 steps end on a short row block.  Each block of the stream, with its
+    # end point, and the grid simulate_from writes them into hold the per-step
+    # loop's bits, and the noise stream is left where the loop leaves it; a
+    # scalar rollout and a single column are one block
+    dyn = lq_dynamics(lq_ref, lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a))
+    reward = lq_reward_fn(lq_ref)
+    n_steps = 1003
+    if width is None:
+        x0, a0 = 0.4, -0.2
+    else:
+        x0, a0 = np.linspace(-1.0, 1.0, width), np.linspace(0.5, -0.5, width)
+    sources = [NoiseSource(31) for _ in range(3)]
+    for noise in sources:
+        for _ in range(used):
+            noise.normal()
+    states, actions, rates = reference_simulate(dyn, reward, x0, a0, 0.01, n_steps, sources[0])
+    blocks = list(simulate_blocks(dyn, reward, x0, a0, 0.01, n_steps, sources[1]))
+    grid = simulate_from(dyn, reward, x0, a0, 0.01, n_steps, sources[2])
+
+    assert [block[0] for block in blocks] == row_blocks(rates.shape)
+    assert len(blocks) == {None: 1, 1: 1, 2: 3, 200: 201}[width]
+    for rows, *got in blocks:
+        ends = slice(rows.start, rows.stop + 1)
+        for g, w in zip(got, (states[ends], actions[ends], rates[rows])):
+            assert _same_bits(g, w), rows
+    for g, w in zip((grid.states, grid.actions, grid.reward_rates), (states, actions, rates)):
+        assert _same_bits(g, w)
+    assert sources[0].normal() == sources[1].normal() == sources[2].normal()
+
+
+def test_simulate_batch_holds_its_grid_and_a_few_blocks(lq_ref, k_ref):
+    # simulate_from writes each row block into the grid as it is made, so its
+    # traced peak is the grid's three arrays plus a few blocks, not two grids
+    dyn = lq_dynamics(lq_ref, lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a))
+    run = lambda n_steps, n_traj: simulate_batch(dyn, lq_reward_fn(lq_ref), 0.0, 0.0, 0.01,
+                                                 n_steps, n_traj, seed=0)
+    run(2, 2)  # the first call imports the parts of numpy it uses
+    n_steps, n_traj = 2000, 200
+    tracemalloc.start()
+    try:
+        run(n_steps, n_traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * n_traj * (n_steps + 1) + 8 * (8 * sde.BLOCK)
 
 
 class _CountingNoise:
