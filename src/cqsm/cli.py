@@ -115,11 +115,13 @@ def _check_seed_and_finite(args, flag: str, value: float) -> None:
         raise ValueError(f"{flag} must be finite, got {value}")
 
 
-def _check_fits_in_memory(count, bytes_each: float, what: str, layout: str) -> None:
-    """Refuse ``count`` items of ``bytes_each`` bytes that physical memory cannot
-    hold; ``what`` names them and ``layout`` says how they are stored."""
+def _check_fits_in_memory(count, bytes_each: float, what: str, layout: str,
+                          fixed: float = 0.0) -> None:
+    """Refuse ``count`` items of ``bytes_each`` bytes, on top of ``fixed``
+    bytes, that physical memory cannot hold; ``what`` names them and
+    ``layout`` says how they are stored."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if count > memory / bytes_each:
+    if count > (memory - fixed) / bytes_each:
         raise ValueError(f"{what} do not fit in the {memory} bytes of physical memory "
                          f"({layout})")
 
@@ -136,8 +138,12 @@ def _cmd_martingale(args) -> int:
         raise ValueError(f"--horizon {args.horizon} / --dt {args.dt} rounds to 0 steps, "
                          "need at least 1")
     what = f"--traj {args.traj} trajectories of --horizon / --dt = {steps:.6g} steps"
-    _check_fits_in_memory(args.traj, 3 * 8 * (steps + 1), what,
-                          "three float64 arrays of traj x (steps + 1) values")
+    # the streamed check holds the discount column, the time column it is
+    # computed from, and one row block, whose traced peak at 10**5 and
+    # 2 * 10**5 trajectories is 18.0 float64 values per trajectory; 20 leaves room
+    _check_fits_in_memory(args.traj, 20 * 8, what, "two float64 columns of steps + 1 values "
+                          "and 20 float64 values per trajectory for a row block",
+                          fixed=16 * (steps + 1))
     cfg = load_config(args.config)
     p = cfg.lq
     k = solve_lq(p)

@@ -97,10 +97,11 @@ def lagged_state_test(lag: int = 1, power: int = 2) -> TestProcess:
     return xi
 
 
-def discount_weights(traj: Trajectory, beta: float) -> np.ndarray:
-    """exp(-beta * traj.times): 1-d for one rollout, a column against a batch."""
-    w = np.exp(-beta * traj.times)
-    return w if traj.states.ndim == 1 else w[:, None]
+def discount_weights(shape, dt: float, beta: float) -> np.ndarray:
+    """exp(-beta t) at the times t_k = k dt of the grid points of a grid of
+    ``shape``, one per row: 1-d for one rollout, a column against a batch."""
+    w = np.exp(-beta * (np.arange(shape[0]) * dt))
+    return w if len(shape) == 1 else w[:, None]
 
 
 def net_reward_flow(discount, reward_rates, psi_values, dt: float, lam: float):
@@ -173,8 +174,8 @@ def orthogonality_statistics(batch: Trajectory, qfun, score, test_fn: TestProces
     ``score`` and ``test_fn`` are evaluated on row blocks of the grid, the
     test process once per block.
     """
-    return _orthogonality_sums(_blocks_of(batch), discount_weights(batch, beta), qfun, score,
-                               test_fn, batch.dt, lam)
+    w = discount_weights(batch.states.shape, batch.dt, beta)
+    return _orthogonality_sums(_blocks_of(batch), w, qfun, score, test_fn, batch.dt, lam)
 
 
 def _jackknife_se(values: np.ndarray) -> float:
@@ -187,11 +188,11 @@ def _stream(p: LqParams, score, cfg: AlgoConfig, n_traj: int):
     """The row blocks of ``n_traj`` trajectories of the joint dynamics of ``p``
     under ``score`` from (cfg.x0, cfg.a0), cfg.n_steps steps of cfg.dt, noise
     seeded by cfg.seed (the batch of :func:`sde.simulate_batch`), and their
-    discount column exp(-beta t)."""
+    discount column (:func:`discount_weights`)."""
     blocks = simulate_blocks(lq_dynamics(p, score), lq_reward_fn(p),
                              np.full(n_traj, float(cfg.x0)), np.full(n_traj, float(cfg.a0)),
                              cfg.dt, cfg.n_steps, NoiseSource(cfg.seed))
-    return blocks, np.exp(-p.beta * (np.arange(cfg.n_steps + 1) * cfg.dt))[:, None]
+    return blocks, discount_weights((cfg.n_steps + 1, n_traj), cfg.dt, p.beta)
 
 
 def orthogonality_residual(qfun, score, test_fn: TestProcess, p: LqParams,
@@ -222,8 +223,8 @@ def trajectory_gaps(batch: Trajectory, qfun, score, beta: float,
     """Return-to-go gaps G_k for every trajectory in a batch, shape (K, m)."""
     q_vals = qfun(batch.states, batch.actions)
     psi = score(batch.states, batch.actions)
-    return return_gaps(discount_weights(batch, beta), batch.reward_rates, q_vals, psi,
-                       batch.dt, lam)
+    return return_gaps(discount_weights(batch.states.shape, batch.dt, beta), batch.reward_rates,
+                       q_vals, psi, batch.dt, lam)
 
 
 def martingale_loss(qfun, score, p: LqParams, cfg: AlgoConfig, n_traj: int) -> float:

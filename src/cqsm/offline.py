@@ -26,7 +26,7 @@ from .sde import NoiseSource, SimulationError, Trajectory, simulate_from
 
 @dataclass(frozen=True)
 class Episode:
-    """One truncated rollout plus its discount weights exp(-beta * times)."""
+    """One truncated rollout plus its discount weights exp(-beta t) on its grid."""
 
     trajectory: Trajectory
     discount_weights: np.ndarray
@@ -42,22 +42,7 @@ def rollout_episode(p: LqParams, v, cfg: AlgoConfig, noise: NoiseSource) -> Epis
     _, score = _score_of(v)
     traj = simulate_from(lq_dynamics(p, score), lq_reward_fn(p), cfg.x0, a0, cfg.dt,
                          cfg.n_steps, noise)
-    return Episode(traj, discount_weights(traj, cfg.beta))
-
-
-def _episode_gaps(ep: Episode, theta, score, lam: float) -> np.ndarray:
-    traj = ep.trajectory
-    q_vals = q_theta(theta, traj.states, traj.actions)
-    psi = score(traj.states, traj.actions)
-    return return_gaps(ep.discount_weights, traj.reward_rates, q_vals, psi, traj.dt, lam)
-
-
-def episode_return_to_go(ep: Episode, theta, v, lam: float, k: int) -> float:
-    """The gap G_k at grid index k (0 <= k < number of transitions)."""
-    n = len(ep.trajectory.reward_rates)
-    if not 0 <= k < n:
-        raise IndexError(f"k={k} outside the episode's {n} transitions")
-    return float(_episode_gaps(ep, theta, _score_of(v)[1], lam)[k])
+    return Episode(traj, discount_weights(traj.states.shape, traj.dt, cfg.beta))
 
 
 def offline_update(ep: Episode, theta, v, cfg: AlgoConfig, episode_index: int):
@@ -73,7 +58,10 @@ def offline_update(ep: Episode, theta, v, cfg: AlgoConfig, episode_index: int):
     theta = np.asarray(theta, dtype=float)
     v = np.asarray(v, dtype=float)
     traj = ep.trajectory
-    gaps = _episode_gaps(ep, theta, _score_of(v)[1], cfg.lam)
+    _, score = _score_of(v)
+    gaps = return_gaps(ep.discount_weights, traj.reward_rates,
+                       q_theta(theta, traj.states, traj.actions),
+                       score(traj.states, traj.actions), traj.dt, cfg.lam)
     grads = np.stack(np.broadcast_arrays(*q_features(traj.states[:-1], traj.actions[:-1])),
                      axis=1)
     lr = lr_schedule(float(episode_index))

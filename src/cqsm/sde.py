@@ -8,8 +8,8 @@ time (:func:`row_blocks`; a scalar rollout is one block), with the block's
 reward rates.  :func:`simulate_from` writes the blocks into one grid, a
 :class:`Trajectory`; :func:`simulate` and :func:`simulate_batch` only choose
 its start and noise source.  A consumer that only sums forward in time reads
-the stream itself and never holds the grid.  The loop takes its variates in
-blocks of several steps and checks nothing per step: one finiteness check per
+the stream itself and never holds the grid.  The loop draws each row block's
+variates in one call and checks nothing per step: one finiteness check per
 row block finds a fault and names the step and whether the reward, the score
 or the step itself caused it.
 """
@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 TAPE = 1024  # scalar variates pre-drawn per refill of a NoiseSource tape
-BLOCK = 2 ** 16  # grid values per row block of a rollout and of its pointwise arithmetic
+BLOCK = 2 ** 15  # grid values per row block of a rollout and of its pointwise arithmetic
 SQRT2 = math.sqrt(2.0)  # action noise: the score's Boltzmann law is stationary
 
 
@@ -107,48 +107,40 @@ class DynamicsSpec(NamedTuple):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Simulated rollouts on a uniform time grid.
+    """Simulated rollouts on the uniform time grid t_k = k dt.
 
     ``states`` and ``actions`` have one row per grid point; ``reward_rates``
     has one row per transition and is evaluated at the pre-step pair,
     reward_rates[k] = reward(states[k], actions[k]).  A single scalar rollout
     has 1-d arrays; a batch of scalar rollouts keeps one column per trajectory
-    in all three arrays.  A trajectory has at least one transition, so two
-    time points give ``dt``.
+    in all three arrays.  A trajectory has at least one transition.
     """
 
-    times: np.ndarray
+    dt: float
     states: np.ndarray
     actions: np.ndarray
     reward_rates: np.ndarray
-    seed: int
 
     def __post_init__(self):
-        n = len(self.times)
+        n = len(self.states)
         if n < 2:
             raise ValueError(f"a trajectory needs at least one transition, got {n} time points")
-        if len(self.states) != n or len(self.actions) != n:
+        if len(self.actions) != n:
             raise ValueError("states and actions must have one row per time point")
         if len(self.reward_rates) != n - 1:
             raise ValueError("reward_rates must have one entry per transition")
 
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
 
-
-def row_blocks(shape) -> list:
+def row_blocks(shape):
     """Row slices that cover a grid of ``shape`` in blocks of about ``BLOCK``
-    values, at least one row each.
+    values, at least one row each, made one at a time.
 
     A grid less than two values wide (1-d, or one column) is a single block:
     numpy sums such a column pairwise, so splitting it would change its sum.
     """
     n_rows, width = shape[0], math.prod(shape[1:])
-    if width < 2:
-        return [slice(0, n_rows)]
-    rows = max(1, BLOCK // width)
-    return [slice(lo, min(lo + rows, n_rows)) for lo in range(0, n_rows, rows)]
+    rows = max(1, n_rows if width < 2 else BLOCK // width)
+    return (slice(lo, min(lo + rows, n_rows)) for lo in range(0, n_rows, rows))
 
 
 def _finite(value) -> bool:
@@ -191,7 +183,7 @@ def simulate_from(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int,
         ends = slice(rows.start, rows.stop + 1)
         grid[0][ends], grid[1][ends], grid[2][rows] = states, actions, rates
         del states, actions, rates  # free the block before the next one is made
-    return Trajectory(np.arange(n_steps + 1) * dt, *grid, noise.seed)
+    return Trajectory(float(dt), *grid)
 
 
 def simulate_blocks(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int,
@@ -208,10 +200,10 @@ def simulate_blocks(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int,
     the (n_steps, width) transition grid, in order: ``states`` and
     ``actions`` are fresh arrays of grid rows rows.start..rows.stop, end point
     included, and rates = reward(states[:-1], actions[:-1]).  A scalar
-    rollout is one block of 1-d arrays.  The variates are drawn in blocks of
-    max(1, TAPE // (2 * width)) steps from each row block's start, width 1 for
-    a scalar start, and are consumed step by step: the state's variates, then
-    the action's, the stream of a state draw and an action draw per step.
+    rollout is one block of 1-d arrays.  Each row block's variates are drawn
+    in one call, noise.normals(2 * steps) from a scalar start and
+    noise.normal((steps, 2, width)) for a batch, and are consumed step by
+    step: the state's variates, then the action's.
 
     A non-finite value in a block raises SimulationError, before the block
     is yielded, naming the first faulty step and the reward or the score that
@@ -236,26 +228,21 @@ def simulate_blocks(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int,
     A, B, C, D, score = dyn
     root = math.sqrt(dt)
     noise_a = SQRT2 * root
-    m = max(1, TAPE // (2 * (size or 1)))  # steps per block of draws
     for rows in row_blocks((n_steps, size or 1)):
         n = rows.stop - rows.start + 1
         if size is None:
             states, actions = [x] * n, [a] * n
+            z = iter(noise.normals(2 * (n - 1)))
+            draws = zip(z, z)
         else:
             states, actions = np.empty((n, size)), np.empty((n, size))
             states[0], actions[0] = x, a
-        for done in range(rows.start, rows.stop, m):
-            steps = min(m, rows.stop - done)
-            if size is None:
-                z = iter(noise.normals(2 * steps))
-                block = zip(z, z)
-            else:
-                block = noise.normal((steps, 2, size))
-            for k, (zx, za) in enumerate(block, done - rows.start + 1):
-                x, a = (x + (A * x + B * a) * dt + (C * x + D * a) * root * zx,
-                        a + score(x, a) * dt + noise_a * za)
-                states[k] = x
-                actions[k] = a
+            draws = noise.normal((n - 1, 2, size))
+        for k, (zx, za) in enumerate(draws, 1):
+            x, a = (x + (A * x + B * a) * dt + (C * x + D * a) * root * zx,
+                    a + score(x, a) * dt + noise_a * za)
+            states[k] = x
+            actions[k] = a
         if size is None:
             states, actions = np.fromiter(states, float, n), np.fromiter(actions, float, n)
         rates = np.empty_like(states[1:])

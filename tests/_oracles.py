@@ -105,7 +105,6 @@ class SequenceNoise:
 
     def __init__(self, values):
         self._values = list(values)
-        self.seed = -1
 
     def normal(self, size=None):
         if size is not None:

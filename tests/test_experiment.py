@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cqsm.cli as cli
 import cqsm.experiment as experiment
 import cqsm.online as online
 from cqsm.cli import main as cli_main, parallel_workers
@@ -15,7 +16,7 @@ from cqsm.experiment import (ConfigError, ExperimentConfig, config_hash, format_
                              parse_config, run_experiment)
 from cqsm.lq import LqParams
 from cqsm.lq_analytic import k_to_optimal_params, optimal_score
-from cqsm.martingale import estimate_discounted_return
+from cqsm.martingale import ResidualReport, estimate_discounted_return
 from cqsm.online import AlgoConfig, DivergenceError, run_cqsm
 from cqsm.policy import psi_v
 from cqsm.sde import SimulationError
@@ -590,6 +591,25 @@ def test_cli_check_martingale_rejects_a_grid_beyond_memory(tmp_path, capsys, tra
     assert captured.err.startswith(f"config error: --traj {traj} trajectories of "
                                    "--horizon / --dt = ")
     assert "bytes of physical memory" in captured.err
+    assert captured.err.endswith("(two float64 columns of steps + 1 values and 20 float64 "
+                                 "values per trajectory for a row block)\n")
+
+
+def test_cli_check_martingale_passes_a_long_grid_it_streams(tmp_path, capsys, monkeypatch):
+    # 2e7 steps: the rule counts two 160 MB columns and 2000 trajectories' row
+    # block, not three 320 GB grids; the stub keeps anything from being simulated
+    calls = []
+
+    def residual(qfun, score, test_fn, p, cfg, n_traj):
+        calls.append((cfg.n_steps, cfg.dt, n_traj))
+        return ResidualReport(0.0, 1.0, n_traj, 0.0)
+
+    monkeypatch.setattr(cli, "orthogonality_residual", residual)
+    path = _write_config(tmp_path)
+    assert cli_main(["check-martingale", "--config", str(path), "--traj", "2000",
+                     "--horizon", "2e5", "--dt", "0.01"]) == 0
+    assert calls == [(20_000_000, 0.01, 2000)]
+    assert capsys.readouterr().out.splitlines()[-1] == "0,1,2000,0"
 
 
 def _martingale_estimate(capsys, path):

@@ -123,8 +123,8 @@ def test_no_name_is_imported_from_the_package_root():
 
 # the paper's objects: public for study and tested directly, though no other
 # code path calls them
-PAPER_OBJECTS = {"td_delta", "episode_return_to_go", "martingale_loss", "lagged_state_test",
-                 "q_gradient_test", "hjb_residual", "estimate_discounted_return"}
+PAPER_OBJECTS = {"td_delta", "martingale_loss", "lagged_state_test", "q_gradient_test",
+                 "hjb_residual", "estimate_discounted_return"}
 
 
 def module_level_definitions(path: Path) -> set[str]:

@@ -25,10 +25,10 @@ def test_zero_everything_gives_exact_zero():
     rng = np.random.default_rng(0)
     from cqsm.sde import Trajectory
 
-    batch = Trajectory(times=np.arange(21) * 0.1,
+    batch = Trajectory(dt=0.1,
                        states=rng.normal(size=(21, 30)),
                        actions=rng.normal(size=(21, 30)),
-                       reward_rates=np.zeros((20, 30)), seed=0)
+                       reward_rates=np.zeros((20, 30)))
     stats = orthogonality_statistics(batch, lambda x, a: 0.0 * x,
                                      lambda x, a: 0.0 * a, constant_test(),
                                      beta=1.0, lam=0.1)
@@ -124,10 +124,10 @@ def test_martingale_loss_zero_case():
     from cqsm.sde import Trajectory
 
     rng = np.random.default_rng(1)
-    batch = Trajectory(times=np.arange(11) * 0.1,
+    batch = Trajectory(dt=0.1,
                        states=rng.normal(size=(11, 5)),
                        actions=rng.normal(size=(11, 5)),
-                       reward_rates=np.zeros((10, 5)), seed=0)
+                       reward_rates=np.zeros((10, 5)))
     gaps = trajectory_gaps(batch, lambda x, a: 0.0 * x, lambda x, a: 0.0 * a,
                            beta=1.0, lam=0.1)
     assert 0.5 * float(np.mean(gaps ** 2)) * batch.dt == 0.0
@@ -268,7 +268,7 @@ def test_blocked_orthogonality_sums_equal_the_one_shot_formula_bitwise(small_blo
 
     got = orthogonality_statistics(batch, qfun, score, test_fn, lq_ref.beta, lq_ref.lam)
 
-    w = np.exp(-lq_ref.beta * batch.times)[:, None]
+    w = np.exp(-lq_ref.beta * (np.arange(BLOCK_STEPS + 1) * batch.dt))[:, None]
     q = plain_q(batch.states, batch.actions)
     psi = score(batch.states[:-1], batch.actions[:-1])
     inc = (w[1:] * q[1:] - w[:-1] * q[:-1]
@@ -292,7 +292,7 @@ def test_blocked_discounted_return_equals_the_one_shot_formula_bitwise(small_blo
 
     batch = simulate_batch(lq_dynamics(lq_ref, plain_score), lq_reward_fn(lq_ref), cfg.x0,
                            cfg.a0, cfg.dt, cfg.n_steps, width, cfg.seed)
-    w = np.exp(-lq_ref.beta * batch.times)[:-1, None]
+    w = np.exp(-lq_ref.beta * (np.arange(BLOCK_STEPS) * batch.dt))[:, None]
     psi = plain_score(batch.states[:-1], batch.actions[:-1])
     returns = (w * (batch.reward_rates - 0.5 * lq_ref.lam * psi ** 2) * batch.dt).sum(axis=0)
     assert got == (float(returns.mean()), float(returns.std(ddof=1) / np.sqrt(width)))
@@ -385,7 +385,7 @@ def test_streamed_estimates_peak_does_not_grow_with_the_horizon(k_ref, lq_ref, c
     # orthogonality_residual and estimate_discounted_return read the rollout
     # one row block at a time: a horizon four times longer adds less than a
     # block and the discount column to the traced peak, which stays far below
-    # the three float64 grid arrays that check-martingale's memory rule counts
+    # the three float64 arrays of the grid
     processes = {"constant": constant_test, "lagged": lagged_state_test,
                  "q-gradient": lambda: q_gradient_test(4)}
     qfun = lambda x, a: q_star(k_ref, x, a)
@@ -403,3 +403,17 @@ def test_streamed_estimates_peak_does_not_grow_with_the_horizon(k_ref, lq_ref, c
     peaks = [_traced_peak(lambda: run(n_traj, n_steps)) for n_steps in (short, long)]
     assert abs(peaks[1] - peaks[0]) < 8 * sde.BLOCK + 8 * (long + 1)
     assert peaks[1] < 3 * 8 * n_traj * (long + 1) / 4
+
+
+def test_wide_streamed_residual_peak_is_within_check_martingales_memory_rule(k_ref, lq_ref):
+    # wider than a row block, each block is one row; the traced peak of the
+    # check that check-martingale runs stays within what its memory rule counts:
+    # two float64 columns of steps + 1 values and 20 float64 values per trajectory
+    qfun = lambda x, a: q_star(k_ref, x, a)
+    score = lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a)
+    run = lambda n_traj, cfg: orthogonality_residual(qfun, score, constant_test(), lq_ref, cfg,
+                                                     n_traj)
+    run(2, AlgoConfig(dt=0.01, n_steps=2, seed=0))  # the first call imports what it uses
+    n_traj, cfg = 10 ** 5, AlgoConfig(dt=0.01, n_steps=4, seed=0)
+    assert n_traj > sde.BLOCK
+    assert _traced_peak(lambda: run(n_traj, cfg)) <= 16 * (cfg.n_steps + 1) + 20 * 8 * n_traj

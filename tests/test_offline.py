@@ -11,47 +11,46 @@ from hypothesis import strategies as st
 from cqsm.lq import lq_dynamics, lq_reward_fn
 from cqsm.lq_analytic import k_to_optimal_params, optimal_score
 from cqsm.martingale import discount_weights, return_gaps
-from cqsm.offline import (Episode, episode_return_to_go, offline_update, rollout_episode,
-                          run_offline, score_gradient_residual)
+from cqsm.offline import (Episode, offline_update, rollout_episode, run_offline,
+                          score_gradient_residual)
 from cqsm.online import AlgoConfig, DivergenceError, lr_schedule
 from cqsm.policy import psi_v, q_theta
 from cqsm.sde import NoiseSource, SimulationError, Trajectory, simulate_batch
 import cqsm.offline as offline
 
 
-def _episode_from_arrays(times, xs, as_, rs, beta):
-    traj = Trajectory(np.asarray(times, float), np.asarray(xs, float),
-                      np.asarray(as_, float), np.asarray(rs, float), seed=0)
-    return Episode(traj, discount_weights(traj, beta))
+def _episode_from_arrays(dt, xs, as_, rs, beta):
+    traj = Trajectory(dt, np.asarray(xs, float), np.asarray(as_, float), np.asarray(rs, float))
+    return Episode(traj, discount_weights(traj.states.shape, dt, beta))
+
+
+def _episode_gaps(ep, theta, v, lam):
+    """The return-to-go gaps of an episode, through return_gaps."""
+    traj = ep.trajectory
+    return return_gaps(ep.discount_weights, traj.reward_rates,
+                       q_theta(theta, traj.states, traj.actions),
+                       psi_v(v, traj.states, traj.actions), traj.dt, lam)
 
 
 def test_return_to_go_all_zero_case():
-    ep = _episode_from_arrays([0.0, 1.0], [0.0, 0.3], [0.0, 0.1], [0.0], beta=1.0)
-    assert episode_return_to_go(ep, np.zeros(6), np.zeros(3), 0.1, 0) == 0.0
+    ep = _episode_from_arrays(1.0, [0.0, 0.3], [0.0, 0.1], [0.0], beta=1.0)
+    assert _episode_gaps(ep, np.zeros(6), np.zeros(3), 0.1).tolist() == [0.0]
 
 
 def test_return_to_go_undiscounted_hand_sum():
     # beta = 0, dt = 1, zero value model, zero score at the visited actions
-    ep = _episode_from_arrays([0.0, 1.0, 2.0], [1.0, 2.0, 0.5], [0.0, 0.0, 0.0],
-                              [-2.0, -6.0], beta=0.0)
-    g0 = episode_return_to_go(ep, np.zeros(6), np.zeros(3), 0.1, 0)
+    ep = _episode_from_arrays(1.0, [1.0, 2.0, 0.5], [0.0, 0.0, 0.0], [-2.0, -6.0], beta=0.0)
+    g0, g1 = _episode_gaps(ep, np.zeros(6), np.zeros(3), 0.1)
     assert g0 == pytest.approx(-8.0, abs=1e-12)
-    g1 = episode_return_to_go(ep, np.zeros(6), np.zeros(3), 0.1, 1)
     assert g1 == pytest.approx(-6.0, abs=1e-12)
 
 
-def test_return_to_go_index_bounds():
-    ep = _episode_from_arrays([0.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0], beta=1.0)
-    with pytest.raises(IndexError):
-        episode_return_to_go(ep, np.zeros(6), np.zeros(3), 0.1, 1)
-
-
 def test_gap_and_residual_refuse_an_overflowing_score_slope():
-    ep = _episode_from_arrays([0.0, 1.0], [0.0, 0.3], [0.0, 0.1], [0.0], beta=1.0)
+    ep = _episode_from_arrays(1.0, [0.0, 0.3], [0.0, 0.1], [0.0], beta=1.0)
     v = np.array([800.0, 0.0, 0.0])
     message = re.escape("score slope -exp(v0) overflows at step 0 (v0 = 800)")
     with pytest.raises(DivergenceError, match=message):
-        episode_return_to_go(ep, np.zeros(6), v, 0.1, 0)
+        offline_update(ep, np.zeros(6), v, AlgoConfig(dt=1.0, lam=0.1), 1)
     with pytest.raises(DivergenceError, match=message):
         score_gradient_residual(np.zeros(6), v, 0.1, ep)
 
@@ -62,8 +61,8 @@ def _gap_head_at_optimum(k_ref, lq_ref, theta, v, seed, n_episodes=1000):
         lq_reward_fn(lq_ref), 0.0, 0.0, 0.0125, 4000, n_episodes, seed=seed)
     q_vals = q_theta(theta, batch.states, batch.actions)
     psi = psi_v(v, batch.states, batch.actions)
-    gaps = return_gaps(discount_weights(batch, lq_ref.beta), batch.reward_rates, q_vals, psi,
-                       batch.dt, lq_ref.lam)
+    gaps = return_gaps(discount_weights(batch.states.shape, batch.dt, lq_ref.beta),
+                       batch.reward_rates, q_vals, psi, batch.dt, lq_ref.lam)
     return batch, gaps
 
 
@@ -146,11 +145,11 @@ def test_offline_update_returns_fresh_arrays(lq_ref):
 
 def test_offline_update_single_step_hand_value(lq_ref):
     dt = 1.0
-    ep = _episode_from_arrays([0.0, 1.0], [1.0, 0.5], [2.0, 0.0], [-3.0], beta=1.0)
+    ep = _episode_from_arrays(dt, [1.0, 0.5], [2.0, 0.0], [-3.0], beta=1.0)
     theta0 = np.zeros(6)
     v0 = np.zeros(3)
     cfg = AlgoConfig(dt=dt, alpha_theta=0.1, alpha_v=0.0, beta=1.0, lam=0.1)
-    g0 = episode_return_to_go(ep, theta0, v0, cfg.lam, 0)
+    (g0,) = _episode_gaps(ep, theta0, v0, cfg.lam)
     theta, _ = offline_update(ep, theta0, v0, cfg, episode_index=1)
     xi = np.array([0.5, 1.0, 2.0, 2.0, 2.0, 1.0])  # gradient at (x, a) = (1, 2)
     np.testing.assert_allclose(theta, 0.1 * xi * g0 * dt, rtol=1e-12)
@@ -176,9 +175,9 @@ def test_score_gradient_residual_vanishes_at_exact_fit(k_ref, lq_ref, opt_params
     batch = simulate_batch(
         lq_dynamics(lq_ref, lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a)),
         lq_reward_fn(lq_ref), 0.0, 0.0, 0.1, 100, 1, seed=3)
-    traj = Trajectory(batch.times, batch.states[:, 0], batch.actions[:, 0],
-                      batch.reward_rates[:, 0], seed=3)
-    ep = Episode(traj, discount_weights(traj, lq_ref.beta))
+    traj = Trajectory(batch.dt, batch.states[:, 0], batch.actions[:, 0],
+                      batch.reward_rates[:, 0])
+    ep = Episode(traj, discount_weights(traj.states.shape, traj.dt, lq_ref.beta))
     res = score_gradient_residual(theta, v, lq_ref.lam, ep)
     assert np.max(np.abs(res)) < 1e-10
 
@@ -190,9 +189,9 @@ def test_score_gradient_residual_points_back_after_perturbation(k_ref, lq_ref, o
     for seed in range(20):
         batch = simulate_batch(lq_dynamics(lq_ref, score), lq_reward_fn(lq_ref),
                                0.0, 0.0, 0.1, 200, 1, seed=seed)
-        traj = Trajectory(batch.times, batch.states[:, 0], batch.actions[:, 0],
-                          batch.reward_rates[:, 0], seed=seed)
-        ep = Episode(traj, discount_weights(traj, lq_ref.beta))
+        traj = Trajectory(batch.dt, batch.states[:, 0], batch.actions[:, 0],
+                          batch.reward_rates[:, 0])
+        ep = Episode(traj, discount_weights(traj.states.shape, traj.dt, lq_ref.beta))
         v = v_star.copy()
         v[2] += shift
         res = score_gradient_residual(theta, v, lq_ref.lam, ep)
@@ -288,5 +287,6 @@ def test_run_offline_deterministic(lq_ref):
 
 def test_episode_weights_match_times(lq_ref):
     cfg, _, ep = _rollout(lq_ref)
-    np.testing.assert_allclose(ep.discount_weights, np.exp(-cfg.beta * ep.trajectory.times))
+    times = np.arange(cfg.n_steps + 1) * cfg.dt
+    np.testing.assert_allclose(ep.discount_weights, np.exp(-cfg.beta * times))
     assert len(ep.trajectory.reward_rates) == cfg.n_steps

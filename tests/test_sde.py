@@ -24,7 +24,7 @@ class _ZeroNoise:
     """A NoiseSource stand-in whose every variate is 0.0."""
 
     def __init__(self, seed=-1):
-        self.seed = seed
+        pass
 
     def normal(self, size=None):
         return 0.0 if size is None else np.zeros(size)
@@ -91,7 +91,7 @@ def test_simulate_single_step_is_one_em_step():
     noise = NoiseSource(42)
     zx, za = noise.normal(), noise.normal()
     x2, a2 = one_step(dyn, 1.0, 2.0, 0.1, zx, za, reward)
-    assert len(traj.times) == 2
+    assert len(traj.states) == 2 and traj.dt == 0.1
     assert traj.states[1] == x2 and traj.actions[1] == a2
     assert x2 == (1.0 + (-1.0 * 1.0 + 1.0 * 2.0) * 0.1
                   + (0.25 * 1.0 + 0.5 * 2.0) * math.sqrt(0.1) * zx)
@@ -323,11 +323,6 @@ def test_batch_of_one_matches_single_trajectory_bitwise(lq_ref, k_ref):
         assert batch.states.shape == single.states.shape + (1,)
 
 
-def _block_steps(width):
-    """Steps per block of draws in simulate_from: max(1, TAPE // (2 * width))."""
-    return max(1, TAPE // (2 * (width or 1)))
-
-
 def _random_instances_and_scores():
     """Two random admissible instances, with B and C nonzero, each under its
     optimal score as a ``score_fn`` closure and as a plain lambda."""
@@ -348,9 +343,9 @@ def _random_instances_and_scores():
 @pytest.mark.parametrize("width", [None, 1, 3, 200, TAPE], ids=lambda w: f"width-{w}")
 @pytest.mark.parametrize("used", [0, 5], ids=lambda u: f"used-{u}")
 def test_simulate_from_bitwise_equals_per_step_reference(lq_ref, k_ref, width, used):
-    # block draws and one grid reward pass give the per-step loop's bits, and
-    # leave the noise stream where it leaves it; the tape is fresh (used 0) or
-    # partly drained by scalar draws.  The reference instance has B = C = 0, so
+    # one draw and one reward pass per row block give the per-step loop's bits,
+    # and leave the noise stream where it leaves it; the tape is fresh (used 0)
+    # or partly drained by scalar draws.  The reference instance has B = C = 0, so
     # random instances check the B a and C x terms, from a scalar start and a batch.
     cases = [(lq_ref, lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a))]
     if width in (None, 3):
@@ -359,10 +354,10 @@ def test_simulate_from_bitwise_equals_per_step_reference(lq_ref, k_ref, width, u
         x0, a0 = 0.4, -0.2
     else:
         x0, a0 = np.linspace(-1.0, 1.0, width), np.linspace(0.5, -0.5, width)
-    m = _block_steps(width)
+    rows = min(3 * TAPE, sde.BLOCK // (width or 1))  # rows per row block, capped
     for p, score in cases:
         dyn, reward = lq_dynamics(p, score), lq_reward_fn(p)
-        for n_steps in sorted({1, max(1, m - 1), m, m + 1, 3 * TAPE}):
+        for n_steps in sorted({1, max(1, rows - 1), rows, rows + 1, 3 * TAPE}):
             got_noise, want_noise = NoiseSource(31), NoiseSource(31)
             for _ in range(used):
                 got_noise.normal(), want_noise.normal()
@@ -401,7 +396,7 @@ def test_row_blocks_of_a_rollout_equal_the_per_step_reference_bitwise(small_bloc
     blocks = list(simulate_blocks(dyn, reward, x0, a0, 0.01, n_steps, sources[1]))
     grid = simulate_from(dyn, reward, x0, a0, 0.01, n_steps, sources[2])
 
-    assert [block[0] for block in blocks] == row_blocks(rates.shape)
+    assert [block[0] for block in blocks] == list(row_blocks(rates.shape))
     assert len(blocks) == {None: 1, 1: 1, 2: 3, 200: 201}[width]
     for rows, *got in blocks:
         ends = slice(rows.start, rows.stop + 1)
@@ -426,7 +421,7 @@ def test_simulate_batch_holds_its_grid_and_a_few_blocks(lq_ref, k_ref):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 8 * n_traj * (n_steps + 1) + 8 * (8 * sde.BLOCK)
+    assert peak <= 3 * 8 * n_traj * (n_steps + 1) + 4 * 2 ** 20  # 4 MiB for the blocks
 
 
 class _CountingNoise:
@@ -434,7 +429,6 @@ class _CountingNoise:
 
     def __init__(self, seed):
         self._source = NoiseSource(seed)
-        self.seed = seed
         self.requests = []
 
     def normal(self, size=None):
@@ -447,7 +441,11 @@ class _CountingNoise:
 
 
 @pytest.mark.parametrize("width", [None, 3, 200], ids=lambda w: f"width-{w}")
-def test_one_rollout_calls_reward_twice_and_draws_once_per_block(lq_ref, k_ref, width):
+@pytest.mark.parametrize("used", [0, 5], ids=lambda u: f"used-{u}")
+def test_one_rollout_calls_reward_and_draws_once_per_row_block(small_blocks, lq_ref, k_ref,
+                                                               width, used):
+    # 1003 steps: one block from a scalar start, else 4 blocks of up to 333
+    # rows at width 3 and 201 of up to 5 at width 200, the last one short
     dyn = lq_dynamics(lq_ref, lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a))
     calls = []
 
@@ -455,19 +453,20 @@ def test_one_rollout_calls_reward_twice_and_draws_once_per_block(lq_ref, k_ref, 
         calls.append(np.shape(x))
         return lq_reward_fn(lq_ref)(x, a)
 
-    m = _block_steps(width)
-    rest = (m + 1) // 2
-    n_steps = 2 * m + rest
+    n_steps = 1003
     start = 0.0 if width is None else np.zeros(width)
     noise = _CountingNoise(6)
+    for _ in range(used):
+        noise._source.normal()
     simulate_from(dyn, reward, start, start, 0.1, n_steps, noise)
-    # the shape check at the start, then one pass over the finished grid
-    assert calls == [np.shape(start), (n_steps,) + np.shape(start)]
+    steps = [r.stop - r.start for r in row_blocks((n_steps, width or 1))]
+    assert len(steps) == {None: 1, 3: 4, 200: 201}[width]
+    # the shape check at the start, then one pass over each row block
+    assert calls == [np.shape(start)] + [(k,) + np.shape(start) for k in steps]
     if width is None:
-        assert noise.requests == [[2 * m], [2 * m], [2 * rest]]
+        assert noise.requests == [[2 * n_steps]]
     else:
-        assert noise.requests == [(m, 2, width), (m, 2, width), (rest, 2, width)]
-    assert len(noise.requests) == -(-n_steps // m)
+        assert noise.requests == [(k, 2, width) for k in steps]
 
 
 # without noise, from (0, 1) on a grid of dt 1, a drift of B a = 1e200 takes the
@@ -491,11 +490,13 @@ def test_overflowing_reward_raises_without_runtime_warnings(no_noise, run, where
 
 
 def test_trajectory_validation():
-    with pytest.raises(ValueError):
-        Trajectory(np.arange(3.0), np.zeros(3), np.zeros(3), np.zeros(3), 0)
+    with pytest.raises(ValueError, match="one entry per transition"):
+        Trajectory(0.1, np.zeros(3), np.zeros(3), np.zeros(3))
+    with pytest.raises(ValueError, match="one row per time point"):
+        Trajectory(0.1, np.zeros(3), np.zeros(2), np.zeros(2))
     for n in (0, 1):
         with pytest.raises(ValueError, match=f"at least one transition, got {n} time points"):
-            Trajectory(np.arange(float(n)), np.zeros(n), np.zeros(n), np.empty(0), 0)
+            Trajectory(0.1, np.zeros(n), np.zeros(n), np.empty(0))
 
 
 def test_simulate_from_continues_a_stream():
@@ -511,4 +512,3 @@ def test_simulate_from_continues_a_stream():
     assert np.array_equal(again.actions, want.actions)
     assert not np.array_equal(first.actions, again.actions)
     assert np.array_equal(first.states, again.states)  # no state dynamics: all zero
-    assert first.seed == again.seed == 4
