@@ -115,13 +115,11 @@ def _check_seed_and_finite(args, flag: str, value: float) -> None:
         raise ValueError(f"{flag} must be finite, got {value}")
 
 
-def _check_fits_in_memory(count, bytes_each: float, what: str, layout: str,
-                          fixed: float = 0.0) -> None:
-    """Refuse ``count`` items of ``bytes_each`` bytes, on top of ``fixed``
-    bytes, that physical memory cannot hold; ``what`` names them and
-    ``layout`` says how they are stored."""
+def _check_fits_in_memory(count, bytes_each: float, what: str, layout: str) -> None:
+    """Refuse ``count`` items of ``bytes_each`` bytes that physical memory
+    cannot hold; ``what`` names them and ``layout`` says how they are stored."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if count > (memory - fixed) / bytes_each:
+    if count > memory / bytes_each:
         raise ValueError(f"{what} do not fit in the {memory} bytes of physical memory "
                          f"({layout})")
 
@@ -137,13 +135,14 @@ def _cmd_martingale(args) -> int:
     if steps <= 0.5:
         raise ValueError(f"--horizon {args.horizon} / --dt {args.dt} rounds to 0 steps, "
                          "need at least 1")
+    if not steps < 2 ** 53:  # float64 holds every grid index k, so its time k dt, exactly
+        raise ValueError(f"--horizon {args.horizon} / --dt {args.dt} = {steps:.6g} steps, "
+                         "need fewer than 2**53")
     what = f"--traj {args.traj} trajectories of --horizon / --dt = {steps:.6g} steps"
-    # the streamed check holds the discount column, the time column it is
-    # computed from, and one row block, whose traced peak at 10**5 and
+    # the streamed check holds one row block, whose traced peak at 10**5 and
     # 2 * 10**5 trajectories is 18.0 float64 values per trajectory; 20 leaves room
-    _check_fits_in_memory(args.traj, 20 * 8, what, "two float64 columns of steps + 1 values "
-                          "and 20 float64 values per trajectory for a row block",
-                          fixed=16 * (steps + 1))
+    _check_fits_in_memory(args.traj, 20 * 8, what,
+                          "20 float64 values per trajectory for a row block")
     cfg = load_config(args.config)
     p = cfg.lq
     k = solve_lq(p)

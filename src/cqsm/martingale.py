@@ -10,10 +10,10 @@ significant mean.  Every estimate here, the discounted return of a score
 included, runs on one vectorised batch of trajectories.  The value function,
 the score, the test process and the sums along each trajectory are evaluated
 on the batch's row blocks (:func:`sde.row_blocks`) and added into a running
-column total.  :func:`orthogonality_residual` and
-:func:`estimate_discounted_return` read those blocks straight from the
-simulator's stream (:func:`sde.simulate_blocks`), so they hold one block and
-the discount column, never the grid; :func:`orthogonality_statistics` reads
+column total, each block with the discount weights of its own rows.
+:func:`orthogonality_residual` and :func:`estimate_discounted_return` read
+them straight from the simulator's stream (:func:`sde.simulate_blocks`), so
+they hold one block, never the grid; :func:`orthogonality_statistics` reads
 them as views of a finished :class:`sde.Trajectory`.  The squared-gap loss
 keeps the whole batch: its suffix sums run backward in time.
 
@@ -97,10 +97,10 @@ def lagged_state_test(lag: int = 1, power: int = 2) -> TestProcess:
     return xi
 
 
-def discount_weights(shape, dt: float, beta: float) -> np.ndarray:
-    """exp(-beta t) at the times t_k = k dt of the grid points of a grid of
-    ``shape``, one per row: 1-d for one rollout, a column against a batch."""
-    w = np.exp(-beta * (np.arange(shape[0]) * dt))
+def discount_weights(shape, dt: float, beta: float, start: int = 0) -> np.ndarray:
+    """exp(-beta t) at the times t_k = k dt of rows k = start, start + 1, ... of
+    a grid of ``shape``: 1-d for one rollout, a column against a batch."""
+    w = np.exp(-beta * (np.arange(start, start + shape[0]) * dt))
     return w if len(shape) == 1 else w[:, None]
 
 
@@ -154,12 +154,13 @@ def _blocks_of(batch: Trajectory):
         yield rows, batch.states[ends], batch.actions[ends], batch.reward_rates[rows]
 
 
-def _orthogonality_sums(blocks, w, qfun, score, test_fn: TestProcess, dt: float,
+def _orthogonality_sums(blocks, qfun, score, test_fn: TestProcess, dt: float, beta: float,
                         lam: float) -> np.ndarray:
     def term(rows, states, actions, rates):
-        wq = w[rows.start:rows.stop + 1] * qfun(states, actions)
+        w = discount_weights(states.shape, dt, beta, rows.start)
+        wq = w * qfun(states, actions)
         psi = score(states[:-1], actions[:-1])
-        inc = wq[1:] - wq[:-1] + net_reward_flow(w[rows], rates, psi, dt, lam)
+        inc = wq[1:] - wq[:-1] + net_reward_flow(w[:-1], rates, psi, dt, lam)
         return test_fn(states, actions, rows) * inc
 
     return np.atleast_1d(_column_sums(blocks, term))
@@ -174,8 +175,7 @@ def orthogonality_statistics(batch: Trajectory, qfun, score, test_fn: TestProces
     ``score`` and ``test_fn`` are evaluated on row blocks of the grid, the
     test process once per block.
     """
-    w = discount_weights(batch.states.shape, batch.dt, beta)
-    return _orthogonality_sums(_blocks_of(batch), w, qfun, score, test_fn, batch.dt, lam)
+    return _orthogonality_sums(_blocks_of(batch), qfun, score, test_fn, batch.dt, beta, lam)
 
 
 def _jackknife_se(values: np.ndarray) -> float:
@@ -187,12 +187,10 @@ def _jackknife_se(values: np.ndarray) -> float:
 def _stream(p: LqParams, score, cfg: AlgoConfig, n_traj: int):
     """The row blocks of ``n_traj`` trajectories of the joint dynamics of ``p``
     under ``score`` from (cfg.x0, cfg.a0), cfg.n_steps steps of cfg.dt, noise
-    seeded by cfg.seed (the batch of :func:`sde.simulate_batch`), and their
-    discount column (:func:`discount_weights`)."""
-    blocks = simulate_blocks(lq_dynamics(p, score), lq_reward_fn(p),
-                             np.full(n_traj, float(cfg.x0)), np.full(n_traj, float(cfg.a0)),
-                             cfg.dt, cfg.n_steps, NoiseSource(cfg.seed))
-    return blocks, discount_weights((cfg.n_steps + 1, n_traj), cfg.dt, p.beta)
+    seeded by cfg.seed (the batch of :func:`sde.simulate_batch`)."""
+    return simulate_blocks(lq_dynamics(p, score), lq_reward_fn(p),
+                           np.full(n_traj, float(cfg.x0)), np.full(n_traj, float(cfg.a0)),
+                           cfg.dt, cfg.n_steps, NoiseSource(cfg.seed))
 
 
 def orthogonality_residual(qfun, score, test_fn: TestProcess, p: LqParams,
@@ -207,8 +205,8 @@ def orthogonality_residual(qfun, score, test_fn: TestProcess, p: LqParams,
     """
     if n_traj < 2:
         raise ValueError("n_traj must be at least 2")
-    blocks, w = _stream(p, score, cfg, n_traj)
-    stats = _orthogonality_sums(blocks, w, qfun, score, test_fn, cfg.dt, p.lam)
+    blocks = _stream(p, score, cfg, n_traj)
+    stats = _orthogonality_sums(blocks, qfun, score, test_fn, cfg.dt, p.beta, p.lam)
     estimate = float(stats.mean())
     se = _jackknife_se(stats)
     if se > 0:
@@ -251,7 +249,10 @@ def estimate_discounted_return(p: LqParams, score, cfg: AlgoConfig, n_traj: int)
     """
     if n_traj < 2:
         raise ValueError("n_traj must be at least 2")
-    blocks, w = _stream(p, score, cfg, n_traj)
-    returns = _column_sums(blocks, lambda rows, states, actions, rates: net_reward_flow(
-        w[rows], rates, score(states[:-1], actions[:-1]), cfg.dt, p.lam))
+
+    def flow(rows, states, actions, rates):
+        w = discount_weights(rates.shape, cfg.dt, p.beta, rows.start)
+        return net_reward_flow(w, rates, score(states[:-1], actions[:-1]), cfg.dt, p.lam)
+
+    returns = _column_sums(_stream(p, score, cfg, n_traj), flow)
     return float(returns.mean()), float(returns.std(ddof=1) / np.sqrt(n_traj))

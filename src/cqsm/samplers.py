@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .sde import TAPE, NoiseSource, SimulationError
+from .sde import BLOCK, TAPE, NoiseSource, SimulationError
 
 DDPM_EPS = 1e-12  # floor for 1 - alpha_bar in the reverse-chain divisor
 
@@ -119,20 +119,20 @@ def langevin_sample(score, x: float, a0, dt: float, n_steps: int, noise: NoiseSo
     samples weakly correlated: those are ``AlgoConfig``'s ``langevin_dt`` and
     ``langevin_steps`` defaults and the thinning of ``cqsm sample-actions``.
 
-    One kernel for every score.  The chain's variates are drawn as lists of
-    at most ``TAPE`` floats, so a long chain holds one stretch of draws at a
-    time.  A score from :func:`policy.score_fn` carries its ``coefficients``
-    (slope, v1, v2); each stretch then runs on them with v1 x taken once, in
-    the closure's operation order, so bitwise equal to calling it, and
-    finiteness is checked once, after the stretch: a non-finite iterate stays
-    non-finite, because every step adds to it.  Any other score, and the
-    replay of a stretch that ended non-finite, is called at every step with a
-    check per step, which names the first non-finite step.
-
-    An array ``a0`` runs one chain per entry in lockstep and returns the
-    array of final iterates: each step calls the score on the whole array and
-    draws ``noise.normal(a.shape)``, and finiteness is checked once, at the
-    end.
+    One kernel for every score and start; an array ``a0`` runs one chain per
+    entry in lockstep, calling the score on the whole array, and returns the
+    array of final iterates.  The chain runs in stretches whose variates are
+    drawn in one call, ``noise.normals(steps)`` for a float and
+    ``noise.normal((steps,) + a0.shape)`` for an array, as per-step draws
+    would draw them: ``TAPE`` steps for a float, at most ``BLOCK // a0.size``
+    (at least one) for an array, so a draw holds at most max(a0.size,
+    ``BLOCK``) values.  A score from :func:`policy.score_fn` carries its
+    ``coefficients`` (slope, v1, v2); each stretch then runs on them with v1 x
+    taken once, in the closure's operation order, so bitwise equal to calling
+    it, and finiteness is checked once, after the stretch: a non-finite
+    iterate stays non-finite, because every step adds to it.  Any other
+    score, and the replay of a stretch that ended non-finite, is called at
+    every step with a check per step, which names the first non-finite step.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -141,27 +141,26 @@ def langevin_sample(score, x: float, a0, dt: float, n_steps: int, noise: NoiseSo
     root = math.sqrt(2.0 * dt)
     if isinstance(a0, np.ndarray):
         a = np.asarray(a0, dtype=float)
-        for _ in range(n_steps):
-            a = a + score(x, a) * dt + root * noise.normal(a.shape)
-        if not np.all(np.isfinite(a)):
-            raise SimulationError("sampler fault: non-finite action in batch")
-        return a
-    a = float(a0)
+        stretch = max(1, min(TAPE, BLOCK // max(1, a.size)))
+        draw = lambda steps, shape=a.shape: noise.normal((steps,) + shape)
+        finite = lambda values: np.isfinite(values).all()
+    else:
+        a, stretch, draw, finite = float(a0), TAPE, noise.normals, math.isfinite
     coefficients = getattr(score, "coefficients", None)
-    for first in range(0, n_steps, TAPE):
-        draws = noise.normals(min(TAPE, n_steps - first))
+    for first in range(0, n_steps, stretch):
+        draws = draw(min(stretch, n_steps - first))
         if coefficients is not None:
             start = a
             slope, v1, v2 = coefficients
             c = v1 * x
             for z in draws:
                 a = a + (slope * a + c + v2) * dt + root * z
-            if math.isfinite(a):
+            if finite(a):
                 continue
             a = start
         for k, z in enumerate(draws, first):
             a = a + score(x, a) * dt + root * z
-            if not math.isfinite(a):
+            if not finite(a):
                 raise SimulationError(f"sampler fault: non-finite action at step {k}")
     return a
 

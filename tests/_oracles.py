@@ -184,17 +184,17 @@ def reference_langevin_sample(score, x: float, a0: float, dt: float, n_steps: in
 
 
 def reference_langevin_batch(score, x: float, a0, dt: float, n_steps: int, noise):
-    """Chains in lockstep: one array draw per step, one finiteness check at the end."""
+    """Chains in lockstep: one array draw and one finiteness check per step."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     a = np.array(a0, dtype=float, copy=True)
     root = math.sqrt(2.0 * dt)
-    for _ in range(n_steps):
+    for k in range(n_steps):
         a = a + score(x, a) * dt + root * noise.normal(a.shape)
-    if not np.all(np.isfinite(a)):
-        raise SimulationError("sampler fault: non-finite action in batch")
+        if not np.all(np.isfinite(a)):
+            raise SimulationError(f"sampler fault: non-finite action at step {k}")
     return a
 
 

@@ -577,10 +577,26 @@ def test_cli_check_martingale_rejects_fewer_than_two_trajectories(tmp_path, caps
                             f"got {traj}\n")
 
 
-# Each grid is refused before anything is simulated or allocated.
+# Refused before anything is simulated: past 2**53 steps a grid index is not
+# exact in float64, and an infinite step count cannot be rounded.
+@pytest.mark.parametrize("dt, horizon, steps", [
+    ("1e-300", "1", "1e+300"), ("1e-300", "1e300", "inf"), ("1", str(2 ** 53), "9.0072e+15")],
+    ids=["tiny-dt", "inf-steps", "2**53-steps"])
+def test_cli_check_martingale_rejects_a_step_count_beyond_float64(tmp_path, capsys, dt,
+                                                                  horizon, steps):
+    path = _write_config(tmp_path)
+    code = cli_main(["check-martingale", "--config", str(path), "--traj", "5",
+                     "--dt", dt, "--horizon", horizon])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"config error: --horizon {float(horizon)} / --dt {float(dt)} = "
+                            f"{steps} steps, need fewer than 2**53\n")
+
+
+# Each batch is refused before anything is simulated or allocated.
 @pytest.mark.parametrize("traj, dt, horizon", [
-    ("5", "1e-300", "1"), ("5", "1e-300", "1e300"), (str(10 ** 12), "0.01", "50"),
-    (str(10 ** 400), "0.1", "1")], ids=["tiny-dt", "inf-steps", "1e12-traj", "1e400-traj"])
+    (str(10 ** 12), "0.01", "50"), (str(10 ** 400), "0.1", "1")], ids=["1e12-traj", "1e400-traj"])
 def test_cli_check_martingale_rejects_a_grid_beyond_memory(tmp_path, capsys, traj, dt, horizon):
     path = _write_config(tmp_path)
     code = cli_main(["check-martingale", "--config", str(path), "--traj", traj,
@@ -591,13 +607,14 @@ def test_cli_check_martingale_rejects_a_grid_beyond_memory(tmp_path, capsys, tra
     assert captured.err.startswith(f"config error: --traj {traj} trajectories of "
                                    "--horizon / --dt = ")
     assert "bytes of physical memory" in captured.err
-    assert captured.err.endswith("(two float64 columns of steps + 1 values and 20 float64 "
-                                 "values per trajectory for a row block)\n")
+    assert captured.err.endswith("(20 float64 values per trajectory for a row block)\n")
 
 
-def test_cli_check_martingale_passes_a_long_grid_it_streams(tmp_path, capsys, monkeypatch):
-    # 2e7 steps: the rule counts two 160 MB columns and 2000 trajectories' row
-    # block, not three 320 GB grids; the stub keeps anything from being simulated
+# 2e7 and 2e11 steps: the rule counts 2000 trajectories' row block, not three
+# grids of 320 GB or 3.2 PB; the stub keeps anything from being simulated
+@pytest.mark.parametrize("horizon, n_steps", [("2e5", 20_000_000), ("2e9", 200_000_000_000)])
+def test_cli_check_martingale_passes_a_long_grid_it_streams(tmp_path, capsys, monkeypatch,
+                                                            horizon, n_steps):
     calls = []
 
     def residual(qfun, score, test_fn, p, cfg, n_traj):
@@ -607,8 +624,8 @@ def test_cli_check_martingale_passes_a_long_grid_it_streams(tmp_path, capsys, mo
     monkeypatch.setattr(cli, "orthogonality_residual", residual)
     path = _write_config(tmp_path)
     assert cli_main(["check-martingale", "--config", str(path), "--traj", "2000",
-                     "--horizon", "2e5", "--dt", "0.01"]) == 0
-    assert calls == [(20_000_000, 0.01, 2000)]
+                     "--horizon", horizon, "--dt", "0.01"]) == 0
+    assert calls == [(n_steps, 0.01, 2000)]
     assert capsys.readouterr().out.splitlines()[-1] == "0,1,2000,0"
 
 

@@ -380,12 +380,9 @@ def _traced_peak(run) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("case", ["constant", "lagged", "q-gradient", "discounted-return"])
-def test_streamed_estimates_peak_does_not_grow_with_the_horizon(k_ref, lq_ref, case):
-    # orthogonality_residual and estimate_discounted_return read the rollout
-    # one row block at a time: a horizon four times longer adds less than a
-    # block and the discount column to the traced peak, which stays far below
-    # the three float64 arrays of the grid
+def _streamed_peaks(case, k_ref, lq_ref, n_traj, horizons):
+    """Traced peaks of orthogonality_residual under a test process, or of
+    estimate_discounted_return, at ``n_traj`` trajectories and each horizon."""
     processes = {"constant": constant_test, "lagged": lagged_state_test,
                  "q-gradient": lambda: q_gradient_test(4)}
     qfun = lambda x, a: q_star(k_ref, x, a)
@@ -399,16 +396,37 @@ def test_streamed_estimates_peak_does_not_grow_with_the_horizon(k_ref, lq_ref, c
             orthogonality_residual(qfun, score, processes[case](), lq_ref, cfg, n_traj)
 
     run(2, 2)  # the first call imports the parts of numpy it uses
+    return [_traced_peak(lambda: run(n_traj, n_steps)) for n_steps in horizons]
+
+
+STREAMED_CASES = ["constant", "lagged", "q-gradient", "discounted-return"]
+
+
+@pytest.mark.parametrize("case", STREAMED_CASES)
+def test_streamed_estimates_peak_does_not_grow_with_the_horizon(k_ref, lq_ref, case):
+    # orthogonality_residual and estimate_discounted_return read the rollout
+    # one row block at a time, with the discount weights of the block's rows:
+    # a horizon four times longer adds less than a block to the traced peak,
+    # which stays far below the three float64 arrays of the grid
     n_traj, short, long = 200, 2000, 8000
-    peaks = [_traced_peak(lambda: run(n_traj, n_steps)) for n_steps in (short, long)]
-    assert abs(peaks[1] - peaks[0]) < 8 * sde.BLOCK + 8 * (long + 1)
+    peaks = _streamed_peaks(case, k_ref, lq_ref, n_traj, (short, long))
+    assert abs(peaks[1] - peaks[0]) < 8 * sde.BLOCK
     assert peaks[1] < 3 * 8 * n_traj * (long + 1) / 4
+
+
+@pytest.mark.parametrize("case", STREAMED_CASES)
+def test_narrow_streamed_estimates_peak_does_not_grow_with_the_horizon(small_blocks, k_ref,
+                                                                       lq_ref, case):
+    # two trajectories in blocks of 500 rows: a grid-long column of 16 bytes
+    # per step would add 96 KB to the peak between the two horizons
+    peaks = _streamed_peaks(case, k_ref, lq_ref, 2, (2000, 8000))
+    assert abs(peaks[1] - peaks[0]) < 8 * sde.BLOCK
 
 
 def test_wide_streamed_residual_peak_is_within_check_martingales_memory_rule(k_ref, lq_ref):
     # wider than a row block, each block is one row; the traced peak of the
-    # check that check-martingale runs stays within what its memory rule counts:
-    # two float64 columns of steps + 1 values and 20 float64 values per trajectory
+    # check that check-martingale runs stays within what its memory rule
+    # counts: 20 float64 values per trajectory
     qfun = lambda x, a: q_star(k_ref, x, a)
     score = lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a)
     run = lambda n_traj, cfg: orthogonality_residual(qfun, score, constant_test(), lq_ref, cfg,
@@ -416,4 +434,4 @@ def test_wide_streamed_residual_peak_is_within_check_martingales_memory_rule(k_r
     run(2, AlgoConfig(dt=0.01, n_steps=2, seed=0))  # the first call imports what it uses
     n_traj, cfg = 10 ** 5, AlgoConfig(dt=0.01, n_steps=4, seed=0)
     assert n_traj > sde.BLOCK
-    assert _traced_peak(lambda: run(n_traj, cfg)) <= 16 * (cfg.n_steps + 1) + 20 * 8 * n_traj
+    assert _traced_peak(lambda: run(n_traj, cfg)) <= 20 * 8 * n_traj

@@ -11,7 +11,7 @@ from cqsm.online import EXP_LIMIT
 from cqsm.policy import score_fn
 from cqsm.samplers import (NoiseSchedule, ddpm_law, ddpm_sample, langevin_chain, langevin_law,
                            langevin_sample, make_linear_schedule)
-from cqsm.sde import TAPE, NoiseSource, SimulationError
+from cqsm.sde import BLOCK, TAPE, NoiseSource, SimulationError
 from _oracles import (SequenceNoise, ddpm_affine_law, langevin_affine_law, reference_ddpm_sample,
                       reference_langevin_batch, reference_langevin_sample)
 
@@ -314,15 +314,21 @@ def test_langevin_affine_path_runs_on_the_coefficients(n_steps):
 
 
 class _CountingNoise(NoiseSource):
-    """A NoiseSource that records the size of every normals(k) request."""
+    """A NoiseSource that records the size of every normals(k) request and
+    the shape of every block draw normal(size)."""
 
     def __init__(self, seed):
         super().__init__(seed)
-        self.requests = []
+        self.requests, self.shapes = [], []
 
     def normals(self, k):
         self.requests.append(k)
         return super().normals(k)
+
+    def normal(self, size=None):
+        if size is not None:
+            self.shapes.append(size)
+        return super().normal(size)
 
 
 @pytest.mark.parametrize("kind", ["score_fn", "lambda"])
@@ -340,10 +346,11 @@ def test_langevin_long_chain_draws_one_stretch_at_a_time(kind):
 @pytest.mark.parametrize("slope, a0, dt, n_steps", [
     (-4.6, np.zeros(7), 0.01, 50),
     (-4.6, np.linspace(-2.0, 2.0, 6).reshape(2, 3), 0.1, 1),
-    (-1.0, np.array([0.3, np.nan, 1.0]), 0.01, 3),  # fault in one chain, named at the end
-    (60.0, np.ones(4), 0.1, 2000),  # every chain overflows
+    (-1.0, np.array([0.3, np.nan, 1.0]), 0.01, 3),  # fault in one chain, named at step 0
+    (60.0, np.ones(4), 0.1, 2000),  # every chain overflows, in the first stretch
     (-4.6, np.zeros(3), 0.0, 5),
     (-4.6, np.zeros(3), 0.01, 0),
+    (60.0, np.ones(10 ** 4), 0.1, 2000),  # stretches of 3 steps: the fault is in a later one
 ])
 def test_langevin_sample_array_a0_bitwise_equals_lockstep_reference(kind, slope, a0, dt,
                                                                     n_steps):
@@ -359,4 +366,30 @@ def test_langevin_sample_array_a0_bitwise_equals_lockstep_reference(kind, slope,
         except (SimulationError, ValueError) as exc:
             want = type(exc), str(exc)
     assert got == want
-    assert got_noise.normal() == want_noise.normal()
+    if want[0] is not SimulationError:
+        assert got_noise.normal() == want_noise.normal()
+    else:
+        # after a fault at step k the kernel has used the draws through the end
+        # of k's stretch of BLOCK // a0.size steps; the reference stopped at the fault
+        k = int(want[1].rsplit(" ", 1)[1])
+        stretch = min(TAPE, BLOCK // a0.size)
+        drawn = min(n_steps, (k // stretch + 1) * stretch) * a0.size
+        assert got_noise.normal() == np.random.default_rng(8).standard_normal(drawn + 1)[-1]
+
+
+@pytest.mark.parametrize("kind", ["score_fn", "lambda"])
+@pytest.mark.parametrize("width, n_steps, shapes", [
+    (7, 2 * TAPE + 3, [(TAPE, 7), (TAPE, 7), (3, 7)]),
+    (1000, 67, [(32, 1000), (32, 1000), (3, 1000)]),  # BLOCK // 1000 = 32 steps
+    (20000, 3, [(1, 20000)] * 3),  # wider than BLOCK: one step per draw
+])
+def test_langevin_array_chains_draw_one_stretch_at_a_time(kind, width, n_steps, shapes):
+    score = _scores(kind, -4.6, -1.5, -3.6)
+    a0 = np.linspace(-1.0, 1.0, width)
+    noise = _CountingNoise(9)
+    got = langevin_sample(score, 0.4, a0, 0.01, n_steps, noise)
+    assert noise.shapes == shapes
+    assert max(math.prod(shape) for shape in noise.shapes) <= max(width, BLOCK)
+    want = reference_langevin_batch(score, 0.4, a0, 0.01, n_steps, NoiseSource(9))
+    assert got.tobytes() == want.tobytes()
+    assert noise.normal() == NoiseSource(9).normal(width * n_steps + 1)[-1]
