@@ -11,7 +11,9 @@ its start and noise source.  A consumer that only sums forward in time reads
 the stream itself and never holds the grid.  The loop draws each row block's
 variates in one call and checks nothing per step: one finiteness check per
 row block finds a fault and names the step and whether the reward, the score
-or the step itself caused it.
+or the step itself caused it.  Each block is made and checked under one
+``np.errstate`` that silences overflow, so a scalar rollout and a batch end
+on the same fault in the same SimulationError and never in a numpy warning.
 """
 
 from __future__ import annotations
@@ -143,28 +145,6 @@ def row_blocks(shape):
     return (slice(lo, min(lo + rows, n_rows)) for lo in range(0, n_rows, rows))
 
 
-def _finite(value) -> bool:
-    if isinstance(value, float):
-        return math.isfinite(value)
-    return bool(np.all(np.isfinite(value)))
-
-
-def _fault(dyn: DynamicsSpec, reward, x, a, column=None) -> str:
-    """Name the first of the reward and the score that is non-finite at (x, a).
-
-    With ``column`` set, (x, a) are rows of a batch: both are evaluated on the
-    rows, and only that trajectory's value and point are reported.
-    """
-    at_x, at_a = (x, a) if column is None else (float(x[column]), float(a[column]))
-    for name, fn in (("reward", reward), ("score", dyn.score)):
-        value = fn(x, a)
-        if column is not None:
-            value = np.broadcast_to(value, np.shape(x))[column]
-        if not _finite(value):
-            return f"{name} evaluated to a non-finite value at x={at_x!r}, a={at_a!r}"
-    return f"the step from x={at_x!r}, a={at_a!r} overflowed to a non-finite state or action"
-
-
 def simulate(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int, seed: int) -> Trajectory:
     """Roll out ``n_steps`` Euler-Maruyama steps from (x0, a0) with a fresh seed."""
     return simulate_from(dyn, reward, x0, a0, dt, n_steps, NoiseSource(seed))
@@ -191,10 +171,11 @@ def simulate_blocks(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int,
     """Roll out ``n_steps`` Euler-Maruyama steps from (x0, a0), one row block
     at a time.
 
-    Scalar (x0, a0) run on Python floats.  Two 1-d arrays of equal length are
-    a batch of scalar trajectories, one per entry, and ``reward`` must return
-    one value per entry.  Any other start, or a reward of another shape, raises
-    ValueError before the first draw (at the first ``next``).
+    (x0, a0) must be two arrays of equal ndim <= 1 and equal size, and
+    ``reward`` must return one value of their shape: 0-d starts run on Python
+    floats, 1-d starts are a batch of scalar trajectories, one per entry.  Any
+    other start or reward shape raises ValueError before the first draw (at
+    the first ``next``).
 
     Yields ``(rows, states, actions, rates)`` for the :func:`row_blocks` of
     the (n_steps, width) transition grid, in order: ``states`` and
@@ -205,71 +186,80 @@ def simulate_blocks(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int,
     noise.normal((steps, 2, width)) for a batch, and are consumed step by
     step: the state's variates, then the action's.
 
-    A non-finite value in a block raises SimulationError, before the block
-    is yielded, naming the first faulty step and the reward or the score that
-    produced it.
+    Each block is simulated, given its rates and checked under one
+    ``np.errstate(over="ignore", invalid="ignore")``, as is the start's shape
+    check; the consumer runs between blocks under its own numpy state.  A
+    non-finite value in a block raises SimulationError, before the block is
+    yielded, naming the first faulty step and the reward or the score that
+    produced it (:func:`_first_fault`).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     x, a = np.asarray(x0, dtype=float), np.asarray(a0, dtype=float)
-    if x.ndim == a.ndim == 0:
-        x, a = float(x), float(a)
-        size = None
-    elif x.ndim == a.ndim == 1 and x.size == a.size:
-        size = x.size
-    else:
+    if not (x.ndim == a.ndim <= 1 and x.size == a.size):
         raise ValueError("x0 and a0 must be two scalars or two 1-d arrays of equal length, "
                          f"got shapes {x.shape} and {a.shape}")
-    if np.shape(reward(x, a)) != np.shape(x):
-        raise ValueError("reward must return one value per trajectory")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.shape(reward(x, a)) != x.shape:
+            raise ValueError("reward must return one value per trajectory")
+    size = x.size if x.ndim else None
+    if size is None:
+        x, a = float(x), float(a)
 
     A, B, C, D, score = dyn
     root = math.sqrt(dt)
     noise_a = SQRT2 * root
     for rows in row_blocks((n_steps, size or 1)):
         n = rows.stop - rows.start + 1
-        if size is None:
-            states, actions = [x] * n, [a] * n
-            z = iter(noise.normals(2 * (n - 1)))
-            draws = zip(z, z)
-        else:
-            states, actions = np.empty((n, size)), np.empty((n, size))
-            states[0], actions[0] = x, a
-            draws = noise.normal((n - 1, 2, size))
-        for k, (zx, za) in enumerate(draws, 1):
-            x, a = (x + (A * x + B * a) * dt + (C * x + D * a) * root * zx,
-                    a + score(x, a) * dt + noise_a * za)
-            states[k] = x
-            actions[k] = a
-        if size is None:
-            states, actions = np.fromiter(states, float, n), np.fromiter(actions, float, n)
-        rates = np.empty_like(states[1:])
         with np.errstate(over="ignore", invalid="ignore"):
+            if size is None:
+                states, actions = [x] * n, [a] * n
+                z = iter(noise.normals(2 * (n - 1)))
+                draws = zip(z, z)
+            else:
+                states, actions = np.empty((n, size)), np.empty((n, size))
+                states[0], actions[0] = x, a
+                draws = noise.normal((n - 1, 2, size))
+            for k, (zx, za) in enumerate(draws, 1):
+                x, a = (x + (A * x + B * a) * dt + (C * x + D * a) * root * zx,
+                        a + score(x, a) * dt + noise_a * za)
+                states[k] = x
+                actions[k] = a
+            if size is None:
+                states, actions = np.fromiter(states, float, n), np.fromiter(actions, float, n)
+            rates = np.empty_like(states[1:])
             rates[...] = reward(states[:-1], actions[:-1])  # broadcasts a constant
             if not (np.isfinite(rates).all() and np.isfinite(states).all()
                     and np.isfinite(actions).all()):
-                raise SimulationError(_first_fault(dyn, reward, states, actions, rates,
-                                                   rows.start))
+                raise SimulationError(_first_fault(dyn, states, actions, rates, rows.start))
         yield rows, states, actions, rates
 
 
-def _first_fault(dyn: DynamicsSpec, reward, states, actions, rates, start: int) -> str:
+def _first_fault(dyn: DynamicsSpec, states, actions, rates, start: int) -> str:
     """Diagnose the first transition of a row block whose reward or end point
     is non-finite; the block starts at step ``start``.
 
-    In a batch (one column per trajectory) the first faulty trajectory of that
-    transition is named, with its own scalar state and action.
+    The reward is read from the block's ``rates``; only the score is evaluated
+    again, on the faulty row the block holds.  A 1-d block is one rollout; in a
+    2-d block (one column per trajectory) the first faulty trajectory of that
+    transition is named, with its own state and action.
     """
     points = np.isfinite(states) & np.isfinite(actions)
-    good = np.isfinite(rates) & points[:-1] & points[1:]
-    if good.ndim == 1:
-        k = int(np.argmax(~good))
-        return f"step {start + k}: {_fault(dyn, reward, float(states[k]), float(actions[k]))}"
-    k = int(np.argmax(~good.all(axis=1)))
-    j = int(np.argmax(~good[k]))
-    return f"step {start + k}, trajectory {j}: {_fault(dyn, reward, states[k], actions[k], j)}"
+    bad = ~(np.isfinite(rates) & points[:-1] & points[1:])
+    k, j = divmod(int(np.argmax(bad)), bad.size // len(bad))  # first faulty row, then column
+    x, a = states[k], actions[k]  # a float64 of one rollout, or the batch's row
+    pick = lambda value: np.broadcast_to(value, np.shape(x)).flat[j]
+    at = f"step {start + k}" + (f", trajectory {j}" if bad.ndim == 2 else "")
+    point = f"x={float(pick(x))!r}, a={float(pick(a))!r}"
+    if not np.isfinite(pick(rates[k])):
+        name = "reward"
+    elif not np.isfinite(pick(dyn.score(x, a))):
+        name = "score"
+    else:
+        return f"{at}: the step from {point} overflowed to a non-finite state or action"
+    return f"{at}: {name} evaluated to a non-finite value at {point}"
 
 
 def simulate_batch(dyn: DynamicsSpec, reward, x0: float, a0: float, dt: float,

@@ -629,6 +629,22 @@ def test_cli_check_martingale_passes_a_long_grid_it_streams(tmp_path, capsys, mo
     assert capsys.readouterr().out.splitlines()[-1] == "0,1,2000,0"
 
 
+def test_cli_check_martingale_overflow_is_a_numerical_failure_without_warnings(capsys):
+    # dt 100 drives the reference rollouts past float64 at step 58; the fault
+    # reaches the user as one line and exit code 2, not a numpy RuntimeWarning
+    path = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli_main(["check-martingale", "--config", str(path), "--traj", "4",
+                         "--dt", "100", "--horizon", "1e5"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("numerical failure: step 58, trajectory 0: reward evaluated "
+                                   "to a non-finite value")
+
+
 def _martingale_estimate(capsys, path):
     assert cli_main(["check-martingale", "--config", str(path), "--traj", "20",
                      "--dt", "0.05", "--horizon", "2"]) == 0

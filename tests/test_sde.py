@@ -294,21 +294,37 @@ NAN_AT_3 = DynamicsSpec(
 )
 
 
-@pytest.mark.parametrize("run, where", [
-    (lambda dyn, reward: simulate(dyn, reward, 0.0, 0.0, 1.0, 6, seed=0), ""),
+# The later-block case runs 400 trajectories under small_blocks: row blocks of
+# 2 steps, so the faults at steps 2 and 3 of trajectory 200 fall in the second.
+@pytest.mark.parametrize("run, where, blocks, reward_calls", [
+    (lambda dyn, reward: simulate(dyn, reward, 0.0, 0.0, 1.0, 6, seed=0), "", None,
+     [(), (6,)]),
     (lambda dyn, reward: simulate_batch(dyn, reward, 0.0, 0.0, 1.0, 6, 3, seed=0),
-     ", trajectory 1"),
-], ids=["simulate", "simulate_batch"])
-def test_non_finite_field_names_step_and_field(no_noise, run, where):
+     ", trajectory 1", None, [(3,), (6, 3)]),
+    (lambda dyn, reward: simulate_batch(dyn, reward, 0.0, 0.0, 1.0, 6, 400, seed=0),
+     ", trajectory 200", "small_blocks", [(400,), (2, 400), (2, 400)]),
+], ids=["simulate", "simulate_batch", "simulate_batch-later-block"])
+def test_non_finite_field_names_step_and_field(no_noise, request, run, where, blocks,
+                                               reward_calls):
+    if blocks:
+        request.getfixturevalue(blocks)
     with pytest.raises(SimulationError) as info:
         run(NAN_AT_3, lambda x, a: 0.0 * x)
     assert str(info.value) == (f"step 3{where}: score evaluated to a non-finite value "
                                "at x=3.0, a=3.0")
-    nan_reward = lambda x, a: np.where(a >= 2.0, np.nan, 0.0 * x)
+    # the diagnosis reads the reward from the block: the reward is called for
+    # the start's shape check and once per row block, never at the fault
+    calls = []
+
+    def nan_reward(x, a):
+        calls.append(np.shape(x))
+        return np.where(a >= 2.0, np.nan, 0.0 * x)
+
     with pytest.raises(SimulationError) as info:
         run(NAN_AT_3, nan_reward)
     assert str(info.value) == (f"step 2{where}: reward evaluated to a non-finite value "
                                "at x=1.0, a=2.0")
+    assert calls == reward_calls
 
 
 def test_batch_of_one_matches_single_trajectory_bitwise(lq_ref, k_ref):
@@ -471,22 +487,33 @@ def test_one_rollout_calls_reward_and_draws_once_per_row_block(small_blocks, lq_
 
 # without noise, from (0, 1) on a grid of dt 1, a drift of B a = 1e200 takes the
 # state to 1e200 in one step while the score -a takes the action to 0; the state
-# then stays finite, while the reward x*x overflows from step 1 on
+# then stays finite, while the reward x*x (or x**2, which overflows Python floats
+# with an OverflowError) overflows from step 1 on.  From (0, 1e200) the drift
+# itself overflows in step 0; from (1e200, 0) the reward overflows at the start.
 FAR = DynamicsSpec(0.0, 1e200, 0.0, 0.0, lambda x, a: -a)
+SQUARE = lambda x, a: x * x - x * a
+POWER = lambda x, a: x ** 2 - x * a
 
 
+@pytest.mark.parametrize("reward, x0, a0, step, message", [
+    (SQUARE, 0.0, 1.0, 1, "reward evaluated to a non-finite value at x=1e+200, a=0.0"),
+    (POWER, 0.0, 1.0, 1, "reward evaluated to a non-finite value at x=1e+200, a=0.0"),
+    (SQUARE, 0.0, 1e200, 0,
+     "the step from x=0.0, a=1e+200 overflowed to a non-finite state or action"),
+    (POWER, 1e200, 0.0, 0, "reward evaluated to a non-finite value at x=1e+200, a=0.0"),
+], ids=["square", "power", "step", "power-at-start"])
 @pytest.mark.parametrize("run, where", [
-    (lambda reward: simulate(FAR, reward, 0.0, 1.0, 1.0, 6, seed=0), ""),
-    (lambda reward: simulate_batch(FAR, reward, 0.0, 1.0, 1.0, 6, 3, seed=0),
+    (lambda reward, x0, a0: simulate(FAR, reward, x0, a0, 1.0, 6, seed=0), ""),
+    (lambda reward, x0, a0: simulate_batch(FAR, reward, x0, a0, 1.0, 6, 3, seed=0),
      ", trajectory 0"),
 ], ids=["simulate", "simulate_batch"])
-def test_overflowing_reward_raises_without_runtime_warnings(no_noise, run, where):
+def test_overflowing_reward_raises_without_runtime_warnings(no_noise, run, where, reward, x0,
+                                                            a0, step, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SimulationError) as info:
-            run(lambda x, a: x * x - x * a)
-    assert str(info.value) == (f"step 1{where}: reward evaluated to a non-finite value "
-                               "at x=1e+200, a=0.0")
+            run(reward, x0, a0)
+    assert str(info.value) == f"step {step}{where}: {message}"
 
 
 def test_trajectory_validation():
