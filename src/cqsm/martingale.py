@@ -6,16 +6,16 @@ martingale, so its increments are orthogonal to every adapted test process:
 E sum_k xi_k dM_k = 0.  The estimators here form that sum along simulated
 trajectories and z-score it across independent replications; a wrong Q (for
 example a constant offset, which the discounting term detects) produces a
-significant mean.  Every estimate here, the discounted return of a score
-included, runs on one vectorised batch of trajectories.  The value function,
-the score, the test process and the sums along each trajectory are evaluated
-on the batch's row blocks (:func:`sde.row_blocks`) and added into a running
-column total, each block with the discount weights of its own rows.
-:func:`orthogonality_residual` and :func:`estimate_discounted_return` read
-them straight from the simulator's stream (:func:`sde.simulate_blocks`), so
-they hold one block, never the grid; :func:`orthogonality_statistics` reads
-them as views of a finished :class:`sde.Trajectory`.  The squared-gap loss
-keeps the whole batch: its suffix sums run backward in time.
+significant mean.  Each per-trajectory sum, the discounted return of a score
+included, is a running column total of a term evaluated on the batch's row
+blocks (:func:`sde.row_blocks`) with the discount weights of their own rows.
+One driver reads the blocks from the simulator's stream
+(:func:`sde.simulate_blocks`), holding one block, never the grid, and returns
+the mean of the sums and their classical standard error std(ddof=1) /
+sqrt(n); a sum, mean or standard error that is not finite raises
+SimulationError.  :func:`orthogonality_statistics` reads the blocks as views
+of a finished :class:`sde.Trajectory`.  The squared-gap loss keeps the whole
+batch: its suffix sums run backward in time.
 
 This module also states the pieces of that condition that the offline learner
 fits: the discount weights e^{-beta t} (:func:`discount_weights`), the
@@ -35,9 +35,9 @@ from typing import Callable
 import numpy as np
 
 from .lq import LqParams, lq_dynamics, lq_reward_fn
-from .online import AlgoConfig
 from .policy import q_features
-from .sde import NoiseSource, Trajectory, row_blocks, simulate_batch, simulate_blocks
+from .sde import (NoiseSource, SimulationError, Trajectory, row_blocks, simulate_batch,
+                  simulate_blocks)
 
 # A test process maps a row block (states, actions, rows) to the block's
 # per-transition weights xi[rows], shaped as states[:-1]: ``states`` and
@@ -134,15 +134,20 @@ def _column_sums(blocks, term) -> np.ndarray:
 
     Each block's first row takes the running total before the block is
     summed.  numpy sums a C-contiguous grid at least two columns wide row
-    after row, so the result is bitwise that of summing the whole grid.
+    after row, so the result is bitwise that of summing the whole grid.  A
+    sum that is not finite raises SimulationError, never a numpy warning.
     """
     total = None
-    for block in blocks:
-        part = term(*block)
-        if total is not None:
-            part[0] += total
-        total = part.sum(axis=0)
-        del block, part  # neither is held while the next block is simulated
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in blocks:
+            part = term(*block)
+            if total is not None:
+                part[0] += total
+            total = part.sum(axis=0)
+            del block, part  # neither is held while the next block is simulated
+    faults = np.flatnonzero(~np.isfinite(total))
+    if faults.size:
+        raise SimulationError(f"estimator fault: non-finite sum over trajectory {faults[0]}")
     return total
 
 
@@ -154,8 +159,7 @@ def _blocks_of(batch: Trajectory):
         yield rows, batch.states[ends], batch.actions[ends], batch.reward_rates[rows]
 
 
-def _orthogonality_sums(blocks, qfun, score, test_fn: TestProcess, dt: float, beta: float,
-                        lam: float) -> np.ndarray:
+def _increments(qfun, score, test_fn: TestProcess, dt: float, beta: float, lam: float):
     def term(rows, states, actions, rates):
         w = discount_weights(states.shape, dt, beta, rows.start)
         wq = w * qfun(states, actions)
@@ -163,7 +167,7 @@ def _orthogonality_sums(blocks, qfun, score, test_fn: TestProcess, dt: float, be
         inc = wq[1:] - wq[:-1] + net_reward_flow(w[:-1], rates, psi, dt, lam)
         return test_fn(states, actions, rows) * inc
 
-    return np.atleast_1d(_column_sums(blocks, term))
+    return term
 
 
 def orthogonality_statistics(batch: Trajectory, qfun, score, test_fn: TestProcess,
@@ -173,46 +177,45 @@ def orthogonality_statistics(batch: Trajectory, qfun, score, test_fn: TestProces
     S = sum_k xi_k [ w_{k+1} q_{k+1} - w_k q_k + w_k (r_k - lam/2 Psi_k^2) dt ]
     with w = exp(-beta t) from :func:`discount_weights`.  ``qfun``,
     ``score`` and ``test_fn`` are evaluated on row blocks of the grid, the
-    test process once per block.
+    test process once per block.  A sum that is not finite raises.
     """
-    return _orthogonality_sums(_blocks_of(batch), qfun, score, test_fn, batch.dt, beta, lam)
+    term = _increments(qfun, score, test_fn, batch.dt, beta, lam)
+    return np.atleast_1d(_column_sums(_blocks_of(batch), term))
 
 
-def _jackknife_se(values: np.ndarray) -> float:
-    n = len(values)
-    loo = (values.sum() - values) / (n - 1)
-    return math.sqrt((n - 1) / n * float(((loo - loo.mean()) ** 2).sum()))
-
-
-def _stream(p: LqParams, score, cfg: AlgoConfig, n_traj: int):
-    """The row blocks of ``n_traj`` trajectories of the joint dynamics of ``p``
-    under ``score`` from (cfg.x0, cfg.a0), cfg.n_steps steps of cfg.dt, noise
-    seeded by cfg.seed (the batch of :func:`sde.simulate_batch`)."""
-    return simulate_blocks(lq_dynamics(p, score), lq_reward_fn(p),
-                           np.full(n_traj, float(cfg.x0)), np.full(n_traj, float(cfg.a0)),
-                           cfg.dt, cfg.n_steps, NoiseSource(cfg.seed))
-
-
-def orthogonality_residual(qfun, score, test_fn: TestProcess, p: LqParams,
-                           cfg: AlgoConfig, n_traj: int) -> ResidualReport:
-    """Estimate E sum xi dM over ``n_traj`` trajectories with a jackknife SE.
-
-    Trajectories follow the joint dynamics of ``p`` under ``score`` from
-    (cfg.x0, cfg.a0) with step cfg.dt for cfg.n_steps steps; the discount and
-    regularization weights come from ``p``.  The sums are those of
-    :func:`orthogonality_statistics` on that batch, taken from the simulator's
-    row blocks as they are made.
-    """
+def _mean_and_se(term, p: LqParams, score, cfg, n_traj: int) -> tuple[float, float]:
+    """Mean and std(ddof=1) / sqrt(n_traj) of the column sums of ``term`` over
+    the row blocks of :func:`sde.simulate_batch`'s batch, streamed: ``n_traj``
+    paths of ``p`` under ``score`` from (cfg.x0, cfg.a0), cfg.n_steps steps of
+    cfg.dt, noise seeded by cfg.seed.  Either one not finite raises."""
     if n_traj < 2:
         raise ValueError("n_traj must be at least 2")
-    blocks = _stream(p, score, cfg, n_traj)
-    stats = _orthogonality_sums(blocks, qfun, score, test_fn, cfg.dt, p.beta, p.lam)
-    estimate = float(stats.mean())
-    se = _jackknife_se(stats)
-    if se > 0:
-        z = estimate / se
-    else:
-        z = 0.0 if estimate == 0 else math.copysign(math.inf, estimate)
+    blocks = simulate_blocks(lq_dynamics(p, score), lq_reward_fn(p),
+                             np.full(n_traj, float(cfg.x0)), np.full(n_traj, float(cfg.a0)),
+                             cfg.dt, cfg.n_steps, NoiseSource(cfg.seed))
+    sums = _column_sums(blocks, term)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, se = float(sums.mean()), float(sums.std(ddof=1) / np.sqrt(n_traj))
+    for name, value in (("mean", mean), ("standard error", se)):
+        if not math.isfinite(value):
+            raise SimulationError(f"estimator fault: non-finite {name} over {n_traj} trajectories")
+    return mean, se
+
+
+def orthogonality_residual(qfun, score, test_fn: TestProcess, p: LqParams, cfg,
+                           n_traj: int) -> ResidualReport:
+    """Estimate E sum xi dM over ``n_traj`` trajectories with its classical SE.
+
+    Trajectories follow the joint dynamics of ``p`` under ``score`` from
+    (cfg.x0, cfg.a0), cfg.n_steps steps of cfg.dt, noise seeded by cfg.seed;
+    the discount and regularization weights come from ``p``.  The sums are
+    those of :func:`orthogonality_statistics` on that batch, taken from the
+    simulator's row blocks as they are made.
+    """
+    estimate, se = _mean_and_se(_increments(qfun, score, test_fn, cfg.dt, p.beta, p.lam),
+                                p, score, cfg, n_traj)
+    z = (estimate / se if se > 0
+         else 0.0 if estimate == 0 else math.copysign(math.inf, estimate))
     return ResidualReport(estimate, se, n_traj, z)
 
 
@@ -225,34 +228,29 @@ def trajectory_gaps(batch: Trajectory, qfun, score, beta: float,
                        q_vals, psi, batch.dt, lam)
 
 
-def martingale_loss(qfun, score, p: LqParams, cfg: AlgoConfig, n_traj: int) -> float:
-    """Half the mean of G_k^2 dt over grid points and trajectories.
+def martingale_loss(qfun, score, p: LqParams, cfg, n_traj: int) -> float:
+    """Half the mean of G_k^2 dt over the grid points and trajectories from
+    (cfg.x0, cfg.a0), cfg.n_steps steps of cfg.dt, noise seeded by cfg.seed.
 
     Nonnegative; minimized by the true value function of the score.
     """
-    if n_traj < 1:
-        raise ValueError("n_traj must be at least 1")
     batch = simulate_batch(lq_dynamics(p, score), lq_reward_fn(p), cfg.x0, cfg.a0, cfg.dt,
                            cfg.n_steps, n_traj, cfg.seed)
     gaps = trajectory_gaps(batch, qfun, score, p.beta, p.lam)
     return 0.5 * float(np.mean(gaps * gaps)) * batch.dt
 
 
-def estimate_discounted_return(p: LqParams, score, cfg: AlgoConfig, n_traj: int):
+def estimate_discounted_return(p: LqParams, score, cfg, n_traj: int):
     """Monte Carlo discounted net return from (cfg.x0, cfg.a0) under a score.
 
     Left-endpoint sum of e^{-beta t} (r - lam/2 Psi^2) dt over cfg.n_steps
-    steps, averaged over n_traj trajectories.  Returns (estimate, std error).
-    Equal cfg.seed values reuse the same noise, enabling common-random-number
-    comparisons between scores.  n_traj must be at least 2 for the standard
-    error.
+    steps of cfg.dt, averaged over n_traj trajectories.  Returns (estimate,
+    std error).  Equal cfg.seed values reuse the same noise, enabling
+    common-random-number comparisons between scores.  n_traj must be at least
+    2 for the standard error.
     """
-    if n_traj < 2:
-        raise ValueError("n_traj must be at least 2")
-
     def flow(rows, states, actions, rates):
         w = discount_weights(rates.shape, cfg.dt, p.beta, rows.start)
         return net_reward_flow(w, rates, score(states[:-1], actions[:-1]), cfg.dt, p.lam)
 
-    returns = _column_sums(_stream(p, score, cfg, n_traj), flow)
-    return float(returns.mean()), float(returns.std(ddof=1) / np.sqrt(n_traj))
+    return _mean_and_se(flow, p, score, cfg, n_traj)

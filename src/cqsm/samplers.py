@@ -133,19 +133,29 @@ def langevin_sample(score, x: float, a0, dt: float, n_steps: int, noise: NoiseSo
     iterate stays non-finite, because every step adds to it.  Any other
     score, and the replay of a stretch that ended non-finite, is called at
     every step with a check per step, which names the first non-finite step.
+    An array chain runs under one ``np.errstate`` that silences overflow, so
+    its fault ends in that SimulationError, never a numpy warning; a float
+    chain enters none, because Python floats overflow to inf silently.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
+    if not isinstance(a0, np.ndarray):
+        return _langevin_run(score, x, float(a0), dt, n_steps, TAPE, noise.normals,
+                             math.isfinite)
+    a = np.asarray(a0, dtype=float)
+    draw = lambda steps: noise.normal((steps,) + a.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _langevin_run(score, x, a, dt, n_steps, max(1, min(TAPE, BLOCK // max(1, a.size))),
+                             draw, lambda values: np.isfinite(values).all())
+
+
+def _langevin_run(score, x: float, a, dt: float, n_steps: int, stretch: int, draw, finite):
+    """The chain of :func:`langevin_sample` from ``a``, in stretches of at
+    most ``stretch`` steps whose variates ``draw(steps)`` returns, with
+    ``finite(a)`` as the fault check."""
     root = math.sqrt(2.0 * dt)
-    if isinstance(a0, np.ndarray):
-        a = np.asarray(a0, dtype=float)
-        stretch = max(1, min(TAPE, BLOCK // max(1, a.size)))
-        draw = lambda steps, shape=a.shape: noise.normal((steps,) + shape)
-        finite = lambda values: np.isfinite(values).all()
-    else:
-        a, stretch, draw, finite = float(a0), TAPE, noise.normals, math.isfinite
     coefficients = getattr(score, "coefficients", None)
     for first in range(0, n_steps, stretch):
         draws = draw(min(stretch, n_steps - first))

@@ -645,6 +645,19 @@ def test_cli_check_martingale_overflow_is_a_numerical_failure_without_warnings(c
                                    "to a non-finite value")
 
 
+def test_cli_check_martingale_overflowing_mean_is_a_numerical_failure_without_warnings(capsys):
+    # each of the four orthogonality sums is finite (about -6.3e307); their mean is not
+    path = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli_main(["check-martingale", "--config", str(path), "--offset", "1e308",
+                         "--traj", "4", "--horizon", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: estimator fault: non-finite mean over 4 trajectories\n"
+
+
 def _martingale_estimate(capsys, path):
     assert cli_main(["check-martingale", "--config", str(path), "--traj", "20",
                      "--dt", "0.05", "--horizon", "2"]) == 0

@@ -102,7 +102,7 @@ def _float_digest(*values) -> str:
 # defaults: 200 trajectories, dt 0.01, horizon 50, seed 0
 MARTINGALE_CASES = {
     0.0: "8e83d86f9dda1f08c0432cd199dfd9fce82859f50096a18ba19be22dfc4db274",
-    0.5: "e15ae4807b26fd6049f79d8f64010f61933b3173d209a429ee733c93c0e19540",
+    0.5: "a86dd2010a9deaa2595a4d6186b70f84dc5003aa7f817f6e5053915df160042c",
 }
 
 

@@ -169,7 +169,7 @@ def test_bench_only_names_have_no_reader_in_the_package():
 
 # the package's layers, lowest first: a module imports only modules listed
 # before it (``_version`` and ``__init__`` stand outside the order)
-LAYERS = ["sde", "lq", "policy", "samplers", "lq_analytic", "online", "martingale", "offline",
+LAYERS = ["sde", "lq", "policy", "samplers", "lq_analytic", "martingale", "online", "offline",
           "experiment", "cli"]
 
 

@@ -1,5 +1,5 @@
-import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -156,23 +156,23 @@ def test_loss_invariant_under_trajectory_relabeling(k_ref, lq_ref):
                                                rel=1e-14)
 
 
-def test_jackknife_matches_classical_standard_error(k_ref, lq_ref):
+def test_residual_reports_the_classical_standard_error_bitwise(k_ref, lq_ref):
+    n = 100
     report = orthogonality_residual(
         lambda x, a: q_star(k_ref, x, a),
         lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a),
         constant_test(), lq_ref, _diag_cfg(dt=0.05, horizon=10.0, seed=3),
-        n_traj=100)
+        n_traj=n)
     batch = simulate_batch(
         lq_dynamics(lq_ref, lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a)),
-        lq_reward_fn(lq_ref), 0.0, 0.0, 0.05, 200, 100, seed=3)
+        lq_reward_fn(lq_ref), 0.0, 0.0, 0.05, 200, n, seed=3)
     stats = orthogonality_statistics(
         batch, lambda x, a: q_star(k_ref, x, a),
         lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a), constant_test(),
         lq_ref.beta, lq_ref.lam)
-    classical = stats.std(ddof=1) / math.sqrt(len(stats))
-    assert report.std_error == pytest.approx(classical, rel=1e-10)
-    assert report.z_score == pytest.approx(report.estimate / report.std_error,
-                                           rel=1e-12)
+    assert report.estimate == float(stats.mean())
+    assert report.std_error == float(stats.std(ddof=1) / np.sqrt(n))
+    assert report.z_score == report.estimate / report.std_error
 
 
 def test_orthogonality_requires_two_trajectories(k_ref, lq_ref):
@@ -180,6 +180,42 @@ def test_orthogonality_requires_two_trajectories(k_ref, lq_ref):
         orthogonality_residual(lambda x, a: q_star(k_ref, x, a),
                                lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a),
                                constant_test(), lq_ref, _diag_cfg(), n_traj=1)
+
+
+def test_non_finite_return_is_an_estimator_fault_without_warnings():
+    # Psi^2 = 1e400 overflows, so every trajectory's return is -inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimulationError) as error:
+            estimate_discounted_return(LqParams(), lambda x, a: 1e200 + 0.0 * a,
+                                       AlgoConfig(dt=1e-300, n_steps=3), 2)
+    assert str(error.value) == "estimator fault: non-finite sum over trajectory 0"
+
+
+def _first_row(values):
+    """A row-block term whose column sums are ``values``: the grid's first row."""
+    def term(rows, states, actions, rates):
+        out = np.zeros_like(rates)
+        if rows.start == 0:
+            out[0] = values
+        return out
+
+    return term
+
+
+@pytest.mark.parametrize("values, message", [
+    ([1.0, 2.0, np.inf, np.nan], "non-finite sum over trajectory 2"),
+    ([1e308, 1e308, 1e308, 1e308], "non-finite mean over 4 trajectories"),
+    ([1e308, -1e308, 1e308, -1e308], "non-finite standard error over 4 trajectories"),
+])
+def test_estimator_names_its_first_non_finite_statistic_without_warnings(lq_ref, values,
+                                                                         message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimulationError) as error:
+            martingale._mean_and_se(_first_row(values), lq_ref, lambda x, a: -a,
+                                    AlgoConfig(dt=0.1, n_steps=3), len(values))
+    assert str(error.value) == "estimator fault: " + message
 
 
 def test_report_fields():
@@ -301,12 +337,13 @@ def test_blocked_discounted_return_equals_the_one_shot_formula_bitwise(small_blo
 
 @pytest.fixture
 def residual_sums(monkeypatch):
-    """The per-trajectory sums behind each orthogonality_residual report, in
-    call order (recorded where the report takes its standard error)."""
+    """The per-trajectory sums behind each report, in call order (recorded
+    where the estimators take their column sums, orthogonality_statistics
+    included)."""
     sums = []
-    jackknife = martingale._jackknife_se
-    monkeypatch.setattr(martingale, "_jackknife_se",
-                        lambda values: sums.append(values) or jackknife(values))
+    column_sums = martingale._column_sums
+    monkeypatch.setattr(martingale, "_column_sums",
+                        lambda blocks, term: sums.append(column_sums(blocks, term)) or sums[-1])
     return sums
 
 
@@ -321,11 +358,12 @@ def test_streamed_residual_equals_the_statistics_of_the_batch_bitwise(
     score = lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a)
     cfg = AlgoConfig(dt=0.01, n_steps=BLOCK_STEPS, seed=11, x0=0.3, a0=-0.2)
     report = orthogonality_residual(qfun, score, process, lq_ref, cfg, width)
+    got = [_bits(sums) for sums in residual_sums]
 
     batch = simulate_batch(lq_dynamics(lq_ref, score), lq_reward_fn(lq_ref), cfg.x0, cfg.a0,
                            cfg.dt, cfg.n_steps, width, cfg.seed)
     want = orthogonality_statistics(batch, qfun, score, process, lq_ref.beta, lq_ref.lam)
-    assert [_bits(sums) for sums in residual_sums] == [_bits(want)]
+    assert got == [_bits(want)]
     assert report.estimate == float(want.mean())
 
 
