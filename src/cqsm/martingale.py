@@ -123,7 +123,7 @@ def return_gaps(discount, reward_rates, q_values, psi_values, dt: float,
     column per trajectory); the inner suffix sums are accumulated in O(K).
     """
     flow = net_reward_flow(discount[:-1], reward_rates, np.asarray(psi_values)[:-1], dt, lam)
-    suffix = np.flip(np.cumsum(np.flip(flow, axis=0), axis=0), axis=0)
+    suffix = flow[::-1].cumsum(axis=0)[::-1]
     return suffix - discount[:-1] * np.asarray(q_values)[:-1]
 
 

@@ -1,4 +1,4 @@
-"""Episodic offline Q-score matching via the martingale loss.
+"""Episodic offline Q-score matching on whole rollouts.
 
 One episode is a truncated rollout under the current score.  For every grid
 point the discounted return-to-go gap G_k, which :mod:`martingale` states
@@ -8,6 +8,12 @@ per episode moves theta along sum_k (dQ/dtheta)_k G_k dt, then moves v along
 the discounted score-gradient integral
 sum_k w_k (dQ/da - lam Psi)_k (dPsi/dv)_k dt at the new theta, whose
 stationary point is the exact fit of the critic's scaled action gradient.
+
+With G_k = w_k (R_k - Q_k), R_k the discounted net return-to-go seen from
+t_k, the critic step is a discount-weighted regression of Q on the realized
+returns, descent on 1/2 sum_k w_k (R_k - Q_k)^2 dt.  It is not descent on
+the squared-gap loss :func:`martingale.martingale_loss`, whose gradient
+weights each term by w_k once more.
 """
 
 from __future__ import annotations
@@ -62,8 +68,7 @@ def offline_update(ep: Episode, theta, v, cfg: AlgoConfig, episode_index: int):
     gaps = return_gaps(ep.discount_weights, traj.reward_rates,
                        q_theta(theta, traj.states, traj.actions),
                        score(traj.states, traj.actions), traj.dt, cfg.lam)
-    grads = np.stack(np.broadcast_arrays(*q_features(traj.states[:-1], traj.actions[:-1])),
-                     axis=1)
+    grads = _feature_matrix(q_features(traj.states[:-1], traj.actions[:-1]), len(gaps))
     lr = lr_schedule(float(episode_index))
     theta_next = theta + lr * cfg.alpha_theta * (traj.dt * grads.T @ gaps)
     if not np.all(np.isfinite(theta_next)):
@@ -86,8 +91,17 @@ def score_gradient_residual(theta, v, lam: float, ep: Episode) -> np.ndarray:
     as_ = traj.actions[:-1]
     w = ep.discount_weights[:-1]
     gap = grad_a_q(theta, xs, as_) - lam * score(xs, as_)
-    sens = np.stack(np.broadcast_arrays(*psi_features(slope, xs, as_)), axis=1)
+    sens = _feature_matrix(psi_features(slope, xs, as_), len(xs))
     return traj.dt * ((w * gap)[:, None] * sens).sum(axis=0)
+
+
+def _feature_matrix(features, n: int) -> np.ndarray:
+    """The C-ordered (n, len(features)) matrix whose column j is features[j],
+    an array of n values or a scalar broadcast down the column."""
+    out = np.empty((n, len(features)))
+    for j, column in enumerate(features):
+        out[:, j] = column
+    return out
 
 
 def run_offline(cfg: AlgoConfig, p: LqParams, theta0, v0, n_episodes: int) -> LearningRecord:

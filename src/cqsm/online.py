@@ -239,9 +239,9 @@ def _step(theta: list, v: list, x: float, a: float, step: int, cfg: AlgoConfig, 
     rate_v = lr * cfg.alpha_v
     v_next = [w + rate_v * (mismatch * g) for w, g in zip(v, psi_features(slope, x, a))]
 
-    # NaN and inf both fail the comparison
-    if not all(abs(p) <= DIVERGENCE_LIMIT for p in theta_next + v_next):
-        raise DivergenceError(f"parameters diverged at step {step} (last delta {delta:.6g})")
+    for p in theta_next + v_next:
+        if not abs(p) <= DIVERGENCE_LIMIT:  # NaN and inf both fail the comparison
+            raise DivergenceError(f"parameters diverged at step {step} (last delta {delta:.6g})")
     return theta_next, v_next, x_next, a_next, r
 
 

@@ -83,13 +83,17 @@ def ddpm_sample(score, x: float, schedule: NoiseSchedule, noise: NoiseSource) ->
              + sqrt(beta_t) * z
 
     with fresh z ~ N(0, 1) each step and the divisor floored at 1e-12.  The
-    environment state stays frozen while the chain runs.
+    environment state stays frozen while the chain runs.  The chain runs
+    under one ``np.errstate`` that silences overflow, so a score that returns
+    numpy scalars ends a non-finite chain in the SimulationError, never in a
+    numpy warning.
     """
     a = float(noise.normal())
-    for t, coef, sqrt_alpha, sqrt_beta in schedule.reverse_steps:
-        a = (a + coef * score(x, a)) / sqrt_alpha + sqrt_beta * noise.normal()
-        if not math.isfinite(a):
-            raise SimulationError(f"sampler fault: non-finite action at reverse step {t}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, coef, sqrt_alpha, sqrt_beta in schedule.reverse_steps:
+            a = (a + coef * score(x, a)) / sqrt_alpha + sqrt_beta * noise.normal()
+            if not math.isfinite(a):
+                raise SimulationError(f"sampler fault: non-finite action at reverse step {t}")
     return a
 
 
@@ -133,9 +137,11 @@ def langevin_sample(score, x: float, a0, dt: float, n_steps: int, noise: NoiseSo
     iterate stays non-finite, because every step adds to it.  Any other
     score, and the replay of a stretch that ended non-finite, is called at
     every step with a check per step, which names the first non-finite step.
-    An array chain runs under one ``np.errstate`` that silences overflow, so
-    its fault ends in that SimulationError, never a numpy warning; a float
-    chain enters none, because Python floats overflow to inf silently.
+    An array chain runs under one ``np.errstate`` that silences overflow, and
+    so does each stretch of that per-step loop, so a fault ends in that
+    SimulationError, never a numpy warning, even where a float chain's score
+    returns numpy scalars.  A float chain's coefficient stretch enters none,
+    because Python floats overflow to inf silently.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -168,10 +174,11 @@ def _langevin_run(score, x: float, a, dt: float, n_steps: int, stretch: int, dra
             if finite(a):
                 continue
             a = start
-        for k, z in enumerate(draws, first):
-            a = a + score(x, a) * dt + root * z
-            if not finite(a):
-                raise SimulationError(f"sampler fault: non-finite action at step {k}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, z in enumerate(draws, first):
+                a = a + score(x, a) * dt + root * z
+                if not finite(a):
+                    raise SimulationError(f"sampler fault: non-finite action at step {k}")
     return a
 
 

@@ -39,32 +39,38 @@ class NoiseSource:
     Equal seeds produce bit-identical sequences.  A source is stateful and must
     not be shared between simulations that are meant to be independent.
 
-    Scalar draws are served from a tape of ``TAPE`` variates pre-drawn as one
-    block.  :meth:`normals` hands out k scalar draws as one list, sliced off
-    the tape and refilled in ``TAPE`` blocks as k calls of :meth:`normal`
-    would be; a block draw takes what the tape still holds, never refilling
-    it, and the rest straight from the generator.  The generator yields the
-    same stream whether its variates are drawn one at a time or in blocks, so
-    every caller receives the values it would receive from the generator
-    directly, in the same order.
+    Scalar draws are served from a tape: a refill of ``TAPE`` variates
+    pre-drawn as one block, kept as a list in the order drawn and read
+    forward by an iterator, whose index is the read position.  :meth:`normal`
+    takes the iterator's next value; :meth:`normals` hands out k scalar draws
+    as one slice of the tape, moves the read position past them and refills
+    in ``TAPE`` blocks as k calls of :meth:`normal` would; a block draw takes
+    what the tape still holds, never refilling it, and the rest straight from
+    the generator.  The generator yields the same stream whether its variates
+    are drawn one at a time or in blocks, so every caller receives the values
+    it would receive from the generator directly, in the same order.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._rng = np.random.default_rng(self.seed)
-        self._tape = []  # unread pre-drawn variates, the next one last
+        self._tape = []  # pre-drawn variates in the order drawn
+        self._read = iter(self._tape)  # the read position in the tape
 
     def normal(self, size=None):
         """Standard normal draw; a Python float when ``size`` is None."""
-        tape = self._tape
         if size is None:
-            if not tape:
-                tape.extend(reversed(self._rng.standard_normal(TAPE).tolist()))
-            return tape.pop()
-        if not tape:
+            try:
+                return next(self._read)
+            except StopIteration:
+                self._tape = self._rng.standard_normal(TAPE).tolist()
+                self._read = iter(self._tape)
+                return next(self._read)
+        left = self._read.__length_hint__()  # variates left in the tape
+        if not left:
             return self._rng.standard_normal(size)
         n = int(np.prod(size))
-        head = self.normals(min(n, len(tape)))
+        head = self.normals(min(n, left))
         return np.reshape(np.concatenate((head, self._rng.standard_normal(n - len(head)))), size)
 
     def normals(self, k: int) -> list:
@@ -72,18 +78,18 @@ class NoiseSource:
 
         Equal to k calls of :meth:`normal` and leaves the tape as they would.
         """
-        tape = self._tape
-        cut = len(tape) - k
-        if cut >= 0:
-            out = tape[cut:]
-            del tape[cut:]
-            out.reverse()
-            return out
-        out = tape[::-1]
-        need = -cut
+        tape, read = self._tape, self._read
+        start = len(tape) - read.__length_hint__()
+        end = start + k
+        if end <= len(tape):
+            read.__setstate__(end)  # a list iterator's pickle hook: move it to index end
+            return tape[start:end]
+        out = tape[start:]
+        need = end - len(tape)
         fresh = self._rng.standard_normal(-(-need // TAPE) * TAPE).tolist()
         out += fresh[:need]
-        tape[:] = reversed(fresh[need:])
+        self._tape = fresh[need:]
+        self._read = iter(self._tape)
         return out
 
     def __repr__(self):
@@ -153,10 +159,13 @@ def simulate(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int, seed: i
 def simulate_from(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int,
                   noise: NoiseSource) -> Trajectory:
     """Like :func:`simulate` but drawing from an existing noise source: the
-    row blocks of :func:`simulate_blocks` written into one grid."""
+    row blocks of :func:`simulate_blocks` written into one grid.  A rollout
+    that is one row block is returned as that block, uncopied."""
     grid = None
     for rows, states, actions, rates in simulate_blocks(dyn, reward, x0, a0, dt, n_steps, noise):
         if grid is None:
+            if rows.stop == n_steps:
+                return Trajectory(float(dt), states, actions, rates)
             width = states.shape[1:]
             grid = (np.empty((n_steps + 1,) + width), np.empty((n_steps + 1,) + width),
                     np.empty((n_steps,) + width))
@@ -181,10 +190,12 @@ def simulate_blocks(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int,
     the (n_steps, width) transition grid, in order: ``states`` and
     ``actions`` are fresh arrays of grid rows rows.start..rows.stop, end point
     included, and rates = reward(states[:-1], actions[:-1]).  A scalar
-    rollout is one block of 1-d arrays.  Each row block's variates are drawn
-    in one call, noise.normals(2 * steps) from a scalar start and
-    noise.normal((steps, 2, width)) for a batch, and are consumed step by
-    step: the state's variates, then the action's.
+    rollout is one block of 1-d arrays, its steps appended to two lists of
+    Python floats that become arrays once; a batch writes each step's row
+    into two preallocated arrays.  Both run one step statement.  Each row
+    block's variates are drawn in one call, noise.normals(2 * steps) from a
+    scalar start and noise.normal((steps, 2, width)) for a batch, and are
+    consumed step by step: the state's variates, then the action's.
 
     Each block is simulated, given its rates and checked under one
     ``np.errstate(over="ignore", invalid="ignore")``, as is the start's shape
@@ -215,18 +226,20 @@ def simulate_blocks(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int,
         n = rows.stop - rows.start + 1
         with np.errstate(over="ignore", invalid="ignore"):
             if size is None:
-                states, actions = [x] * n, [a] * n
+                states, actions = [x], [a]
+                put_x, put_a = states.append, actions.append
                 z = iter(noise.normals(2 * (n - 1)))
                 draws = zip(z, z)
             else:
                 states, actions = np.empty((n, size)), np.empty((n, size))
                 states[0], actions[0] = x, a
+                put_x, put_a = _row_writer(states), _row_writer(actions)
                 draws = noise.normal((n - 1, 2, size))
-            for k, (zx, za) in enumerate(draws, 1):
+            for zx, za in draws:
                 x, a = (x + (A * x + B * a) * dt + (C * x + D * a) * root * zx,
                         a + score(x, a) * dt + noise_a * za)
-                states[k] = x
-                actions[k] = a
+                put_x(x)
+                put_a(a)
             if size is None:
                 states, actions = np.fromiter(states, float, n), np.fromiter(actions, float, n)
             rates = np.empty_like(states[1:])
@@ -235,6 +248,20 @@ def simulate_blocks(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int,
                     and np.isfinite(actions).all()):
                 raise SimulationError(_first_fault(dyn, states, actions, rates, rows.start))
         yield rows, states, actions, rates
+
+
+def _row_writer(grid: np.ndarray):
+    """A function that writes its argument into grid rows 1, 2, ... in turn:
+    the ``send`` of a started generator, which costs less per call than a
+    Python function."""
+    def rows():
+        for row in grid[1:]:
+            row[...] = yield
+        yield  # the last send returns, not raises StopIteration
+
+    writer = rows()
+    next(writer)
+    return writer.send
 
 
 def _first_fault(dyn: DynamicsSpec, states, actions, rates, start: int) -> str:

@@ -267,3 +267,30 @@ def test_the_sampler_is_read_only_by_the_one_dispatch():
              for scope, line in sampler_reads(path.read_text(encoding="utf-8"))
              if f"{path.name}: {scope}" not in SAMPLER_READERS]
     assert reads == []
+
+
+def loop_assignments(source: str, function: str, names: tuple[str, ...]) -> list[int]:
+    """Lines of the assignments to the tuple ``names`` inside a loop of the
+    top-level function ``function`` of ``source``."""
+    body = next(node for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    return sorted({node.lineno for loop in ast.walk(body) if isinstance(loop, (ast.For, ast.While))
+                   for node in ast.walk(loop) if isinstance(node, ast.Assign)
+                   and any(isinstance(target, ast.Tuple)
+                           and [getattr(name, "id", None) for name in target.elts] == list(names)
+                           for target in node.targets)})
+
+
+def test_loop_assignments_are_found():
+    source = ("def f(x0, a0):\n    x, a = x0, a0\n    for z in x0:\n        x, a = x + z, a\n"
+              "        a, x = x, a\n        while z:\n            x, a = 1, 2\n"
+              "    y = x, a = 1, 2\n"
+              "def g(x, a):\n    for z in x:\n        x, a = z, z\n")
+    assert loop_assignments(source, "f", ("x", "a")) == [4, 7]
+
+
+def test_simulate_blocks_holds_one_euler_step():
+    # scalar and batch rollouts store their rows differently but share the one
+    # step statement; the start's own (x, a) assignments sit outside the loop
+    source = (SRC / "sde.py").read_text(encoding="utf-8")
+    assert len(loop_assignments(source, "simulate_blocks", ("x", "a"))) == 1

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from cqsm.lq import lq_dynamics, lq_reward_fn
 from cqsm.lq_analytic import k_to_optimal_params, optimal_score
-from cqsm.martingale import discount_weights, return_gaps
+from cqsm.martingale import discount_weights, net_reward_flow, return_gaps
 from cqsm.offline import (Episode, offline_update, rollout_episode, run_offline,
                           score_gradient_residual)
 from cqsm.online import AlgoConfig, DivergenceError, lr_schedule
-from cqsm.policy import psi_v, q_theta
+from cqsm.policy import psi_features, psi_v, q_features, q_theta
 from cqsm.sde import NoiseSource, SimulationError, Trajectory, simulate_batch
 import cqsm.offline as offline
 
@@ -103,6 +103,29 @@ def _rollout(lq_ref, seed=5):
                      sampler="direct_sde")
     v = np.array([0.4, 0.2, -0.3])
     return cfg, v, rollout_episode(lq_ref, v, cfg, NoiseSource(seed))
+
+
+@pytest.mark.parametrize("width", [None, 3])
+def test_return_gaps_equal_the_flipped_suffix_sums_bitwise(width):
+    shape = (500,) if width is None else (500, width)
+    rng = np.random.default_rng(3)
+    w = discount_weights((501,) + shape[1:], 0.1, 0.7)
+    rs = rng.normal(size=shape)
+    q_vals, psi = rng.normal(size=(2, 501) + shape[1:])
+    flow = net_reward_flow(w[:-1], rs, psi[:-1], 0.1, 0.25)
+    want = np.flip(np.cumsum(np.flip(flow, axis=0), axis=0), axis=0) - w[:-1] * q_vals[:-1]
+    assert return_gaps(w, rs, q_vals, psi, 0.1, 0.25).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("features", [q_features, lambda x, a: psi_features(-1.7, x, a)],
+                         ids=["q", "psi"])
+def test_feature_matrix_equals_the_stacked_broadcast_bitwise(features):
+    # the critic and score steps multiply it as laid out: C order, one row per point
+    xs, as_ = np.random.default_rng(4).normal(size=(2, 500))
+    want = np.stack(np.broadcast_arrays(*features(xs, as_)), axis=1)
+    got = offline._feature_matrix(features(xs, as_), len(xs))
+    assert got.flags.c_contiguous and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed", [5, 6, 7])

@@ -173,6 +173,17 @@ def test_cqsm_step_divergence_guard_rejects_nonfinite_and_large(lq_ref, bad):
     cqsm_step(state, cfg, lambda x, a: (0.0, 0.0), SequenceNoise([0.0]))
 
 
+def test_divergence_guard_finds_a_nan_after_finite_parameters(monkeypatch):
+    # theta' is all zeros and v' = (0, NaN, 0): NaN is no maximum, so only a
+    # check of every parameter finds it behind the six finite theta entries
+    monkeypatch.setattr(online, "psi_features", lambda slope, x, a: (0.0, math.nan, 0.0))
+    state = LearnState(np.zeros(6), np.zeros(3), 1.0, 0.0, 0, 0.0)
+    with pytest.raises(DivergenceError) as info:
+        cqsm_step(state, AlgoConfig(dt=0.1, n_steps=1, sampler="direct_sde"),
+                  lambda x, a: (0.0, 0.0), SequenceNoise([0.0]))
+    assert str(info.value) == "parameters diverged at step 0 (last delta 0)"
+
+
 def test_run_cqsm_rejects_bad_shapes(lq_ref):
     cfg = AlgoConfig(n_steps=1)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -379,14 +380,35 @@ def test_langevin_sample_array_a0_bitwise_equals_lockstep_reference(kind, slope,
         assert got_noise.normal() == np.random.default_rng(8).standard_normal(drawn + 1)[-1]
 
 
-def test_float_chains_enter_no_errstate(monkeypatch):
-    # Python floats overflow to inf silently; the online learner's chain pays for no guard
-    def refuse(**kwargs):
-        raise AssertionError("np.errstate entered")
+def test_float_coefficient_stretches_enter_no_errstate(monkeypatch):
+    # Python floats overflow to inf silently: the online learner's chain pays
+    # for no guard, and only the replay of a stretch that ended non-finite enters one
+    entered, errstate = [], np.errstate
 
-    monkeypatch.setattr(np, "errstate", refuse)
+    def counting(**kwargs):
+        entered.append(kwargs)
+        return errstate(**kwargs)
+
+    monkeypatch.setattr(np, "errstate", counting)
+    a = langevin_sample(score_fn(-4.6, -1.5, -3.6), 0.4, 1.0, 0.01, 2000, NoiseSource(8))
+    assert math.isfinite(a) and entered == []
     with pytest.raises(SimulationError, match="non-finite action"):
         langevin_sample(score_fn(60.0, -1.5, -3.6), 0.4, 1.0, 0.1, 2000, NoiseSource(8))
+    assert entered == [{"over": "ignore", "invalid": "ignore"}]
+
+
+@pytest.mark.parametrize("sample, step", [
+    (lambda: langevin_sample(lambda x, a: np.float64(60.0) * a, 0.4, 1.0, 0.1, 2000,
+                             NoiseSource(8)), "step"),
+    (lambda: ddpm_sample(lambda x, a: np.float64(1e300) * a, 0.4,
+                         make_linear_schedule(20, 1e-4, 0.02), NoiseSource(8)), "reverse step"),
+], ids=["langevin", "ddpm"])
+def test_float_chain_of_a_numpy_scalar_score_ends_in_a_sampler_fault(sample, step):
+    # numpy scalars warn on overflow where Python floats do not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimulationError, match=f"non-finite action at {step} \\d+$"):
+            sample()
 
 
 @pytest.mark.parametrize("kind", ["score_fn", "lambda"])

@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 import warnings
@@ -231,7 +232,9 @@ def test_noise_source_normals_equal_k_scalar_draws(k, used):
     for _ in range(used):
         lists.normal(), scalars.normal()
     assert lists.normals(k) == [scalars.normal() for _ in range(k)]
-    assert lists._tape == scalars._tape  # the tape is left as by k scalar draws
+    # the two go on alike: a block across the end of what is left, then a later block
+    for size in (TAPE + 2, 5):
+        assert lists.normal(size).tobytes() == scalars.normal(size).tobytes()
 
 
 @pytest.mark.parametrize("extra", [-7, -1, 0, 1, 3 * TAPE])
@@ -247,7 +250,11 @@ def test_block_draw_drains_the_tape_and_reads_the_rest_from_the_generator(extra)
     got += noise.normals(20)
     left -= 20
     block = noise.normal((left + extra,))
-    assert len(noise._tape) == max(0, -extra)
+    # what it draws next is what a fresh source draws after one block of as many
+    ahead, twin = copy.deepcopy(noise), NoiseSource(13)
+    twin.normal(TAPE + extra)
+    for size in (TAPE + 2, 5):
+        assert ahead.normal(size).tobytes() == twin.normal(size).tobytes()
     got += block.tolist() + [noise.normal()] + noise.normal(TAPE // 2).tolist()
     got += noise.normals(3)
     want = np.random.default_rng(13).standard_normal(5 + len(got))[5:]
