@@ -23,7 +23,7 @@ from .lq_analytic import coefficient_residuals, k_to_optimal_params, solve_lq
 from .martingale import constant_test, orthogonality_residual
 from .policy import grad_a_q, q_theta
 from .samplers import ddpm_law, ddpm_sample, langevin_chain, langevin_law
-from .sde import NoiseSource
+from .sde import NoiseSource, SimulationError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -184,10 +184,16 @@ def _cmd_sample(args) -> int:
         samples = np.fromiter((ddpm_sample(score, args.x, schedule, noise)
                                for _ in range(args.n)), float, count=args.n)
         target_mean, target_var = ddpm_law(schedule, c1, c0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, var = float(samples.mean()), float(samples.var(ddof=1))
+    for name, value in (("mean", mean), ("variance", var)):
+        if not math.isfinite(value):
+            raise SimulationError(f"estimator fault: non-finite sample {name} over {args.n} "
+                                  "samples")
     print(f"sampler        = {args.sampler}")
     print(f"samples        = {args.n}")
-    print(f"empirical mean = {samples.mean():.6g}   (target {target_mean:.6g})")
-    print(f"empirical var  = {samples.var(ddof=1):.6g}   (target {target_var:.6g})")
+    print(f"empirical mean = {mean:.6g}   (target {target_mean:.6g})")
+    print(f"empirical var  = {var:.6g}   (target {target_var:.6g})")
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             np.savetxt(fh, samples, fmt="%.9g", header="a", comments="")

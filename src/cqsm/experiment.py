@@ -30,8 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
+from .learner import AlgoConfig, LearningRecord
 from .lq import LqParams
-from .online import AlgoConfig, LearningRecord, run_cqsm
+from .online import run_cqsm
 from .sde import SimulationError
 
 

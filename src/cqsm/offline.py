@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .learner import (AlgoConfig, DivergenceError, LearningRecord, checked_params,
+                      initial_action, learning_record, lr_schedule, score_of)
 from .lq import LqParams, lq_dynamics, lq_reward_fn
 from .martingale import discount_weights, return_gaps
-from .online import (AlgoConfig, DivergenceError, LearningRecord, _checked_params, _record,
-                     _score_of, initial_action, lr_schedule)
 from .policy import grad_a_q, psi_features, q_features, q_theta
 from .sde import NoiseSource, SimulationError, Trajectory, simulate_from
 
@@ -45,7 +45,7 @@ def rollout_episode(p: LqParams, v, cfg: AlgoConfig, noise: NoiseSource) -> Epis
     episode the action evolves continuously through its own SDE.
     """
     a0 = initial_action(cfg, v, cfg.x0, noise)
-    _, score = _score_of(v)
+    _, score = score_of(v)
     traj = simulate_from(lq_dynamics(p, score), lq_reward_fn(p), cfg.x0, a0, cfg.dt,
                          cfg.n_steps, noise)
     return Episode(traj, discount_weights(traj.states.shape, traj.dt, cfg.beta))
@@ -64,7 +64,7 @@ def offline_update(ep: Episode, theta, v, cfg: AlgoConfig, episode_index: int):
     theta = np.asarray(theta, dtype=float)
     v = np.asarray(v, dtype=float)
     traj = ep.trajectory
-    _, score = _score_of(v)
+    _, score = score_of(v)
     gaps = return_gaps(ep.discount_weights, traj.reward_rates,
                        q_theta(theta, traj.states, traj.actions),
                        score(traj.states, traj.actions), traj.dt, cfg.lam)
@@ -85,7 +85,7 @@ def score_gradient_residual(theta, v, lam: float, ep: Episode) -> np.ndarray:
     Vanishes identically when the score reproduces the value model's scaled
     action gradient; otherwise its sign points back toward that fit.
     """
-    slope, score = _score_of(v)
+    slope, score = score_of(v)
     traj = ep.trajectory
     xs = traj.states[:-1]
     as_ = traj.actions[:-1]
@@ -120,7 +120,7 @@ def run_offline(cfg: AlgoConfig, p: LqParams, theta0, v0, n_episodes: int) -> Le
     if cfg.n_steps < 1:
         raise ValueError(f"n_steps must be at least 1 for offline episodes, got {cfg.n_steps}")
     # offline_update returns fresh arrays, so the recorded ones are never aliased
-    theta, v = _checked_params(theta0, v0)
+    theta, v = checked_params(theta0, v0)
     master = np.random.default_rng(cfg.seed)
     episode_time = cfg.n_steps * cfg.dt
 
@@ -139,4 +139,4 @@ def run_offline(cfg: AlgoConfig, p: LqParams, theta0, v0, n_episodes: int) -> Le
             rows.append((j, theta, v, float(ep.trajectory.reward_rates.mean()),
                          total_reward / (j * episode_time)))
 
-    return _record(rows, episode_time, cfg.seed)
+    return learning_record(rows, episode_time, cfg.seed)

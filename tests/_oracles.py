@@ -13,8 +13,9 @@ import math
 
 import numpy as np
 
+from cqsm.learner import DivergenceError, lr_schedule
 from cqsm.lq import LqParams
-from cqsm.online import DIVERGENCE_LIMIT, DivergenceError, LearnState, lr_schedule
+from cqsm.online import DIVERGENCE_LIMIT, LearnState
 from cqsm.samplers import make_linear_schedule
 from cqsm.sde import SimulationError
 

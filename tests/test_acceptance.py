@@ -15,10 +15,11 @@ import scipy.stats
 
 import cqsm.experiment as experiment
 from cqsm.experiment import config_hash, parse_config, run_experiment
+from cqsm.learner import AlgoConfig
 from cqsm.lq_analytic import (SolveError, coefficient_residuals, hjb_residual,
                               k_to_optimal_params, optimal_score, q_star, solve_lq)
 from cqsm.martingale import constant_test, estimate_discounted_return, orthogonality_residual
-from cqsm.online import AlgoConfig, run_cqsm
+from cqsm.online import run_cqsm
 from cqsm.policy import grad_a_q, grad_theta_q, psi_features, psi_v, q_theta, score_params_from_q
 from cqsm.samplers import ddpm_sample, langevin_sample, make_linear_schedule
 from cqsm.sde import NoiseSource

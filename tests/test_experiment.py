@@ -10,14 +10,15 @@ import pytest
 
 import cqsm.cli as cli
 import cqsm.experiment as experiment
-import cqsm.online as online
+import cqsm.learner as learner
 from cqsm.cli import main as cli_main, parallel_workers
 from cqsm.experiment import (ConfigError, ExperimentConfig, config_hash, format_config,
                              parse_config, run_experiment)
+from cqsm.learner import AlgoConfig, DivergenceError
 from cqsm.lq import LqParams
 from cqsm.lq_analytic import k_to_optimal_params, optimal_score
 from cqsm.martingale import ResidualReport, estimate_discounted_return
-from cqsm.online import AlgoConfig, DivergenceError, run_cqsm
+from cqsm.online import run_cqsm
 from cqsm.policy import psi_v
 from cqsm.sde import SimulationError
 from _oracles import two_pass_mean_std
@@ -430,7 +431,7 @@ def test_config_whose_ddpm_schedule_cannot_be_allocated_is_refused(monkeypatch):
     # stands in for algo.ddpm_steps = 10**12, whose 8 TB schedule numpy refuses
     def out_of_memory(*args):
         raise MemoryError("Unable to allocate 7.28 TiB")
-    monkeypatch.setattr(online, "make_linear_schedule", out_of_memory)
+    monkeypatch.setattr(learner, "make_linear_schedule", out_of_memory)
     message = ("ddpm_steps = 20, ddpm_beta_start = 0.001, ddpm_beta_end = 0.19 form no noise "
                "schedule: Unable to allocate 7.28 TiB")
     with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
@@ -711,6 +712,25 @@ def test_cli_sample_actions_langevin_target_is_the_chain_law(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "(target -0.77206)" in out.splitlines()[2]
     assert out.splitlines()[3].endswith("(target 0.221842)")
+
+
+# at the reference config, actions of order 1e300 hold a finite mean, but
+# their squared deviations overflow
+@pytest.mark.parametrize("sampler", ["langevin", "ddpm"])
+def test_cli_sample_actions_non_finite_variance_is_a_numerical_failure(tmp_path, capsys, sampler):
+    path = tmp_path / "reference.cfg"
+    path.write_text(REFERENCE)
+    out = tmp_path / "samples.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        code = cli_main(["sample-actions", "--config", str(path), "--sampler", sampler,
+                         "--n", "5", "--x", "1e300", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical failure: estimator fault: non-finite sample variance "
+                            "over 5 samples\n")
+    assert not out.exists()
 
 
 def test_cli_sample_actions(tmp_path, capsys):

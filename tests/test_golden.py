@@ -22,13 +22,13 @@ import pytest
 
 from cqsm.cli import main as cli_main
 from cqsm.experiment import parse_config, run_experiment, write_record_csv
+from cqsm.learner import AlgoConfig
 from cqsm.lq import LqParams, lq_dynamics, lq_reward_fn
 from cqsm.lq_analytic import optimal_score, q_star, solve_lq
 from cqsm.martingale import (constant_test, estimate_discounted_return, lagged_state_test,
                              martingale_loss, orthogonality_residual, orthogonality_statistics,
                              q_gradient_test, trajectory_gaps)
 from cqsm.offline import run_offline
-from cqsm.online import AlgoConfig
 from cqsm.policy import psi_v
 from cqsm.sde import simulate_batch
 

@@ -7,7 +7,9 @@ action.
 
 The package root re-exports nothing: ``__init__.py`` binds only
 ``__version__``, and every other name is imported from the module that
-defines it, never from ``cqsm`` itself.
+defines it, never from ``cqsm`` itself nor from a module that imports it.
+No module imports another's private name, and the online and offline
+learners import nothing from each other.
 """
 
 import ast
@@ -113,12 +115,85 @@ def test_package_root_binds_only_the_version():
         module="_version", names=[ast.alias(name="__version__")], level=1))]
 
 
+def all_sources() -> list[Path]:
+    """The package's, the tests' and the benchmark's Python files."""
+    return [path for folder in (SRC, ROOT / "tests", ROOT / "bench")
+            for path in sorted(folder.glob("*.py"))]
+
+
 def test_no_name_is_imported_from_the_package_root():
-    sources = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
-    sources += sorted((ROOT / "bench").glob("*.py"))
-    found = [f"{path.relative_to(ROOT)}: {hit}" for path in sources
+    found = [f"{path.relative_to(ROOT)}: {hit}" for path in all_sources()
              for hit in root_imports(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def top_level_names(source: str) -> set[str]:
+    """Names that a def, a class or an assignment binds at the top level of ``source``."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        names.update(target.id for target in targets if isinstance(target, ast.Name))
+    return names
+
+
+def module_imports(source: str) -> list[tuple[int, str, str]]:
+    """(line, module, name) for each name that a ``from .module import`` or
+    ``from cqsm.module import`` in ``source`` takes from a ``cqsm`` module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom) or node.module is None:
+            continue
+        if node.level == 1:
+            module = node.module
+        elif node.level == 0 and node.module.startswith("cqsm."):
+            module = node.module.removeprefix("cqsm.")
+        else:
+            continue
+        found += [(node.lineno, module, alias.name) for alias in node.names]
+    return found
+
+
+def misplaced_imports(source: str, homes: dict[str, set[str]]) -> list[str]:
+    """``line n: module.name`` for each name that ``source`` imports from a
+    ``cqsm`` module that does not define it; ``homes`` maps each module to
+    the names it defines."""
+    return [f"line {line}: {module}.{name}" for line, module, name in module_imports(source)
+            if name not in homes[module]]
+
+
+def test_misplaced_imports_are_found():
+    homes = {"sde": {"NoiseSource", "BLOCK"}, "online": {"run_cqsm"}}
+    source = ("from cqsm.sde import NoiseSource\nfrom .online import run_cqsm, NoiseSource\n"
+              "from cqsm import sde\nfrom _oracles import run_cqsm\n"
+              "from cqsm.online import BLOCK\n")
+    assert misplaced_imports(source, homes) == ["line 2: online.NoiseSource",
+                                                "line 5: online.BLOCK"]
+
+
+def test_every_name_is_imported_from_the_module_that_defines_it():
+    homes = {path.stem: top_level_names(path.read_text(encoding="utf-8"))
+             for path in SRC.glob("*.py")}
+    found = [f"{path.relative_to(ROOT)}: {hit}" for path in all_sources()
+             for hit in misplaced_imports(path.read_text(encoding="utf-8"), homes)]
+    assert found == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a dunder such as __version__ is no private name
+    found = [f"{path.name}: line {line}: {module}.{name}" for path in MODULES
+             for line, module, name in module_imports(path.read_text(encoding="utf-8"))
+             if name.startswith("_") and not name.endswith("__")]
+    assert found == []
+
+
+def test_the_online_and_offline_learners_import_nothing_from_each_other():
+    # both drivers stand on the one learner core below them
+    imports = {stem: {module for _, module, _ in module_imports(
+        (SRC / f"{stem}.py").read_text(encoding="utf-8"))} for stem in ("online", "offline")}
+    assert "offline" not in imports["online"] and "online" not in imports["offline"]
 
 
 # the paper's objects: public for study and tested directly, though no other
@@ -169,8 +244,8 @@ def test_bench_only_names_have_no_reader_in_the_package():
 
 # the package's layers, lowest first: a module imports only modules listed
 # before it (``_version`` and ``__init__`` stand outside the order)
-LAYERS = ["sde", "lq", "policy", "samplers", "lq_analytic", "martingale", "online", "offline",
-          "experiment", "cli"]
+LAYERS = ["sde", "lq", "policy", "samplers", "lq_analytic", "martingale", "learner", "online",
+          "offline", "experiment", "cli"]
 
 
 def upward_imports(sources: dict[str, str]) -> list[str]:
@@ -258,8 +333,8 @@ def test_sampler_reads_are_found():
 # the one dispatch from the sampler setting to the next action, the config's
 # own check, the first action's "direct_sde keeps a0" rule, and the CLI's
 # ``--sampler`` flag, which picks the CLI's own chains
-SAMPLER_READERS = {"online.py: AlgoConfig.__post_init__", "online.py: _next_action",
-                   "online.py: initial_action", "cli.py: _cmd_sample"}
+SAMPLER_READERS = {"learner.py: AlgoConfig.__post_init__", "learner.py: next_action",
+                   "learner.py: initial_action", "cli.py: _cmd_sample"}
 
 
 def test_the_sampler_is_read_only_by_the_one_dispatch():

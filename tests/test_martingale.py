@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from cqsm import martingale, sde
+from cqsm.learner import AlgoConfig
 from cqsm.lq import LqParams, lq_dynamics, lq_reward_fn
 from cqsm.lq_analytic import optimal_score, q_star
 from cqsm.martingale import (ResidualReport, constant_test, estimate_discounted_return,
                              lagged_state_test, martingale_loss, orthogonality_residual,
                              orthogonality_statistics, q_gradient_test, trajectory_gaps)
-from cqsm.online import AlgoConfig
 from cqsm.sde import SimulationError, simulate_batch
 from _oracles import evaluate_affine_score_q
 

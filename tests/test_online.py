@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqsm.experiment import parse_config, run_experiment
+from cqsm.learner import (EXP_LIMIT, SAMPLERS, AlgoConfig, DivergenceError, initial_action,
+                          lr_schedule)
 from cqsm.lq import env_step, lq_dynamics, lq_reward, lq_reward_fn
 from cqsm.lq_analytic import k_to_optimal_params, optimal_score, q_star
-from cqsm.online import (DIVERGENCE_LIMIT, EXP_LIMIT, SAMPLERS, AlgoConfig, DivergenceError,
-                         LearnState, cqsm_step, initial_action, lr_schedule, run_cqsm, td_delta)
+from cqsm.online import DIVERGENCE_LIMIT, LearnState, cqsm_step, run_cqsm, td_delta
 from cqsm.policy import grad_a_q, psi_features, psi_v, q_theta
 from cqsm.samplers import make_linear_schedule
 from cqsm.sde import NoiseSource, SimulationError, simulate
@@ -360,9 +361,14 @@ def test_score_slope_limit_is_the_largest_finite_exponent():
         assert np.exp(np.nextafter(EXP_LIMIT, math.inf)) == math.inf
 
 
-@pytest.mark.parametrize("sampler", ["direct_sde", "langevin"])
-def test_overflowing_score_slope_fails_its_seed_by_name(tmp_path, monkeypatch, lq_ref, sampler):
-    message = "score slope -exp(v0) overflows at step 0 (v0 = 800)"
+# direct_sde's first action is a0, so its first step meets the slope; a
+# langevin run meets it already in the first action's draw, before any step
+@pytest.mark.parametrize("sampler, message", [
+    ("direct_sde", "score slope -exp(v0) overflows at step 0 (v0 = 800)"),
+    ("langevin", "score slope -exp(v0) overflows (v0 = 800)"),
+], ids=["direct_sde", "langevin"])
+def test_overflowing_score_slope_fails_its_seed_by_name(tmp_path, monkeypatch, lq_ref, sampler,
+                                                        message):
     cfg = AlgoConfig(dt=0.1, n_steps=5, sampler=sampler, langevin_steps=50)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy overflow warning either

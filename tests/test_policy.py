@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqsm.lq_analytic import k_to_optimal_params, optimal_score, q_star
-from cqsm.online import EXP_LIMIT, DivergenceError, _score
+from cqsm.learner import EXP_LIMIT, DivergenceError, score_at
 from cqsm.policy import grad_a_q, grad_theta_q, psi_features, psi_v, q_theta, score_params_from_q
 from conftest import REF_THETA, REF_V
 from _oracles import central_diff_vec
@@ -121,12 +121,12 @@ def test_score_closure_is_bitwise_psi_v(v, x, a):
     # returning the infinite or NaN values psi_v gives there
     if v[0] > EXP_LIMIT:
         with pytest.raises(DivergenceError, match="overflows at step 3"):
-            _score(*v, 3)
+            score_at(*v, 3)
         return
     v = np.asarray(v)
     xs = np.array([x, -x, 0.0, 1e3 * x])
     as_ = np.array([a, 0.0, -a, a / 3])
-    slope, score = _score(*v.tolist(), 0)
+    slope, score = score_at(*v.tolist(), 0)
     assert _bits(slope) == _bits(-np.exp(v[0]))
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.array_equal(_bits(score(x, a)), _bits(psi_v(v, x, a)))

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cqsm.learner import EXP_LIMIT
 from cqsm.lq_analytic import optimal_score
-from cqsm.online import EXP_LIMIT
 from cqsm.policy import score_fn
 from cqsm.samplers import (NoiseSchedule, ddpm_law, ddpm_sample, langevin_chain, langevin_law,
                            langevin_sample, make_linear_schedule)
@@ -16,7 +16,7 @@ from cqsm.sde import BLOCK, TAPE, NoiseSource, SimulationError
 from _oracles import (SequenceNoise, ddpm_affine_law, langevin_affine_law, reference_ddpm_sample,
                       reference_langevin_batch, reference_langevin_sample)
 
-SLOPE_LIMIT = -math.exp(EXP_LIMIT)  # the steepest slope online._score lets through
+SLOPE_LIMIT = -math.exp(EXP_LIMIT)  # the steepest slope learner.score_at lets through
 
 
 def test_single_step_schedule():
