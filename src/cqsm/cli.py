@@ -190,6 +190,13 @@ def _cmd_sample(args) -> int:
         if not math.isfinite(value):
             raise SimulationError(f"estimator fault: non-finite sample {name} over {args.n} "
                                   "samples")
+    # where floats are coarser than the law's spread, the samples round to a
+    # few values and their variance says nothing about the chain
+    spacing, target_sd = math.ulp(mean), math.sqrt(target_var)
+    if not spacing < target_sd:
+        raise SimulationError(f"estimator fault: float spacing {spacing:.6g} at the sample "
+                              f"mean {mean:.6g} is not below the target standard deviation "
+                              f"{target_sd:.6g}")
     print(f"sampler        = {args.sampler}")
     print(f"samples        = {args.n}")
     print(f"empirical mean = {mean:.6g}   (target {target_mean:.6g})")

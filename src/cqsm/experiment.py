@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import math
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -218,12 +217,15 @@ def _run_seed(args):
 def _write_table(path, header: str, steps, times, *columns) -> None:
     """One CSV of an integer step column, then ``%.9g`` times and columns.
 
-    Steps pass through float64 in the stacked table, exact below 2**53.
+    Steps pass through float64 in the stacked table, exact below 2**53.  The
+    rows are formatted as ``numpy.savetxt`` formats them, by one ``%`` of the
+    row format repeated once per row over the table's Python floats, and the
+    file is one write.
     """
     table = np.column_stack([steps, times, *columns])
-    fmt = ["%d"] + ["%.9g"] * (table.shape[1] - 1)
+    row = ",".join(["%d"] + ["%.9g"] * (table.shape[1] - 1)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(fh, table, fmt=fmt, delimiter=",", header=header, comments="")
+        fh.write(header + "\n" + (row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def write_record_csv(record: LearningRecord, path) -> None:
@@ -264,6 +266,9 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> RunSummary:
     jobs = [(cfg, seed) for seed in seeds]
 
     if parallel > 1:
+        # imported here: the pool's modules cost every other process start-up time and memory
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             results = list(pool.map(_run_seed, jobs))
     else:

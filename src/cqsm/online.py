@@ -61,7 +61,9 @@ def _step(theta: list, v: list, x: float, a: float, step: int, cfg: AlgoConfig, 
 
     theta and v are lists of 6 and 3 floats; the returned ones are new lists.
     exp(v0) is taken once, and one score closure gives Psi(x, a) and drives
-    the sampler.
+    the sampler.  Each update is written per coordinate, as
+    ``p + rate * (g * err)`` over the unpacked parameters and features,
+    because a comprehension would run in a frame of its own.
     """
     slope, score = score_at(*v, step)
     psi = score(x, a)
@@ -72,10 +74,17 @@ def _step(theta: list, v: list, x: float, a: float, step: int, cfg: AlgoConfig, 
                 r, cfg.dt, cfg.beta, cfg.lam)
     lr = lr_schedule(step * cfg.dt)
     rate_theta = lr * cfg.alpha_theta
-    theta_next = [t + rate_theta * (g * delta) for t, g in zip(theta, q_features(x, a))]
+    t0, t1, t2, t3, t4, t5 = theta
+    g0, g1, g2, g3, g4, g5 = q_features(x, a)
+    theta_next = [t0 + rate_theta * (g0 * delta), t1 + rate_theta * (g1 * delta),
+                  t2 + rate_theta * (g2 * delta), t3 + rate_theta * (g3 * delta),
+                  t4 + rate_theta * (g4 * delta), t5 + rate_theta * (g5 * delta)]
     mismatch = grad_a_q(theta, x, a) / cfg.lam - psi
     rate_v = lr * cfg.alpha_v
-    v_next = [w + rate_v * (mismatch * g) for w, g in zip(v, psi_features(slope, x, a))]
+    w0, w1, w2 = v
+    h0, h1, h2 = psi_features(slope, x, a)
+    v_next = [w0 + rate_v * (mismatch * h0), w1 + rate_v * (mismatch * h1),
+              w2 + rate_v * (mismatch * h2)]
 
     for p in theta_next + v_next:
         if not abs(p) <= DIVERGENCE_LIMIT:  # NaN and inf both fail the comparison

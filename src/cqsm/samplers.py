@@ -86,14 +86,23 @@ def ddpm_sample(score, x: float, schedule: NoiseSchedule, noise: NoiseSource) ->
     environment state stays frozen while the chain runs.  The chain runs
     under one ``np.errstate`` that silences overflow, so a score that returns
     numpy scalars ends a non-finite chain in the SimulationError, never in a
-    numpy warning.
+    numpy warning.  A score from :func:`policy.score_fn`, which carries its
+    ``coefficients``, enters none: it computes on Python floats, which
+    overflow to inf silently.
     """
-    a = float(noise.normal())
+    if hasattr(score, "coefficients"):
+        return _ddpm_run(score, x, schedule, noise)
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, coef, sqrt_alpha, sqrt_beta in schedule.reverse_steps:
-            a = (a + coef * score(x, a)) / sqrt_alpha + sqrt_beta * noise.normal()
-            if not math.isfinite(a):
-                raise SimulationError(f"sampler fault: non-finite action at reverse step {t}")
+        return _ddpm_run(score, x, schedule, noise)
+
+
+def _ddpm_run(score, x: float, schedule: NoiseSchedule, noise: NoiseSource) -> float:
+    """The reverse chain of :func:`ddpm_sample`, from a fresh N(0, 1) draw."""
+    a = float(noise.normal())
+    for t, coef, sqrt_alpha, sqrt_beta in schedule.reverse_steps:
+        a = (a + coef * score(x, a)) / sqrt_alpha + sqrt_beta * noise.normal()
+        if not math.isfinite(a):
+            raise SimulationError(f"sampler fault: non-finite action at reverse step {t}")
     return a
 
 

@@ -242,6 +242,24 @@ def test_record_csv_schema(tmp_path):
         "running_avg_reward_mean,running_avg_reward_lo,running_avg_reward_hi")
 
 
+def test_table_writer_matches_savetxt_byte_for_byte(tmp_path):
+    # the summary's width: step, t and 33 band columns; steps reach 2**52,
+    # the values include -0.0, subnormals, 1e300 and their negatives
+    rng = np.random.default_rng(33)
+    steps = np.linspace(0, 2 ** 52, 101).round().astype(np.int64)
+    times = steps * 0.1
+    columns = rng.standard_normal((101, 33)) * 10.0 ** rng.integers(-12, 12, (101, 33))
+    columns[:4, 0] = [-0.0, 5e-324, 1e300, -1e300]
+    columns[50, :] = [0.0, -0.0, 2.2e-308, -4.9e-324] * 8 + [1.0]
+    header = "step,t," + ",".join(f"c{i}" for i in range(33))
+    experiment._write_table(tmp_path / "got.csv", header, steps, times, columns)
+    with open(tmp_path / "want.csv", "w", encoding="utf-8", newline="\n") as fh:
+        np.savetxt(fh, np.column_stack([steps, times, columns]),
+                   fmt=["%d"] + ["%.9g"] * 34, delimiter=",", header=header, comments="")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert b"\n4503599627370496," in (tmp_path / "got.csv").read_bytes()
+
+
 def test_summary_statistics_match_two_pass_reference(tmp_path, lq_ref):
     cfg = parse_config(SMALL_CONFIG.format(out=tmp_path / "run") + "run.n_seeds = 4\n")
     summary = run_experiment(cfg)
@@ -731,6 +749,39 @@ def test_cli_sample_actions_non_finite_variance_is_a_numerical_failure(tmp_path,
     assert captured.err == ("numerical failure: estimator fault: non-finite sample variance "
                             "over 5 samples\n")
     assert not out.exists()
+
+
+# at the reference config, actions near -3.3e307 (ddpm, --x 1e308) or -3.2e15
+# (langevin, --x 1e16) are spaced wider than the chain's law spreads, so every
+# sample rounds to a few values
+@pytest.mark.parametrize("sampler, x, message", [
+    ("ddpm", "1e308", "float spacing 4.9896e+291 at the sample mean -3.33392e+307 is not "
+                      "below the target standard deviation 0.124008"),
+    ("langevin", "1e16", "float spacing 0.5 at the sample mean -3.18403e+15 is not below "
+                         "the target standard deviation 0.471001"),
+], ids=["ddpm", "langevin"])
+def test_cli_sample_actions_coarser_than_the_target_spread_is_a_numerical_failure(
+        tmp_path, capsys, sampler, x, message):
+    path = tmp_path / "reference.cfg"
+    path.write_text(REFERENCE)
+    out = tmp_path / "samples.csv"
+    code = cli_main(["sample-actions", "--config", str(path), "--sampler", sampler,
+                     "--n", "5", "--x", x, "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"numerical failure: estimator fault: {message}\n"
+    assert not out.exists()
+
+
+def test_cli_sample_actions_finer_than_the_target_spread_runs(tmp_path, capsys):
+    # at --x 1e15 the actions are spaced 0.0625 apart, below the target SD 0.124
+    path = tmp_path / "reference.cfg"
+    path.write_text(REFERENCE)
+    assert cli_main(["sample-actions", "--config", str(path), "--sampler", "ddpm",
+                     "--n", "200", "--x", "1e15"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3] == "empirical var  = 0.0141332   (target 0.0153781)"
 
 
 def test_cli_sample_actions(tmp_path, capsys):

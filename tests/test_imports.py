@@ -9,11 +9,15 @@ The package root re-exports nothing: ``__init__.py`` binds only
 ``__version__``, and every other name is imported from the module that
 defines it, never from ``cqsm`` itself nor from a module that imports it.
 No module imports another's private name, and the online and offline
-learners import nothing from each other.
+learners import nothing from each other.  Importing the experiment runner
+loads no process pool.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -369,3 +373,14 @@ def test_simulate_blocks_holds_one_euler_step():
     # step statement; the start's own (x, a) assignments sit outside the loop
     source = (SRC / "sde.py").read_text(encoding="utf-8")
     assert len(loop_assignments(source, "simulate_blocks", ("x", "a"))) == 1
+
+
+def test_importing_the_experiment_runner_loads_no_process_pool():
+    # only run --parallel > 1 uses the pool; its modules would cost every
+    # other process start-up time and memory
+    probe = ("import sys, cqsm.experiment; print(sorted({'concurrent.futures.process', "
+             "'multiprocessing'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -381,19 +381,27 @@ def test_langevin_sample_array_a0_bitwise_equals_lockstep_reference(kind, slope,
 
 
 def test_float_coefficient_stretches_enter_no_errstate(monkeypatch):
-    # Python floats overflow to inf silently: the online learner's chain pays
-    # for no guard, and only the replay of a stretch that ended non-finite enters one
+    # Python floats overflow to inf silently: the online learner's chains pay
+    # for no guard, and only the replay of a Langevin stretch that ended
+    # non-finite enters one
     entered, errstate = [], np.errstate
 
     def counting(**kwargs):
         entered.append(kwargs)
         return errstate(**kwargs)
 
+    # built first: the first NoiseSource imports numpy.random, which enters an errstate
+    noises = [NoiseSource(8) for _ in range(4)]
+    schedule = make_linear_schedule(20, 1e-3, 0.19)
     monkeypatch.setattr(np, "errstate", counting)
-    a = langevin_sample(score_fn(-4.6, -1.5, -3.6), 0.4, 1.0, 0.01, 2000, NoiseSource(8))
-    assert math.isfinite(a) and entered == []
-    with pytest.raises(SimulationError, match="non-finite action"):
-        langevin_sample(score_fn(60.0, -1.5, -3.6), 0.4, 1.0, 0.1, 2000, NoiseSource(8))
+    a = langevin_sample(score_fn(-4.6, -1.5, -3.6), 0.4, 1.0, 0.01, 2000, noises[0])
+    b = ddpm_sample(score_fn(-4.6, -1.5, -3.6), 0.4, schedule, noises[1])
+    assert math.isfinite(a) and math.isfinite(b) and entered == []
+    with pytest.raises(SimulationError, match="non-finite action at reverse step"):
+        ddpm_sample(score_fn(1e300, -1.5, -3.6), 0.4, schedule, noises[2])
+    assert entered == []
+    with pytest.raises(SimulationError, match="non-finite action at step"):
+        langevin_sample(score_fn(60.0, -1.5, -3.6), 0.4, 1.0, 0.1, 2000, noises[3])
     assert entered == [{"over": "ignore", "invalid": "ignore"}]
 
 
