@@ -197,6 +197,16 @@ def _cmd_sample(args) -> int:
         raise SimulationError(f"estimator fault: float spacing {spacing:.6g} at the sample "
                               f"mean {mean:.6g} is not below the target standard deviation "
                               f"{target_sd:.6g}")
+    if args.sampler == "langevin":
+        # a fixed burn-in from a0 far from the target leaves the samples in transit
+        steps = cfg.algo.langevin_steps
+        burn_mean = langevin_law(cfg.algo.langevin_dt, steps, cfg.algo.a0, c1, c0)[0]
+        gap = abs(burn_mean - target_mean) / target_sd
+        if not gap < 1.0:
+            raise SimulationError(f"burn-in fault: after algo.langevin_steps = {steps} steps "
+                                  f"from algo.a0 = {cfg.algo.a0:.6g} the chain's mean "
+                                  f"{burn_mean:.6g} is {gap:.3g} target standard deviations "
+                                  f"from the target mean {target_mean:.6g}")
     print(f"sampler        = {args.sampler}")
     print(f"samples        = {args.n}")
     print(f"empirical mean = {mean:.6g}   (target {target_mean:.6g})")

@@ -195,7 +195,11 @@ def simulate_blocks(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int,
     into two preallocated arrays.  Both run one step statement.  Each row
     block's variates are drawn in one call, noise.normals(2 * steps) from a
     scalar start and noise.normal((steps, 2, width)) for a batch, and are
-    consumed step by step: the state's variates, then the action's.
+    consumed step by step: the state's variates, then the action's.  A batch
+    holds its step constants as 0-d float64 arrays, because a ufunc converts
+    a Python-float operand on every call, and reads its draws through two
+    column views of the block, which make two views a step where unpacking
+    each (2, width) row makes three.
 
     Each block is simulated, given its rates and checked under one
     ``np.errstate(over="ignore", invalid="ignore")``, as is the start's shape
@@ -222,6 +226,9 @@ def simulate_blocks(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int,
     A, B, C, D, score = dyn
     root = math.sqrt(dt)
     noise_a = SQRT2 * root
+    if size is not None:
+        A, B, C, D, dt, root, noise_a = [np.array(c, dtype=float)
+                                         for c in (A, B, C, D, dt, root, noise_a)]
     for rows in row_blocks((n_steps, size or 1)):
         n = rows.stop - rows.start + 1
         with np.errstate(over="ignore", invalid="ignore"):
@@ -234,7 +241,8 @@ def simulate_blocks(dyn: DynamicsSpec, reward, x0, a0, dt: float, n_steps: int,
                 states, actions = np.empty((n, size)), np.empty((n, size))
                 states[0], actions[0] = x, a
                 put_x, put_a = _row_writer(states), _row_writer(actions)
-                draws = noise.normal((n - 1, 2, size))
+                block = noise.normal((n - 1, 2, size))
+                draws = zip(block[:, 0], block[:, 1])
             for zx, za in draws:
                 x, a = (x + (A * x + B * a) * dt + (C * x + D * a) * root * zx,
                         a + score(x, a) * dt + noise_a * za)

@@ -774,6 +774,29 @@ def test_cli_sample_actions_coarser_than_the_target_spread_is_a_numerical_failur
     assert not out.exists()
 
 
+# at the reference config, 50 burn-in steps from a0 = 0 cover about 0.9 of the
+# way to the target mean, so far from a0 the samples are still in transit
+@pytest.mark.parametrize("x, n, message", [
+    ("1e15", "5", "the chain's mean -2.9679e+14 is 6.56e+13 target standard deviations from "
+                  "the target mean -3.27666e+14"),
+    ("100", "2000", "the chain's mean -30.3783 is 6.71 target standard deviations from the "
+                    "target mean -33.5387"),
+], ids=["1e15", "100"])
+def test_cli_sample_actions_langevin_burn_in_in_transit_is_a_numerical_failure(
+        tmp_path, capsys, x, n, message):
+    path = tmp_path / "reference.cfg"
+    path.write_text(REFERENCE)
+    out = tmp_path / "samples.csv"
+    code = cli_main(["sample-actions", "--config", str(path), "--sampler", "langevin",
+                     "--n", n, "--x", x, "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical failure: burn-in fault: after algo.langevin_steps = 50 "
+                            f"steps from algo.a0 = 0 {message}\n")
+    assert not out.exists()
+
+
 def test_cli_sample_actions_finer_than_the_target_spread_runs(tmp_path, capsys):
     # at --x 1e15 the actions are spaced 0.0625 apart, below the target SD 0.124
     path = tmp_path / "reference.cfg"

@@ -370,25 +370,34 @@ def test_simulate_from_bitwise_equals_per_step_reference(lq_ref, k_ref, width, u
     # and leave the noise stream where it leaves it; the tape is fresh (used 0)
     # or partly drained by scalar draws.  The reference instance has B = C = 0, so
     # random instances check the B a and C x terms, from a scalar start and a batch.
-    cases = [(lq_ref, lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a))]
+    # Its coefficients and dt also come as Python ints where integral and as
+    # numpy float64 scalars, which a batch holds as 0-d float64 arrays.
+    ref = lq_dynamics(lq_ref, lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a))
+    reward = lq_reward_fn(lq_ref)
+    cases = [(ref, reward, 0.1)]
+    if width in (None, 1, 3):
+        integral = lambda c: int(c) if float(c).is_integer() else c
+        cases += [(DynamicsSpec(*map(kind, ref[:4]), ref.score), reward, kind(0.1))
+                  for kind in (integral, np.float64)]
     if width in (None, 3):
-        cases += _random_instances_and_scores()
+        cases += [(lq_dynamics(p, score), lq_reward_fn(p), 0.1)
+                  for p, score in _random_instances_and_scores()]
     if width is None:
         x0, a0 = 0.4, -0.2
     else:
         x0, a0 = np.linspace(-1.0, 1.0, width), np.linspace(0.5, -0.5, width)
     rows = min(3 * TAPE, sde.BLOCK // (width or 1))  # rows per row block, capped
-    for p, score in cases:
-        dyn, reward = lq_dynamics(p, score), lq_reward_fn(p)
+    for dyn, reward, dt in cases:
         for n_steps in sorted({1, max(1, rows - 1), rows, rows + 1, 3 * TAPE}):
             got_noise, want_noise = NoiseSource(31), NoiseSource(31)
             for _ in range(used):
                 got_noise.normal(), want_noise.normal()
-            got = simulate_from(dyn, reward, x0, a0, 0.1, n_steps, got_noise)
-            want = reference_simulate(dyn, reward, x0, a0, 0.1, n_steps, want_noise)
+            got = simulate_from(dyn, reward, x0, a0, dt, n_steps, got_noise)
+            want = reference_simulate(DynamicsSpec(*map(float, dyn[:4]), dyn.score), reward,
+                                      x0, a0, float(dt), n_steps, want_noise)
             for g, w in zip((got.states, got.actions, got.reward_rates), want):
                 assert g.shape == w.shape
-                assert np.array_equal(g.view(np.uint64), w.view(np.uint64)), (p, n_steps)
+                assert np.array_equal(g.view(np.uint64), w.view(np.uint64)), (dyn, n_steps)
             assert got_noise.normal() == want_noise.normal()
 
 
@@ -396,14 +405,15 @@ def _same_bits(got, want) -> bool:
     return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-@pytest.mark.parametrize("width", [None, 1, 2, 200], ids=lambda w: f"width-{w}")
+@pytest.mark.parametrize("width", [None, 1, 2, 200, 1001], ids=lambda w: f"width-{w}")
 @pytest.mark.parametrize("used", [0, 5], ids=lambda u: f"used-{u}")
 def test_row_blocks_of_a_rollout_equal_the_per_step_reference_bitwise(small_blocks, lq_ref,
                                                                       k_ref, width, used):
     # 1003 steps end on a short row block.  Each block of the stream, with its
     # end point, and the grid simulate_from writes them into hold the per-step
     # loop's bits, and the noise stream is left where the loop leaves it; a
-    # scalar rollout and a single column are one block
+    # scalar rollout and a single column are one block, and a row wider than
+    # a block makes one-step blocks
     dyn = lq_dynamics(lq_ref, lambda x, a: optimal_score(k_ref, lq_ref.lam, x, a))
     reward = lq_reward_fn(lq_ref)
     n_steps = 1003
@@ -420,7 +430,7 @@ def test_row_blocks_of_a_rollout_equal_the_per_step_reference_bitwise(small_bloc
     grid = simulate_from(dyn, reward, x0, a0, 0.01, n_steps, sources[2])
 
     assert [block[0] for block in blocks] == list(row_blocks(rates.shape))
-    assert len(blocks) == {None: 1, 1: 1, 2: 3, 200: 201}[width]
+    assert len(blocks) == {None: 1, 1: 1, 2: 3, 200: 201, 1001: 1003}[width]
     for rows, *got in blocks:
         ends = slice(rows.start, rows.stop + 1)
         for g, w in zip(got, (states[ends], actions[ends], rates[rows])):
