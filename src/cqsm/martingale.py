@@ -134,8 +134,10 @@ def _column_sums(blocks, term) -> np.ndarray:
 
     Each block's first row takes the running total before the block is
     summed.  numpy sums a C-contiguous grid at least two columns wide row
-    after row, so the result is bitwise that of summing the whole grid.  A
-    sum that is not finite raises SimulationError, never a numpy warning.
+    after row (pinned by ``tests/test_martingale.py::
+    test_numpy_sums_a_c_ordered_matrix_down_its_columns_row_after_row``), so
+    the result is bitwise that of summing the whole grid.  A sum that is not
+    finite raises SimulationError, never a numpy warning.
     """
     total = None
     with np.errstate(over="ignore", invalid="ignore"):

@@ -71,10 +71,10 @@ def offline_update(ep: Episode, theta, v, cfg: AlgoConfig, episode_index: int):
     grads = _feature_matrix(q_features(traj.states[:-1], traj.actions[:-1]), len(gaps))
     lr = lr_schedule(float(episode_index))
     theta_next = theta + lr * cfg.alpha_theta * (traj.dt * grads.T @ gaps)
-    if not np.all(np.isfinite(theta_next)):
+    if not np.isfinite(theta_next).all():
         raise DivergenceError(f"offline update diverged at episode {episode_index}")
     v_next = v + lr * cfg.alpha_v * score_gradient_residual(theta_next, v, cfg.lam, ep)
-    if not np.all(np.isfinite(v_next)):
+    if not np.isfinite(v_next).all():
         raise DivergenceError(f"offline score update diverged at episode {episode_index}")
     return theta_next, v_next
 
@@ -84,6 +84,13 @@ def score_gradient_residual(theta, v, lam: float, ep: Episode) -> np.ndarray:
 
     Vanishes identically when the score reproduces the value model's scaled
     action gradient; otherwise its sign points back toward that fit.
+
+    The three sensitivities dPsi/dv are the contiguous rows of a (3, K)
+    array, and each component's sum runs left to right over the episode,
+    from +0.0, along its row.  That is the order in which ``sum(axis=0)``
+    reduces a C-ordered (K, 3) matrix of the same products, row after row,
+    so the bits are those of that sum; the ``+ 0.0`` is its +0.0 start,
+    which turns a row of -0.0 products into +0.0.
     """
     slope, score = score_of(v)
     traj = ep.trajectory
@@ -91,8 +98,9 @@ def score_gradient_residual(theta, v, lam: float, ep: Episode) -> np.ndarray:
     as_ = traj.actions[:-1]
     w = ep.discount_weights[:-1]
     gap = grad_a_q(theta, xs, as_) - lam * score(xs, as_)
-    sens = _feature_matrix(psi_features(slope, xs, as_), len(xs))
-    return traj.dt * ((w * gap)[:, None] * sens).sum(axis=0)
+    sens = np.empty((3, len(xs)))
+    sens[0], sens[1], sens[2] = psi_features(slope, xs, as_)
+    return traj.dt * (np.add.accumulate((w * gap) * sens, axis=1)[:, -1] + 0.0)
 
 
 def _feature_matrix(features, n: int) -> np.ndarray:

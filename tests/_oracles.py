@@ -5,17 +5,20 @@ finite differences for gradients, direct linear solves for policy evaluation,
 affine-map composition for the sampler chains' output laws, and plain
 two-pass statistics.  The ``reference_*`` functions keep earlier versions of
 the simulator, sampler and learner steps (a reward call and two draws per
-simulator step, numpy scalars, a draw and a check per Langevin step), against
-which the current ones are checked bit for bit.
+simulator step, numpy scalars, a draw and a check per Langevin step, column
+sums of a (K, 3) matrix for the offline score step), against which the
+current ones are checked bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from cqsm.learner import DivergenceError, lr_schedule
+from cqsm.learner import DivergenceError, lr_schedule, score_of
 from cqsm.lq import LqParams
+from cqsm.offline import _feature_matrix
 from cqsm.online import DIVERGENCE_LIMIT, LearnState
+from cqsm.policy import grad_a_q, psi_features
 from cqsm.samplers import make_linear_schedule
 from cqsm.sde import SimulationError
 
@@ -244,3 +247,16 @@ def reference_cqsm_step(state, cfg, env, noise):
         )
     return LearnState(theta_next, v_next, x_next, a_next, state.step + 1,
                       state.cumulative_reward + r * cfg.dt)
+
+
+def reference_score_gradient_residual(theta, v, lam: float, ep):
+    """The offline score step's residual as ``sum(axis=0)`` of the C-ordered
+    (K, 3) matrix of gap-weighted sensitivities, one row per grid point."""
+    slope, score = score_of(v)
+    traj = ep.trajectory
+    xs = traj.states[:-1]
+    as_ = traj.actions[:-1]
+    w = ep.discount_weights[:-1]
+    gap = grad_a_q(theta, xs, as_) - lam * score(xs, as_)
+    sens = _feature_matrix(psi_features(slope, xs, as_), len(xs))
+    return traj.dt * ((w * gap)[:, None] * sens).sum(axis=0)

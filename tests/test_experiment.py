@@ -56,6 +56,13 @@ def test_parse_config_overrides_and_mirroring():
     assert cfg2.algo.beta == 3.0
 
 
+def test_parse_config_takes_a_repeated_keys_last_value_after_parsing_each():
+    assert parse_config(REFERENCE + "algo.dt = 0.2\n").algo.dt == 0.2
+    assert parse_config("algo.dt = -1\nalgo.dt = 0.2\n").algo.dt == 0.2
+    with pytest.raises(ConfigError, match="^bad value for algo.dt: 'fast'$"):
+        parse_config("algo.dt = fast\nalgo.dt = 0.2\n")
+
+
 def test_parse_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("lq.Z = 1.0\n")

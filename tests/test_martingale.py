@@ -251,6 +251,26 @@ def _assert_blocks_ran(counter, width):
         assert counter.calls > 1
 
 
+@pytest.mark.parametrize("width", [2, 3, 200])
+@pytest.mark.parametrize("rows", [1, 163, 4096])
+def test_numpy_sums_a_c_ordered_matrix_down_its_columns_row_after_row(rows, width):
+    # martingale._column_sums and offline.score_gradient_residual rely on this
+    # order: column j's sum is +0.0 + M[0, j] + M[1, j] + ..., left to right
+    rng = np.random.default_rng((rows, width))
+    m = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-320, 300, (rows, width))
+    special = rng.random((rows, width)) < 0.05
+    m[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310],
+                            size=special.sum())
+    m[:, 0] = -0.0  # an all -0.0 column sums to +0.0
+    m[:, 1] = rng.normal(size=rows) * 1e-310  # subnormals only
+    with np.errstate(over="ignore", invalid="ignore"):
+        in_rows = np.add.accumulate(m.T.copy(), axis=1)[:, -1] + 0.0
+        want = m.sum(axis=0)
+    assert m.flags.c_contiguous
+    assert _bits(want) == _bits(in_rows)
+    assert not np.signbit(want[0])
+
+
 @pytest.mark.parametrize("width", [1, 2, 200])
 def test_blocked_reward_rates_equal_the_one_shot_reward_bitwise(small_blocks, k_ref, lq_ref,
                                                                 width):

@@ -17,6 +17,7 @@ from cqsm.offline import (Episode, offline_update, rollout_episode, run_offline,
 from cqsm.policy import psi_features, psi_v, q_features, q_theta
 from cqsm.sde import NoiseSource, SimulationError, Trajectory, simulate_batch
 import cqsm.offline as offline
+from _oracles import reference_score_gradient_residual
 
 
 def _episode_from_arrays(dt, xs, as_, rs, beta):
@@ -120,12 +121,58 @@ def test_return_gaps_equal_the_flipped_suffix_sums_bitwise(width):
 @pytest.mark.parametrize("features", [q_features, lambda x, a: psi_features(-1.7, x, a)],
                          ids=["q", "psi"])
 def test_feature_matrix_equals_the_stacked_broadcast_bitwise(features):
-    # the critic and score steps multiply it as laid out: C order, one row per point
+    # the critic step and the residual oracle multiply it as laid out: C order,
+    # one row per point
     xs, as_ = np.random.default_rng(4).normal(size=(2, 500))
     want = np.stack(np.broadcast_arrays(*features(xs, as_)), axis=1)
     got = offline._feature_matrix(features(xs, as_), len(xs))
     assert got.flags.c_contiguous and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def _spread_episode(n_steps, seed):
+    """An episode of n_steps transitions whose states and actions take either
+    sign and magnitudes from 1e-100 to 1e100."""
+    rng = np.random.default_rng(seed)
+    xs, as_ = rng.normal(size=(2, n_steps + 1)) * 10.0 ** rng.uniform(-100, 100,
+                                                                      (2, n_steps + 1))
+    return _episode_from_arrays(0.1, xs, as_, rng.normal(size=n_steps), beta=0.7)
+
+
+def _residual_bits(theta, v, lam, ep):
+    got = score_gradient_residual(theta, v, lam, ep)
+    want = reference_score_gradient_residual(theta, v, lam, ep)
+    assert got.shape == want.shape == (3,)
+    assert got.tobytes() == want.tobytes()
+    return got
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 500, 100_000])
+def test_score_gradient_residual_equals_the_column_sum_oracle_bitwise(n_steps):
+    rng = np.random.default_rng(n_steps)
+    _residual_bits(rng.normal(size=6), rng.normal(size=3), 0.25,
+                   _spread_episode(n_steps, n_steps + 1))
+
+
+def test_score_gradient_residual_sums_a_column_of_negative_zeros_to_positive_zero():
+    # every action is 0, so every slope * a is -0.0; with t4 = v1 = 0 the gap
+    # is t3 - lam v2 > 0 at every point, so every product in that column is -0.0
+    ep = _spread_episode(500, 9)
+    ep.trajectory.actions[:] = 0.0
+    theta = np.array([0.3, -0.2, -1.0, 0.8, 0.0, 0.1])
+    v = np.array([0.2, 0.0, -0.5])
+    res = _residual_bits(theta, v, 0.25, ep)
+    assert res[0] == 0.0 and not np.signbit(res[0])
+
+
+def test_score_gradient_residual_equals_the_oracle_bitwise_through_inf_and_nan():
+    ep = _spread_episode(500, 10)
+    ep.trajectory.states[[3, 40, 41]] = np.inf, -np.inf, np.nan
+    ep.trajectory.actions[[7, 40, 200]] = -np.inf, np.inf, np.nan
+    rng = np.random.default_rng(10)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = _residual_bits(rng.normal(size=6), rng.normal(size=3), 0.25, ep)
+    assert np.isnan(res).all()
 
 
 @pytest.mark.parametrize("seed", [5, 6, 7])
