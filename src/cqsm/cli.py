@@ -19,10 +19,11 @@ from dataclasses import replace
 import numpy as np
 
 from .experiment import load_config, run_experiment
+from .learner import action_law
 from .lq_analytic import coefficient_residuals, k_to_optimal_params, solve_lq
 from .martingale import constant_test, orthogonality_residual
-from .policy import grad_a_q, q_theta
-from .samplers import ddpm_law, ddpm_sample, langevin_chain, langevin_law
+from .policy import grad_a_q, q_theta, score_fn
+from .samplers import ddpm_sample, langevin_chain, langevin_law
 from .sde import NoiseSource, SimulationError
 
 
@@ -124,6 +125,13 @@ def _check_fits_in_memory(count, bytes_each: float, what: str, layout: str) -> N
                          f"({layout})")
 
 
+def _optimum(path: str):
+    """The config at ``path``, its closed-form k and the optimal score grad_a Q* / lambda."""
+    cfg = load_config(path)
+    k, lam = solve_lq(cfg.lq), cfg.lq.lam
+    return cfg, k, lambda x, a: grad_a_q(k, x, a) / lam
+
+
 def _cmd_martingale(args) -> int:
     _check_seed_and_finite(args, "--offset", args.offset)
     for flag, value in (("--dt", args.dt), ("--horizon", args.horizon)):
@@ -143,14 +151,11 @@ def _cmd_martingale(args) -> int:
     # 2 * 10**5 trajectories is 18.0 float64 values per trajectory; 20 leaves room
     _check_fits_in_memory(args.traj, 20 * 8, what,
                           "20 float64 values per trajectory for a row block")
-    cfg = load_config(args.config)
-    p = cfg.lq
-    k = solve_lq(p)
+    cfg, k, score = _optimum(args.config)
     offset = args.offset
     qfun = lambda x, a: q_theta(k, x, a) + offset
-    score = lambda x, a: grad_a_q(k, x, a) / p.lam
     diag_cfg = replace(cfg.algo, dt=args.dt, n_steps=round(steps), seed=args.seed)
-    report = orthogonality_residual(qfun, score, constant_test(), p, diag_cfg, args.traj)
+    report = orthogonality_residual(qfun, score, constant_test(), cfg.lq, diag_cfg, args.traj)
     print(f"estimate      = {report.estimate:.6g}")
     print(f"std_error     = {report.std_error:.6g}")
     print(f"trajectories  = {report.n_trajectories}")
@@ -167,23 +172,20 @@ def _cmd_sample(args) -> int:
     if args.n < 2:
         raise ValueError(f"--n must be at least 2 for a sample variance, got {args.n}")
     _check_fits_in_memory(args.n, 8, f"--n {args.n} samples", "one float64 array of n values")
-    cfg = load_config(args.config)
-    p = cfg.lq
-    k = solve_lq(p)
-    score = lambda x, a: grad_a_q(k, x, a) / p.lam
-    noise = NoiseSource(args.seed)
-    # each sampler's target is its own chain's law, which is not the Boltzmann law
-    c1, c0 = k.k2 / p.lam, (k.k3 + k.k4 * args.x) / p.lam
+    cfg, k, score = _optimum(args.config)
+    algo, noise = replace(cfg.algo, sampler=args.sampler), NoiseSource(args.seed)
     if args.sampler == "langevin":
-        samples = langevin_chain(score, args.x, cfg.algo.a0, cfg.algo.langevin_dt,
-                                 cfg.algo.langevin_steps, args.n, 10, noise)
-        target_mean, target_var = langevin_law(cfg.algo.langevin_dt, math.inf, cfg.algo.a0,
-                                               c1, c0)
+        samples = langevin_chain(score, args.x, algo.a0, algo.langevin_dt,
+                                 algo.langevin_steps, args.n, 10, noise)
     else:
-        schedule = cfg.algo.ddpm_schedule
-        samples = np.fromiter((ddpm_sample(score, args.x, schedule, noise)
+        samples = np.fromiter((ddpm_sample(score, args.x, algo.ddpm_schedule, noise)
                                for _ in range(args.n)), float, count=args.n)
-        target_mean, target_var = ddpm_law(schedule, c1, c0)
+    # laws of the score restricted to x: a learner draw's from a0, which is the DDPM
+    # target, and the Langevin chain's stationary law; neither target is the Boltzmann law
+    c1, c0 = k.k2 / cfg.lq.lam, (k.k3 + k.k4 * args.x) / cfg.lq.lam
+    _, draw_mean, draw_var = action_law(algo, score_fn(c1, 0.0, c0), args.x, algo.a0, args.x)
+    target_mean, target_var = (langevin_law(algo.langevin_dt, math.inf, algo.a0, c1, c0)
+                               if args.sampler == "langevin" else (draw_mean, draw_var))
     with np.errstate(over="ignore", invalid="ignore"):
         mean, var = float(samples.mean()), float(samples.var(ddof=1))
     for name, value in (("mean", mean), ("variance", var)):
@@ -199,14 +201,12 @@ def _cmd_sample(args) -> int:
                               f"{target_sd:.6g}")
     if args.sampler == "langevin":
         # a fixed burn-in from a0 far from the target leaves the samples in transit
-        steps = cfg.algo.langevin_steps
-        burn_mean = langevin_law(cfg.algo.langevin_dt, steps, cfg.algo.a0, c1, c0)[0]
-        gap = abs(burn_mean - target_mean) / target_sd
+        gap = abs(draw_mean - target_mean) / target_sd
         if not gap < 1.0:
-            raise SimulationError(f"burn-in fault: after algo.langevin_steps = {steps} steps "
-                                  f"from algo.a0 = {cfg.algo.a0:.6g} the chain's mean "
-                                  f"{burn_mean:.6g} is {gap:.3g} target standard deviations "
-                                  f"from the target mean {target_mean:.6g}")
+            raise SimulationError(f"burn-in fault: after algo.langevin_steps = "
+                                  f"{algo.langevin_steps} steps from algo.a0 = {algo.a0:.6g} "
+                                  f"the chain's mean {draw_mean:.6g} is {gap:.3g} target "
+                                  f"standard deviations from the target mean {target_mean:.6g}")
     print(f"sampler        = {args.sampler}")
     print(f"samples        = {args.n}")
     print(f"empirical mean = {mean:.6g}   (target {target_mean:.6g})")

@@ -3,7 +3,7 @@
 Both learn the quadratic value model and the affine score Psi under one
 :class:`AlgoConfig` and return a :class:`LearningRecord`; both take the
 score closure of v from :func:`score_at` and draw actions through the one
-sampler dispatch, :func:`next_action`.
+sampler dispatch, :func:`next_action`, whose law :func:`action_law` states.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .lq import LqParams
 from .policy import score_fn
-from .samplers import ddpm_sample, langevin_sample, make_linear_schedule
+from .samplers import ddpm_law, ddpm_sample, langevin_law, langevin_sample, make_linear_schedule
 from .sde import NoiseSource, SimulationError
 
 SAMPLERS = ("direct_sde", "langevin", "ddpm")
@@ -176,6 +176,24 @@ def next_action(cfg: AlgoConfig, score, x: float, a: float, x_next: float,
     if cfg.sampler == "ddpm":
         return ddpm_sample(score, x_next, cfg.ddpm_schedule, noise)
     return langevin_sample(score, x_next, cfg.a0, cfg.langevin_dt, cfg.langevin_steps, noise)
+
+
+def action_law(cfg: AlgoConfig, score, x: float, a: float,
+               x_next: float) -> tuple[float, float, float]:
+    """(gain, shift, var) such that :func:`next_action` draws from
+    N(gain a + shift, var), exactly, for a :func:`policy.score_fn` closure.
+
+    The Euler step keeps gain 1 + slope dt of a; the restarted chains forget a
+    (gain 0) and draw from :func:`samplers.langevin_law` and
+    :func:`samplers.ddpm_law` of the score at x_next.
+    """
+    slope, v1, v2 = score.coefficients
+    if cfg.sampler == "direct_sde":
+        return 1.0 + slope * cfg.dt, (v1 * x + v2) * cfg.dt, 2.0 * cfg.dt
+    c0 = v1 * x_next + v2
+    if cfg.sampler == "ddpm":
+        return (0.0, *ddpm_law(cfg.ddpm_schedule, slope, c0))
+    return (0.0, *langevin_law(cfg.langevin_dt, cfg.langevin_steps, cfg.a0, slope, c0))
 
 
 def initial_action(cfg: AlgoConfig, v, x: float, noise: NoiseSource) -> float:

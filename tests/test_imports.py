@@ -334,11 +334,13 @@ def test_sampler_reads_are_found():
                                      ("<module>", 9)]
 
 
-# the one dispatch from the sampler setting to the next action, the config's
-# own check, the first action's "direct_sde keeps a0" rule, and the CLI's
-# ``--sampler`` flag, which picks the CLI's own chains
+# the one dispatch from the sampler setting to the next action and, beside
+# the draw, its law, the config's own check, the first action's "direct_sde
+# keeps a0" rule, and the CLI's ``--sampler`` flag, which picks the CLI's own
+# chains
 SAMPLER_READERS = {"learner.py: AlgoConfig.__post_init__", "learner.py: next_action",
-                   "learner.py: initial_action", "cli.py: _cmd_sample"}
+                   "learner.py: action_law", "learner.py: initial_action",
+                   "cli.py: _cmd_sample"}
 
 
 def test_the_sampler_is_read_only_by_the_one_dispatch():
