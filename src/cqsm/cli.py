@@ -2,10 +2,11 @@
 
 Subcommands: ``run`` (multi-seed experiment), ``solve-lq`` (closed-form
 coefficients and optimal parameters), ``check-martingale`` (orthogonality
-diagnostic of the analytic optimum), ``sample-actions`` (sampler moments
-against the law of the chain the sampler runs: the Langevin chain's
-stationary law, the reverse chain's output law).  Exit codes: 0 success,
-1 config error, 2 numerical failure.
+diagnostic of the analytic optimum), ``sample-actions`` (moments of learner
+draws at a fixed state, ``learner.next_action``, the Langevin one continued as
+a thinned chain, against the law of the chain the sampler runs: the Langevin
+chain's stationary law, the reverse chain's output law; an unstable chain is
+refused before any draw).  Exit codes: 0 success, 1 config error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from dataclasses import replace
 import numpy as np
 
 from .experiment import load_config, run_experiment
-from .learner import action_law
+from .learner import action_law, next_action
 from .lq_analytic import coefficient_residuals, k_to_optimal_params, solve_lq
 from .martingale import constant_test, orthogonality_residual
 from .policy import grad_a_q, q_theta, score_fn
-from .samplers import ddpm_sample, langevin_chain, langevin_law
+from .samplers import langevin_law, langevin_sample
 from .sde import NoiseSource, SimulationError
 
 
@@ -174,18 +175,21 @@ def _cmd_sample(args) -> int:
     _check_fits_in_memory(args.n, 8, f"--n {args.n} samples", "one float64 array of n values")
     cfg, k, score = _optimum(args.config)
     algo, noise = replace(cfg.algo, sampler=args.sampler), NoiseSource(args.seed)
-    if args.sampler == "langevin":
-        samples = langevin_chain(score, args.x, algo.a0, algo.langevin_dt,
-                                 algo.langevin_steps, args.n, 10, noise)
-    else:
-        samples = np.fromiter((ddpm_sample(score, args.x, algo.ddpm_schedule, noise)
-                               for _ in range(args.n)), float, count=args.n)
-    # laws of the score restricted to x: a learner draw's from a0, which is the DDPM
-    # target, and the Langevin chain's stationary law; neither target is the Boltzmann law
+    # laws of the score at x before any draw, so an unstable chain is a config error: a
+    # learner draw's from a0, the DDPM target, and the Langevin chain's stationary law;
+    # neither target is the Boltzmann law
     c1, c0 = k.k2 / cfg.lq.lam, (k.k3 + k.k4 * args.x) / cfg.lq.lam
     _, draw_mean, draw_var = action_law(algo, score_fn(c1, 0.0, c0), args.x, algo.a0, args.x)
     target_mean, target_var = (langevin_law(algo.langevin_dt, math.inf, algo.a0, c1, c0)
                                if args.sampler == "langevin" else (draw_mean, draw_var))
+    # one learner draw burns the Langevin chain in, which then keeps every 10th iterate
+    draw = lambda: next_action(algo, score, args.x, algo.a0, args.x, noise)
+    if args.sampler == "langevin":
+        a, samples = draw(), np.empty(args.n)
+        for i in range(args.n):
+            a = samples[i] = langevin_sample(score, args.x, a, algo.langevin_dt, 10, noise)
+    else:
+        samples = np.fromiter((draw() for _ in range(args.n)), float, count=args.n)
     with np.errstate(over="ignore", invalid="ignore"):
         mean, var = float(samples.mean()), float(samples.var(ddof=1))
     for name, value in (("mean", mean), ("variance", var)):

@@ -209,18 +209,3 @@ def langevin_law(dt: float, n_steps, a0: float, c1: float, c0: float) -> tuple[f
     return (decay * a0 + c0 * dt * (1.0 - decay) / (1.0 - rho),
             2.0 * dt * (1.0 - decay * decay) / (1.0 - rho * rho))
 
-
-def langevin_chain(score, x: float, a0: float, dt: float, n_burn: int,
-                   n_samples: int, thin: int, noise: NoiseSource) -> np.ndarray:
-    """Thinned samples from one Langevin chain after a burn-in.
-
-    The burn-in and each stretch of ``thin`` steps between samples are
-    :func:`langevin_sample` calls continuing the same chain.
-    """
-    if n_samples < 1 or thin < 1 or n_burn < 0:
-        raise ValueError("need n_samples >= 1, thin >= 1, n_burn >= 0")
-    a = langevin_sample(score, x, a0, dt, n_burn, noise) if n_burn else float(a0)
-    out = np.empty(n_samples)
-    for i in range(n_samples):
-        a = out[i] = langevin_sample(score, x, a, dt, thin, noise)
-    return out

@@ -20,7 +20,7 @@ from cqsm.lq_analytic import k_to_optimal_params, optimal_score
 from cqsm.martingale import ResidualReport, estimate_discounted_return
 from cqsm.online import run_cqsm
 from cqsm.policy import psi_v
-from cqsm.sde import SimulationError
+from cqsm.sde import NoiseSource, SimulationError
 from _oracles import two_pass_mean_std
 
 REFERENCE = (Path(__file__).resolve().parent.parent / "configs" / "reference.cfg").read_text()
@@ -803,6 +803,52 @@ def test_cli_sample_actions_langevin_burn_in_in_transit_is_a_numerical_failure(
                             f"steps from algo.a0 = 0 {message}\n")
     assert not out.exists()
 
+
+
+def _count_draws(monkeypatch) -> list:
+    """The list to which every NoiseSource the CLI makes appends each draw's size."""
+    draws = []
+
+    class CountingNoise(NoiseSource):
+        def normal(self, size=None):
+            draws.append(1 if size is None else size)
+            return super().normal(size)
+
+        def normals(self, k):
+            draws.append(k)
+            return super().normals(k)
+
+    monkeypatch.setattr(cli, "NoiseSource", CountingNoise)
+    return draws
+
+
+# an unstable Langevin step, c1 * dt outside (-2, 0), is refused before any draw
+@pytest.mark.parametrize("dt, c1_dt", [("0.4335", "-2.0002417901393095"),
+                                       ("0.5", "-2.3070839563313834")])
+def test_cli_sample_actions_refuses_an_unstable_chain_before_any_draw(
+        tmp_path, capsys, monkeypatch, dt, c1_dt):
+    draws = _count_draws(monkeypatch)
+    path = tmp_path / "reference.cfg"
+    path.write_text(REFERENCE + f"algo.langevin_dt = {dt}\n")
+    out = tmp_path / "samples.csv"
+    code = cli_main(["sample-actions", "--config", str(path), "--sampler", "langevin",
+                     "--n", "300", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: the chain needs -2 < c1 * dt < 0, got {c1_dt}\n"
+    assert not out.exists()
+    assert draws == []
+
+
+def test_cli_sample_actions_ddpm_ignores_the_langevin_step(tmp_path, capsys, monkeypatch):
+    draws = _count_draws(monkeypatch)
+    path = tmp_path / "reference.cfg"
+    path.write_text(REFERENCE + "algo.langevin_dt = 0.5\n")
+    assert cli_main(["sample-actions", "--config", str(path), "--sampler", "ddpm",
+                     "--n", "300"]) == 0
+    assert capsys.readouterr().out.startswith("sampler        = ddpm\n")
+    assert sum(draws) == 300 * 21  # a start and 20 reverse steps per draw
 
 def test_cli_sample_actions_finer_than_the_target_spread_runs(tmp_path, capsys):
     # at --x 1e15 the actions are spaced 0.0625 apart, below the target SD 0.124

@@ -336,8 +336,8 @@ def test_sampler_reads_are_found():
 
 # the one dispatch from the sampler setting to the next action and, beside
 # the draw, its law, the config's own check, the first action's "direct_sde
-# keeps a0" rule, and the CLI's ``--sampler`` flag, which picks the CLI's own
-# chains
+# keeps a0" rule, and the CLI's ``--sampler`` flag, which picks the target and
+# the Langevin continuation while the draws themselves go through next_action
 SAMPLER_READERS = {"learner.py: AlgoConfig.__post_init__", "learner.py: next_action",
                    "learner.py: action_law", "learner.py: initial_action",
                    "cli.py: _cmd_sample"}

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cqsm.learner import EXP_LIMIT
 from cqsm.lq_analytic import optimal_score
 from cqsm.policy import score_fn
-from cqsm.samplers import (NoiseSchedule, ddpm_law, ddpm_sample, langevin_chain, langevin_law,
+from cqsm.samplers import (NoiseSchedule, ddpm_law, ddpm_sample, langevin_law,
                            langevin_sample, make_linear_schedule)
 from cqsm.sde import BLOCK, TAPE, NoiseSource, SimulationError
 from _oracles import (SequenceNoise, ddpm_affine_law, langevin_affine_law, reference_ddpm_sample,
@@ -148,8 +148,10 @@ def test_ddpm_fault_names_the_reverse_step():
 
 def test_langevin_ou_moments():
     # score -a has stationary law N(0, 1) under action noise sqrt(2)
-    samples = langevin_chain(lambda x, a: -a, 0.0, 0.0, 0.01, 2000, 100_000,
-                             10, NoiseSource(3))
+    score, noise = lambda x, a: -a, NoiseSource(3)
+    a, samples = langevin_sample(score, 0.0, 0.0, 0.01, 2000, noise), np.empty(100_000)
+    for i in range(len(samples)):
+        a = samples[i] = langevin_sample(score, 0.0, a, 0.01, 10, noise)
     assert abs(samples.mean()) < 0.02
     assert abs(samples.var(ddof=1) - 1.0) < 0.05
 
@@ -226,8 +228,6 @@ def test_langevin_validates_arguments():
         langevin_sample(lambda x, a: -a, 0.0, 0.0, 0.0, 10, NoiseSource(0))
     with pytest.raises(ValueError):
         langevin_sample(lambda x, a: -a, 0.0, 0.0, 0.01, 0, NoiseSource(0))
-    with pytest.raises(ValueError):
-        langevin_chain(lambda x, a: -a, 0.0, 0.0, 0.01, -1, 10, 1, NoiseSource(0))
 
 
 def _outcome(fn, *args):
