@@ -6,7 +6,10 @@ diagnostic of the analytic optimum), ``sample-actions`` (moments of learner
 draws at a fixed state, ``learner.next_action``, the Langevin one continued as
 a thinned chain, against the law of the chain the sampler runs: the Langevin
 chain's stationary law, the reverse chain's output law; an unstable chain is
-refused before any draw).  Exit codes: 0 success, 1 config error, 2 numerical failure.
+refused before any draw).  Both diagnostics run on one ``policy.score_fn``
+closure of the optimal score, whose coefficients the laws read and the chains
+run on.  Exit codes: 0 success, 1 config error (usage errors included),
+2 numerical failure.
 """
 
 from __future__ import annotations
@@ -23,13 +26,21 @@ from .experiment import load_config, run_experiment
 from .learner import action_law, next_action
 from .lq_analytic import coefficient_residuals, k_to_optimal_params, solve_lq
 from .martingale import constant_test, orthogonality_residual
-from .policy import grad_a_q, q_theta, score_fn
+from .policy import q_theta, score_fn
 from .samplers import langevin_law, langevin_sample
 from .sde import NoiseSource, SimulationError
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, its subcommands' included, whose usage errors exit 1."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="cqsm", description=__doc__)
+    parser = _Parser(prog="cqsm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a multi-seed learning experiment")
@@ -127,10 +138,10 @@ def _check_fits_in_memory(count, bytes_each: float, what: str, layout: str) -> N
 
 
 def _optimum(path: str):
-    """The config at ``path``, its closed-form k and the optimal score grad_a Q* / lambda."""
+    """The config at ``path``, its closed-form k and grad_a Q* / lambda as one score_fn closure."""
     cfg = load_config(path)
     k, lam = solve_lq(cfg.lq), cfg.lq.lam
-    return cfg, k, lambda x, a: grad_a_q(k, x, a) / lam
+    return cfg, k, score_fn(k.k2 / lam, k.k4 / lam, k.k3 / lam)
 
 
 def _cmd_martingale(args) -> int:
@@ -173,21 +184,21 @@ def _cmd_sample(args) -> int:
     if args.n < 2:
         raise ValueError(f"--n must be at least 2 for a sample variance, got {args.n}")
     _check_fits_in_memory(args.n, 8, f"--n {args.n} samples", "one float64 array of n values")
-    cfg, k, score = _optimum(args.config)
+    cfg, _, score = _optimum(args.config)
     algo, noise = replace(cfg.algo, sampler=args.sampler), NoiseSource(args.seed)
     # laws of the score at x before any draw, so an unstable chain is a config error: a
-    # learner draw's from a0, the DDPM target, and the Langevin chain's stationary law;
-    # neither target is the Boltzmann law
-    c1, c0 = k.k2 / cfg.lq.lam, (k.k3 + k.k4 * args.x) / cfg.lq.lam
-    _, draw_mean, draw_var = action_law(algo, score_fn(c1, 0.0, c0), args.x, algo.a0, args.x)
-    target_mean, target_var = (langevin_law(algo.langevin_dt, math.inf, algo.a0, c1, c0)
+    # learner draw's from a0, the DDPM target, and the Langevin chain's stationary law at
+    # action_law's c0 = v1 x + v2; neither target is the Boltzmann law
+    (c1, v1, v2), x = score.coefficients, args.x
+    _, draw_mean, draw_var = action_law(algo, score, x, algo.a0, x)
+    target_mean, target_var = (langevin_law(algo.langevin_dt, math.inf, algo.a0, c1, v1 * x + v2)
                                if args.sampler == "langevin" else (draw_mean, draw_var))
     # one learner draw burns the Langevin chain in, which then keeps every 10th iterate
-    draw = lambda: next_action(algo, score, args.x, algo.a0, args.x, noise)
+    draw = lambda: next_action(algo, score, x, algo.a0, x, noise)
     if args.sampler == "langevin":
         a, samples = draw(), np.empty(args.n)
         for i in range(args.n):
-            a = samples[i] = langevin_sample(score, args.x, a, algo.langevin_dt, 10, noise)
+            a = samples[i] = langevin_sample(score, x, a, algo.langevin_dt, 10, noise)
     else:
         samples = np.fromiter((draw() for _ in range(args.n)), float, count=args.n)
     with np.errstate(over="ignore", invalid="ignore"):

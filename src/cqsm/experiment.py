@@ -80,6 +80,8 @@ class ExperimentConfig:
                                   f"got run.{key}_mode = {mode}")
         if not self.output_dir:
             raise ConfigError(f"run.output_dir must name a directory, got {self.output_dir!r}")
+        if self.output_dir.splitlines() != [self.output_dir]:  # the manifest holds one line
+            raise ConfigError(f"run.output_dir must be one line, got {self.output_dir!r}")
 
 
 def _vector(raw: str) -> tuple:

@@ -16,12 +16,12 @@ from cqsm.experiment import (ConfigError, ExperimentConfig, config_hash, format_
                              parse_config, run_experiment)
 from cqsm.learner import AlgoConfig, DivergenceError
 from cqsm.lq import LqParams
-from cqsm.lq_analytic import k_to_optimal_params, optimal_score
+from cqsm.lq_analytic import k_to_optimal_params, optimal_score, solve_lq
 from cqsm.martingale import ResidualReport, estimate_discounted_return
 from cqsm.online import run_cqsm
 from cqsm.policy import psi_v
 from cqsm.sde import NoiseSource, SimulationError
-from _oracles import two_pass_mean_std
+from _oracles import ddpm_affine_law, langevin_affine_law, two_pass_mean_std
 
 REFERENCE = (Path(__file__).resolve().parent.parent / "configs" / "reference.cfg").read_text()
 
@@ -135,6 +135,24 @@ def test_empty_output_dir_is_refused(tmp_path, monkeypatch, capsys):
     path = _write_config(tmp_path)
     before = sorted(os.listdir(tmp_path))
     assert cli_main(["run", "--config", str(path), "--out", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+# the manifest writes run.output_dir on one line, so a line break in it would
+# leave a manifest that is not a config
+@pytest.mark.parametrize("out", ["o\nx", "o\rx", "o\n", "o\u2028x"],
+                         ids=["lf", "cr", "trailing-lf", "line-separator"])
+def test_output_dir_with_a_line_break_is_refused(tmp_path, monkeypatch, capsys, out):
+    message = f"run.output_dir must be one line, got {out!r}"
+    with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+        replace(parse_config(""), output_dir=out)
+    monkeypatch.chdir(tmp_path)
+    path = _write_config(tmp_path)
+    before = sorted(os.listdir(tmp_path))
+    assert cli_main(["run", "--config", str(path), "--out", out]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"config error: {message}\n"
@@ -527,6 +545,32 @@ def test_cli_missing_config_file(tmp_path, capsys):
     assert cli_main(["solve-lq", "--config", str(tmp_path / "nope.cfg")]) == 1
 
 
+# usage errors are configuration errors (exit 1), with argparse's usage line
+# and message on stderr; only a numerical failure exits 2
+@pytest.mark.parametrize("argv, code, usage, message", [
+    (["run"], 1, "usage: cqsm run ",
+     "cqsm run: error: the following arguments are required: --config\n"),
+    (["check-martingale", "--config", "c.cfg", "--traj", "abc"], 1,
+     "usage: cqsm check-martingale ",
+     "cqsm check-martingale: error: argument --traj: invalid int value: 'abc'\n"),
+    (["sample-actions", "--config", "c.cfg", "--sampler", "direct_sde"], 1,
+     "usage: cqsm sample-actions ",
+     "cqsm sample-actions: error: argument --sampler: invalid choice: 'direct_sde' "
+     "(choose from 'langevin', 'ddpm')\n"),
+    (["--help"], 0, "usage: cqsm ", None),
+], ids=["missing-config", "bad-int", "bad-choice", "help"])
+def test_cli_usage_errors_are_config_errors(capsys, argv, code, usage, message):
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(argv)
+    assert exit_info.value.code == code
+    captured = capsys.readouterr()
+    if message is None:
+        assert captured.out.startswith(usage) and captured.err == ""
+    else:
+        assert captured.out == ""
+        assert captured.err.startswith(usage) and captured.err.endswith(message)
+
+
 def test_cli_run_and_overrides(tmp_path, capsys):
     path = _write_config(tmp_path)
     code = cli_main(["run", "--config", str(path), "--seeds", "2",
@@ -857,7 +901,51 @@ def test_cli_sample_actions_finer_than_the_target_spread_runs(tmp_path, capsys):
     assert cli_main(["sample-actions", "--config", str(path), "--sampler", "ddpm",
                      "--n", "200", "--x", "1e15"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[3] == "empirical var  = 0.0141332   (target 0.0153781)"
+    assert lines[3] == "empirical var  = 0.0156446   (target 0.0153781)"
+
+
+# every draw runs on the score_fn closure of the optimum, so the chains take
+# the coefficient stretch the learner takes
+@pytest.mark.parametrize("sampler, calls", [
+    ("langevin", {"next_action": 1, "langevin_sample": 30}),
+    ("ddpm", {"next_action": 30}),
+])
+def test_cli_sample_actions_draws_on_the_optimal_score_coefficients(
+        tmp_path, capsys, monkeypatch, sampler, calls):
+    path = tmp_path / "reference.cfg"
+    path.write_text(REFERENCE)
+    seen = {}
+    for name, position in (("next_action", 1), ("langevin_sample", 0)):
+        def spy(*args, name=name, position=position, real=getattr(cli, name)):
+            seen.setdefault(name, []).append(getattr(args[position], "coefficients", None))
+            return real(*args)
+        monkeypatch.setattr(cli, name, spy)
+    assert cli_main(["sample-actions", "--config", str(path), "--sampler", sampler,
+                     "--n", "30", "--x", "-1.5"]) == 0
+    assert {name: len(coefficients) for name, coefficients in seen.items()} == calls
+    cfg = experiment.load_config(path)
+    k, lam = solve_lq(cfg.lq), cfg.lq.lam
+    expected = (k.k2 / lam, k.k4 / lam, k.k3 / lam)  # slope, x coefficient, constant
+    assert all(c == expected for coefficients in seen.values() for c in coefficients)
+
+
+# the printed targets at x != 0 against the independent oracles of the affine
+# optimal score (k2 a + k3 + k4 x) / lambda at x
+@pytest.mark.parametrize("x", ["-7.5", "-1.0", "0.4", "3.0"])
+@pytest.mark.parametrize("sampler", ["langevin", "ddpm"])
+def test_cli_sample_actions_targets_are_the_chain_laws_at_x(tmp_path, capsys, sampler, x):
+    path = tmp_path / "reference.cfg"
+    path.write_text(REFERENCE)
+    assert cli_main(["sample-actions", "--config", str(path), "--sampler", sampler,
+                     "--n", "200", "--x", x]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    printed = [float(re.search(r"\(target (\S+)\)$", line).group(1)) for line in lines[2:4]]
+    cfg = experiment.load_config(path)
+    k = solve_lq(cfg.lq)
+    c1, c0 = k.k2 / cfg.lq.lam, (k.k3 + k.k4 * float(x)) / cfg.lq.lam
+    law = (langevin_affine_law(cfg.algo.langevin_dt, None, cfg.algo.a0, c1, c0)
+           if sampler == "langevin" else ddpm_affine_law(cfg.algo.ddpm_schedule, c1, c0))
+    assert printed == pytest.approx(law, rel=1e-5)
 
 
 def test_cli_sample_actions(tmp_path, capsys):
