@@ -2,14 +2,13 @@
 
 Subcommands: ``run`` (multi-seed experiment), ``solve-lq`` (closed-form
 coefficients and optimal parameters), ``check-martingale`` (orthogonality
-diagnostic of the analytic optimum), ``sample-actions`` (moments of learner
-draws at a fixed state, ``learner.next_action``, the Langevin one continued as
-a thinned chain, against the law of the chain the sampler runs: the Langevin
-chain's stationary law, the reverse chain's output law; an unstable chain is
-refused before any draw).  Both diagnostics run on one ``policy.score_fn``
-closure of the optimal score, whose coefficients the laws read and the chains
-run on.  Exit codes: 0 success, 1 config error (usage errors included),
-2 numerical failure.
+diagnostic of the analytic optimum), ``sample-actions`` (moments of ``--n``
+independent learner draws ``learner.next_action`` at a fixed state from
+``algo.a0``, for any of ``learner.SAMPLERS``, against the exact law of one
+draw, ``learner.action_law``; an unstable chain is refused before any draw).
+Both diagnostics run on one ``policy.score_fn`` closure of the optimal score,
+whose coefficients the laws read and the samplers run on.  Exit codes:
+0 success, 1 config error (usage errors included), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -23,11 +22,10 @@ from dataclasses import replace
 import numpy as np
 
 from .experiment import load_config, run_experiment
-from .learner import action_law, next_action
+from .learner import SAMPLERS, action_law, next_action
 from .lq_analytic import coefficient_residuals, k_to_optimal_params, solve_lq
 from .martingale import constant_test, orthogonality_residual
 from .policy import q_theta, score_fn
-from .samplers import langevin_law, langevin_sample
 from .sde import NoiseSource, SimulationError
 
 
@@ -63,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     samp = sub.add_parser("sample-actions", help="draw actions at a fixed state")
     samp.add_argument("--config", required=True)
-    samp.add_argument("--sampler", choices=["langevin", "ddpm"], default="langevin")
+    samp.add_argument("--sampler", choices=SAMPLERS, default="langevin")
     samp.add_argument("--n", type=int, default=20000)
     samp.add_argument("--x", type=float, default=0.0)
     samp.add_argument("--seed", type=int, default=0)
@@ -185,22 +183,13 @@ def _cmd_sample(args) -> int:
         raise ValueError(f"--n must be at least 2 for a sample variance, got {args.n}")
     _check_fits_in_memory(args.n, 8, f"--n {args.n} samples", "one float64 array of n values")
     cfg, _, score = _optimum(args.config)
-    algo, noise = replace(cfg.algo, sampler=args.sampler), NoiseSource(args.seed)
-    # laws of the score at x before any draw, so an unstable chain is a config error: a
-    # learner draw's from a0, the DDPM target, and the Langevin chain's stationary law at
-    # action_law's c0 = v1 x + v2; neither target is the Boltzmann law
-    (c1, v1, v2), x = score.coefficients, args.x
-    _, draw_mean, draw_var = action_law(algo, score, x, algo.a0, x)
-    target_mean, target_var = (langevin_law(algo.langevin_dt, math.inf, algo.a0, c1, v1 * x + v2)
-                               if args.sampler == "langevin" else (draw_mean, draw_var))
-    # one learner draw burns the Langevin chain in, which then keeps every 10th iterate
-    draw = lambda: next_action(algo, score, x, algo.a0, x, noise)
-    if args.sampler == "langevin":
-        a, samples = draw(), np.empty(args.n)
-        for i in range(args.n):
-            a = samples[i] = langevin_sample(score, x, a, algo.langevin_dt, 10, noise)
-    else:
-        samples = np.fromiter((draw() for _ in range(args.n)), float, count=args.n)
+    algo, noise, x = replace(cfg.algo, sampler=args.sampler), NoiseSource(args.seed), args.x
+    # the exact law of one learner draw at x from a0, taken before any draw so an
+    # unstable chain is a config error; the Langevin one is the law after
+    # algo.langevin_steps steps, not the stationary one, and no target is the Boltzmann law
+    _, target_mean, target_var = action_law(algo, score, x, algo.a0, x)
+    samples = np.fromiter((next_action(algo, score, x, algo.a0, x, noise)
+                           for _ in range(args.n)), float, count=args.n)
     with np.errstate(over="ignore", invalid="ignore"):
         mean, var = float(samples.mean()), float(samples.var(ddof=1))
     for name, value in (("mean", mean), ("variance", var)):
@@ -208,20 +197,12 @@ def _cmd_sample(args) -> int:
             raise SimulationError(f"estimator fault: non-finite sample {name} over {args.n} "
                                   "samples")
     # where floats are coarser than the law's spread, the samples round to a
-    # few values and their variance says nothing about the chain
+    # few values and their variance says nothing about the law
     spacing, target_sd = math.ulp(mean), math.sqrt(target_var)
     if not spacing < target_sd:
         raise SimulationError(f"estimator fault: float spacing {spacing:.6g} at the sample "
                               f"mean {mean:.6g} is not below the target standard deviation "
                               f"{target_sd:.6g}")
-    if args.sampler == "langevin":
-        # a fixed burn-in from a0 far from the target leaves the samples in transit
-        gap = abs(draw_mean - target_mean) / target_sd
-        if not gap < 1.0:
-            raise SimulationError(f"burn-in fault: after algo.langevin_steps = "
-                                  f"{algo.langevin_steps} steps from algo.a0 = {algo.a0:.6g} "
-                                  f"the chain's mean {draw_mean:.6g} is {gap:.3g} target "
-                                  f"standard deviations from the target mean {target_mean:.6g}")
     print(f"sampler        = {args.sampler}")
     print(f"samples        = {args.n}")
     print(f"empirical mean = {mean:.6g}   (target {target_mean:.6g})")

@@ -82,6 +82,9 @@ class ExperimentConfig:
             raise ConfigError(f"run.output_dir must name a directory, got {self.output_dir!r}")
         if self.output_dir.splitlines() != [self.output_dir]:  # the manifest holds one line
             raise ConfigError(f"run.output_dir must be one line, got {self.output_dir!r}")
+        if self.output_dir != self.output_dir.strip():  # the manifest's value is stripped
+            raise ConfigError("run.output_dir must not begin or end with whitespace, "
+                              f"got {self.output_dir!r}")
 
 
 def _vector(raw: str) -> tuple:
@@ -105,9 +108,14 @@ _SECTIONS = {"lq": _schema(LqParams), "algo": _schema(AlgoConfig),
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse flat key-value config text; '#' lines and blanks are ignored."""
+    """Parse flat key-value config text; '#' lines and blanks are ignored.
+
+    Lines end at a line feed alone, so any other character that
+    ``str.splitlines`` breaks at stays inside its value, where the value's own
+    check refuses it; a carriage return before the line feed is stripped.
+    """
     values = {section: {} for section in _SECTIONS}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -127,10 +127,10 @@ def langevin_sample(score, x: float, a0, dt: float, n_steps: int, noise: NoiseSo
     """Final iterate of a Langevin chain da = score(x, a) dt + sqrt(2) dB.
 
     For a concave quadratic value function the chain's stationary law is the
-    Gaussian with mode at the value maximizer.  A step size of 0.01 with a
-    burn-in of about 2000 steps and thinning 10 keeps successive retained
-    samples weakly correlated: those are ``AlgoConfig``'s ``langevin_dt`` and
-    ``langevin_steps`` defaults and the thinning of ``cqsm sample-actions``.
+    Gaussian with mode at the value maximizer.  A step size of 0.01 with
+    about 2000 steps from the start reaches that law, to six digits for the
+    reference score: those are ``AlgoConfig``'s ``langevin_dt`` and
+    ``langevin_steps`` defaults.
 
     One kernel for every score and start; an array ``a0`` runs one chain per
     entry in lockstep, calling the score on the whole array, and returns the

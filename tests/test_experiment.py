@@ -19,7 +19,7 @@ from cqsm.lq import LqParams
 from cqsm.lq_analytic import k_to_optimal_params, optimal_score, solve_lq
 from cqsm.martingale import ResidualReport, estimate_discounted_return
 from cqsm.online import run_cqsm
-from cqsm.policy import psi_v
+from cqsm.policy import psi_v, score_fn
 from cqsm.sde import NoiseSource, SimulationError
 from _oracles import ddpm_affine_law, langevin_affine_law, two_pass_mean_std
 
@@ -157,6 +157,42 @@ def test_output_dir_with_a_line_break_is_refused(tmp_path, monkeypatch, capsys, 
     assert captured.out == ""
     assert captured.err == f"config error: {message}\n"
     assert sorted(os.listdir(tmp_path)) == before
+
+
+# the manifest's value is read back stripped, so edge whitespace would not
+# survive the round trip through it
+@pytest.mark.parametrize("out", ["o ", " o", "\to"], ids=["trailing", "leading", "tab"])
+def test_output_dir_with_edge_whitespace_is_refused(tmp_path, monkeypatch, capsys, out):
+    message = f"run.output_dir must not begin or end with whitespace, got {out!r}"
+    with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+        replace(parse_config(""), output_dir=out)
+    monkeypatch.chdir(tmp_path)
+    path = _write_config(tmp_path)
+    before = sorted(os.listdir(tmp_path))
+    assert cli_main(["run", "--config", str(path), "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+# a line ends at a line feed alone, so no other line break cuts a value short:
+# the character stays in the value, whose own check refuses it
+@pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                                 "\u2029"])
+def test_parse_config_keeps_other_line_breaks_inside_the_value(brk):
+    with pytest.raises(ConfigError, match="^" + re.escape(f"bad value for algo.dt: "
+                                                          f"{'0.05' + brk + '#x'!r}") + "$"):
+        parse_config(f"algo.dt = 0.05{brk}#x\n")
+    out = f"runs/a{brk}# tail"
+    with pytest.raises(ConfigError, match="^" + re.escape(f"run.output_dir must be one line, "
+                                                          f"got {out!r}") + "$"):
+        parse_config(f"run.output_dir = {out}\n")
+
+
+def test_parse_config_reads_crlf_line_ends():
+    assert parse_config("algo.dt = 0.05\r\nrun.n_seeds = 3\r\n") == parse_config(
+        "algo.dt = 0.05\nrun.n_seeds = 3\n")
 
 
 def test_format_parse_round_trip():
@@ -553,10 +589,10 @@ def test_cli_missing_config_file(tmp_path, capsys):
     (["check-martingale", "--config", "c.cfg", "--traj", "abc"], 1,
      "usage: cqsm check-martingale ",
      "cqsm check-martingale: error: argument --traj: invalid int value: 'abc'\n"),
-    (["sample-actions", "--config", "c.cfg", "--sampler", "direct_sde"], 1,
+    (["sample-actions", "--config", "c.cfg", "--sampler", "euler"], 1,
      "usage: cqsm sample-actions ",
-     "cqsm sample-actions: error: argument --sampler: invalid choice: 'direct_sde' "
-     "(choose from 'langevin', 'ddpm')\n"),
+     "cqsm sample-actions: error: argument --sampler: invalid choice: 'euler' "
+     "(choose from 'direct_sde', 'langevin', 'ddpm')\n"),
     (["--help"], 0, "usage: cqsm ", None),
 ], ids=["missing-config", "bad-int", "bad-choice", "help"])
 def test_cli_usage_errors_are_config_errors(capsys, argv, code, usage, message):
@@ -568,6 +604,7 @@ def test_cli_usage_errors_are_config_errors(capsys, argv, code, usage, message):
         assert captured.out.startswith(usage) and captured.err == ""
     else:
         assert captured.out == ""
+        assert captured.err.startswith(usage) and captured.err.endswith(message)
         assert captured.err.startswith(usage) and captured.err.endswith(message)
 
 
@@ -773,8 +810,8 @@ def test_cli_sample_actions_ddpm_target_is_the_chain_law(tmp_path, capsys):
 
 
 def test_cli_sample_actions_langevin_target_is_the_chain_law(tmp_path, capsys):
-    # the unadjusted chain at step 0.01 is stationary at variance 0.221842, not
-    # at the Boltzmann variance 0.216724
+    # after the default 2000 steps the unadjusted chain at step 0.01 is at its
+    # stationary variance 0.221842, not at the Boltzmann variance 0.216724
     path = _write_config(tmp_path)
     assert cli_main(["sample-actions", "--config", str(path), "--sampler", "langevin",
                      "--n", "200"]) == 0
@@ -802,14 +839,14 @@ def test_cli_sample_actions_non_finite_variance_is_a_numerical_failure(tmp_path,
     assert not out.exists()
 
 
-# at the reference config, actions near -3.3e307 (ddpm, --x 1e308) or -3.2e15
-# (langevin, --x 1e16) are spaced wider than the chain's law spreads, so every
+# at the reference config, actions near -3.3e307 (ddpm, --x 1e308) or -3.0e15
+# (langevin, --x 1e16) are spaced wider than the draw's law spreads, so every
 # sample rounds to a few values
 @pytest.mark.parametrize("sampler, x, message", [
     ("ddpm", "1e308", "float spacing 4.9896e+291 at the sample mean -3.33392e+307 is not "
                       "below the target standard deviation 0.124008"),
-    ("langevin", "1e16", "float spacing 0.5 at the sample mean -3.18403e+15 is not below "
-                         "the target standard deviation 0.471001"),
+    ("langevin", "1e16", "float spacing 0.5 at the sample mean -2.9679e+15 is not below "
+                         "the target standard deviation 0.468905"),
 ], ids=["ddpm", "langevin"])
 def test_cli_sample_actions_coarser_than_the_target_spread_is_a_numerical_failure(
         tmp_path, capsys, sampler, x, message):
@@ -825,28 +862,22 @@ def test_cli_sample_actions_coarser_than_the_target_spread_is_a_numerical_failur
     assert not out.exists()
 
 
-# at the reference config, 50 burn-in steps from a0 = 0 cover about 0.9 of the
-# way to the target mean, so far from a0 the samples are still in transit
-@pytest.mark.parametrize("x, n, message", [
-    ("1e15", "5", "the chain's mean -2.9679e+14 is 6.56e+13 target standard deviations from "
-                  "the target mean -3.27666e+14"),
-    ("100", "2000", "the chain's mean -30.3783 is 6.71 target standard deviations from the "
-                    "target mean -33.5387"),
-], ids=["1e15", "100"])
-def test_cli_sample_actions_langevin_burn_in_in_transit_is_a_numerical_failure(
-        tmp_path, capsys, x, n, message):
+# at the reference config, 50 Langevin steps from a0 = 0 cover about 0.9 of
+# the way to the stationary mean; the target is the law of that draw, so far
+# from a0 the samples still match it
+@pytest.mark.parametrize("x, n, target", [("100", "2000", "-30.3783"),
+                                          ("1e15", "5", "-2.9679e+14")], ids=["100", "1e15"])
+def test_cli_sample_actions_langevin_far_from_a0_matches_the_draw_law(
+        tmp_path, capsys, x, n, target):
     path = tmp_path / "reference.cfg"
     path.write_text(REFERENCE)
     out = tmp_path / "samples.csv"
-    code = cli_main(["sample-actions", "--config", str(path), "--sampler", "langevin",
-                     "--n", n, "--x", x, "--out", str(out)])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("numerical failure: burn-in fault: after algo.langevin_steps = 50 "
-                            f"steps from algo.a0 = 0 {message}\n")
-    assert not out.exists()
-
+    assert cli_main(["sample-actions", "--config", str(path), "--sampler", "langevin",
+                     "--n", n, "--x", x, "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].endswith(f"(target {target})")
+    assert lines[3].endswith("(target 0.219872)")
+    assert len(out.read_text().splitlines()) == int(n) + 1
 
 
 def _count_draws(monkeypatch) -> list:
@@ -904,36 +935,42 @@ def test_cli_sample_actions_finer_than_the_target_spread_runs(tmp_path, capsys):
     assert lines[3] == "empirical var  = 0.0156446   (target 0.0153781)"
 
 
-# every draw runs on the score_fn closure of the optimum, so the chains take
-# the coefficient stretch the learner takes
-@pytest.mark.parametrize("sampler, calls", [
-    ("langevin", {"next_action": 1, "langevin_sample": 30}),
-    ("ddpm", {"next_action": 30}),
-])
+# every draw is one learner draw on the score_fn closure of the optimum, so
+# the samplers take the coefficient stretch the learner takes
+@pytest.mark.parametrize("sampler", learner.SAMPLERS)
 def test_cli_sample_actions_draws_on_the_optimal_score_coefficients(
-        tmp_path, capsys, monkeypatch, sampler, calls):
+        tmp_path, capsys, monkeypatch, sampler):
     path = tmp_path / "reference.cfg"
     path.write_text(REFERENCE)
-    seen = {}
-    for name, position in (("next_action", 1), ("langevin_sample", 0)):
-        def spy(*args, name=name, position=position, real=getattr(cli, name)):
-            seen.setdefault(name, []).append(getattr(args[position], "coefficients", None))
-            return real(*args)
-        monkeypatch.setattr(cli, name, spy)
+    seen = []
+
+    def spy(*args, real=cli.next_action):
+        seen.append(getattr(args[1], "coefficients", None))
+        return real(*args)
+
+    monkeypatch.setattr(cli, "next_action", spy)
     assert cli_main(["sample-actions", "--config", str(path), "--sampler", sampler,
                      "--n", "30", "--x", "-1.5"]) == 0
-    assert {name: len(coefficients) for name, coefficients in seen.items()} == calls
     cfg = experiment.load_config(path)
     k, lam = solve_lq(cfg.lq), cfg.lq.lam
     expected = (k.k2 / lam, k.k4 / lam, k.k3 / lam)  # slope, x coefficient, constant
-    assert all(c == expected for coefficients in seen.values() for c in coefficients)
+    assert seen == [expected] * 30
 
 
-# the printed targets at x != 0 against the independent oracles of the affine
-# optimal score (k2 a + k3 + k4 x) / lambda at x
-@pytest.mark.parametrize("x", ["-7.5", "-1.0", "0.4", "3.0"])
-@pytest.mark.parametrize("sampler", ["langevin", "ddpm"])
-def test_cli_sample_actions_targets_are_the_chain_laws_at_x(tmp_path, capsys, sampler, x):
+def _oracle_law(algo, c1, c0):
+    """The independent law of algo's one draw from algo.a0 for the affine score c1 a + c0."""
+    if algo.sampler == "direct_sde":  # one Euler-Maruyama step
+        return algo.a0 + (c1 * algo.a0 + c0) * algo.dt, 2.0 * algo.dt
+    if algo.sampler == "ddpm":
+        return ddpm_affine_law(algo.ddpm_schedule, c1, c0)
+    return langevin_affine_law(algo.langevin_dt, algo.langevin_steps, algo.a0, c1, c0)
+
+
+# the printed targets against action_law and the independent oracles of the
+# affine optimal score (k2 a + k3 + k4 x) / lambda at x
+@pytest.mark.parametrize("x", ["-7.5", "-1.0", "0.0", "0.4", "3.0"])
+@pytest.mark.parametrize("sampler", learner.SAMPLERS)
+def test_cli_sample_actions_targets_are_the_draw_laws_at_x(tmp_path, capsys, sampler, x):
     path = tmp_path / "reference.cfg"
     path.write_text(REFERENCE)
     assert cli_main(["sample-actions", "--config", str(path), "--sampler", sampler,
@@ -943,9 +980,25 @@ def test_cli_sample_actions_targets_are_the_chain_laws_at_x(tmp_path, capsys, sa
     cfg = experiment.load_config(path)
     k = solve_lq(cfg.lq)
     c1, c0 = k.k2 / cfg.lq.lam, (k.k3 + k.k4 * float(x)) / cfg.lq.lam
-    law = (langevin_affine_law(cfg.algo.langevin_dt, None, cfg.algo.a0, c1, c0)
-           if sampler == "langevin" else ddpm_affine_law(cfg.algo.ddpm_schedule, c1, c0))
+    algo = replace(cfg.algo, sampler=sampler)
+    _, *law = learner.action_law(algo, score_fn(c1, k.k4 / cfg.lq.lam, k.k3 / cfg.lq.lam),
+                                 float(x), algo.a0, float(x))
     assert printed == pytest.approx(law, rel=1e-5)
+    assert printed == pytest.approx(_oracle_law(algo, c1, c0), rel=1e-5)
+
+
+# 20000 draws at x = 0.4 land within 3 standard errors of the printed mean
+@pytest.mark.parametrize("sampler", learner.SAMPLERS)
+def test_cli_sample_actions_mean_is_within_three_standard_errors(tmp_path, capsys, sampler):
+    path = tmp_path / "reference.cfg"
+    path.write_text(REFERENCE)
+    assert cli_main(["sample-actions", "--config", str(path), "--sampler", sampler,
+                     "--x", "0.4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    (mean, target), (_, var) = [map(float, re.fullmatch(
+        r"empirical \w+ += (\S+)   \(target (\S+)\)", line).groups()) for line in lines[2:4]]
+    assert lines[1] == "samples        = 20000"
+    assert abs(mean - target) < 3.0 * (var / 20000) ** 0.5
 
 
 def test_cli_sample_actions(tmp_path, capsys):

@@ -208,7 +208,7 @@ def test_estimate_discounted_return_matches_golden_digest(score_name):
 
 # the file ``sample-actions --out`` writes at the reference config with --n 500
 SAMPLE_CASES = {
-    "langevin": "7e43e8bb6e781d8ad3f1f43519f6cc1902c1c6cf892550a60cb3a39675697d6f",
+    "langevin": "2ba87c05fbf21eed10a085a9f3a4f02c096622155fbc8abadbb6148b05eb32f2",
     "ddpm": "d5defb20be7446d3a15168f746f385be4f0b4ac71fa8a12510d069482021e22e",
 }
 

@@ -336,8 +336,8 @@ def test_sampler_reads_are_found():
 
 # the one dispatch from the sampler setting to the next action and, beside
 # the draw, its law, the config's own check, the first action's "direct_sde
-# keeps a0" rule, and the CLI's ``--sampler`` flag, which picks the target and
-# the Langevin continuation while the draws themselves go through next_action
+# keeps a0" rule, and the CLI's ``--sampler`` flag, which it hands to
+# next_action and action_law and prints
 SAMPLER_READERS = {"learner.py: AlgoConfig.__post_init__", "learner.py: next_action",
                    "learner.py: action_law", "learner.py: initial_action",
                    "cli.py: _cmd_sample"}
@@ -348,6 +348,14 @@ def test_the_sampler_is_read_only_by_the_one_dispatch():
              for scope, line in sampler_reads(path.read_text(encoding="utf-8"))
              if f"{path.name}: {scope}" not in SAMPLER_READERS]
     assert reads == []
+
+
+def test_the_cli_reaches_the_samplers_only_through_the_learner():
+    # sample-actions draws and states its target through learner.next_action
+    # and learner.action_law, so it samples what the learner samples
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert [f"line {line}: {name}" for line, module, name in module_imports(source)
+            if module == "samplers"] == []
 
 
 def loop_assignments(source: str, function: str, names: tuple[str, ...]) -> list[int]:
