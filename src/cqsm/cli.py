@@ -184,10 +184,10 @@ def _cmd_sample(args) -> int:
     _check_fits_in_memory(args.n, 8, f"--n {args.n} samples", "one float64 array of n values")
     cfg, _, score = _optimum(args.config)
     algo, noise, x = replace(cfg.algo, sampler=args.sampler), NoiseSource(args.seed), args.x
-    # the exact law of one learner draw at x from a0, taken before any draw so an
-    # unstable chain is a config error; the Langevin one is the law after
-    # algo.langevin_steps steps, not the stationary one, and no target is the Boltzmann law
-    _, target_mean, target_var = action_law(algo, score, x, algo.a0, x)
+    # the exact law of one learner draw, taken before any draw so an unstable
+    # chain is a config error
+    gain, shift, target_var = action_law(algo, score, x, algo.a0, x)
+    target_mean = gain * algo.a0 + shift
     samples = np.fromiter((next_action(algo, score, x, algo.a0, x, noise)
                            for _ in range(args.n)), float, count=args.n)
     with np.errstate(over="ignore", invalid="ignore"):

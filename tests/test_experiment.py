@@ -605,7 +605,6 @@ def test_cli_usage_errors_are_config_errors(capsys, argv, code, usage, message):
     else:
         assert captured.out == ""
         assert captured.err.startswith(usage) and captured.err.endswith(message)
-        assert captured.err.startswith(usage) and captured.err.endswith(message)
 
 
 def test_cli_run_and_overrides(tmp_path, capsys):
@@ -967,12 +966,14 @@ def _oracle_law(algo, c1, c0):
 
 
 # the printed targets against action_law and the independent oracles of the
-# affine optimal score (k2 a + k3 + k4 x) / lambda at x
+# affine optimal score (k2 a + k3 + k4 x) / lambda at x, from the reference
+# a0 = 0 and from a0 = 1.5, where the Euler step's mean carries a0
+@pytest.mark.parametrize("a0", ["", "algo.a0 = 1.5\n"], ids=["a0=0", "a0=1.5"])
 @pytest.mark.parametrize("x", ["-7.5", "-1.0", "0.0", "0.4", "3.0"])
 @pytest.mark.parametrize("sampler", learner.SAMPLERS)
-def test_cli_sample_actions_targets_are_the_draw_laws_at_x(tmp_path, capsys, sampler, x):
+def test_cli_sample_actions_targets_are_the_draw_laws_at_x(tmp_path, capsys, sampler, x, a0):
     path = tmp_path / "reference.cfg"
-    path.write_text(REFERENCE)
+    path.write_text(REFERENCE + a0)
     assert cli_main(["sample-actions", "--config", str(path), "--sampler", sampler,
                      "--n", "200", "--x", x]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -981,9 +982,9 @@ def test_cli_sample_actions_targets_are_the_draw_laws_at_x(tmp_path, capsys, sam
     k = solve_lq(cfg.lq)
     c1, c0 = k.k2 / cfg.lq.lam, (k.k3 + k.k4 * float(x)) / cfg.lq.lam
     algo = replace(cfg.algo, sampler=sampler)
-    _, *law = learner.action_law(algo, score_fn(c1, k.k4 / cfg.lq.lam, k.k3 / cfg.lq.lam),
-                                 float(x), algo.a0, float(x))
-    assert printed == pytest.approx(law, rel=1e-5)
+    gain, shift, var = learner.action_law(
+        algo, score_fn(c1, k.k4 / cfg.lq.lam, k.k3 / cfg.lq.lam), float(x), algo.a0, float(x))
+    assert printed == pytest.approx([gain * algo.a0 + shift, var], rel=1e-5)
     assert printed == pytest.approx(_oracle_law(algo, c1, c0), rel=1e-5)
 
 
