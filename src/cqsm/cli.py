@@ -190,8 +190,10 @@ def _cmd_sample(args) -> int:
     target_mean = gain * algo.a0 + shift
     samples = np.fromiter((next_action(algo, score, x, algo.a0, x, noise)
                            for _ in range(args.n)), float, count=args.n)
+    # the variance of the offsets from the first sample: at a huge mean the
+    # samples' own squared deviations would carry the sample mean's rounding
     with np.errstate(over="ignore", invalid="ignore"):
-        mean, var = float(samples.mean()), float(samples.var(ddof=1))
+        mean, var = float(samples.mean()), float((samples - samples[0]).var(ddof=1))
     for name, value in (("mean", mean), ("variance", var)):
         if not math.isfinite(value):
             raise SimulationError(f"estimator fault: non-finite sample {name} over {args.n} "

@@ -19,6 +19,7 @@ on the same fault in the same SimulationError and never in a numpy warning.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -40,57 +41,66 @@ class NoiseSource:
     not be shared between simulations that are meant to be independent.
 
     Scalar draws are served from a tape: a refill of ``TAPE`` variates
-    pre-drawn as one block, kept as a list in the order drawn and read
-    forward by an iterator, whose index is the read position.  :meth:`normal`
-    takes the iterator's next value; :meth:`normals` hands out k scalar draws
-    as one slice of the tape, moves the read position past them and refills
-    in ``TAPE`` blocks as k calls of :meth:`normal` would; a block draw takes
-    what the tape still holds, never refilling it, and the rest straight from
-    the generator.  The generator yields the same stream whether its variates
-    are drawn one at a time or in blocks, so every caller receives the values
-    it would receive from the generator directly, in the same order.
+    pre-drawn as one float64 array, read forward from an integer read
+    position.  :meth:`normal` takes the value at the read position;
+    :meth:`normals` hands out k scalar draws as one slice of the tape, moves
+    the read position past them and refills in ``TAPE`` blocks as k calls of
+    :meth:`normal` would; a block draw is a view of the next draws where the
+    tape holds them, and otherwise takes what the tape still holds, never
+    refilling it, and the rest straight from the generator.  The generator
+    yields the same stream whether its variates are drawn one at a time or
+    in blocks, so every caller receives the values it would receive from the
+    generator directly, in the same order.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._rng = np.random.default_rng(self.seed)
-        self._tape = []  # pre-drawn variates in the order drawn
-        self._read = iter(self._tape)  # the read position in the tape
+        self._tape = np.empty(0)  # pre-drawn variates in the order drawn
+        self._pos = 0  # the read position in the tape
 
     def normal(self, size=None):
-        """Standard normal draw; a Python float when ``size`` is None."""
+        """Standard normal draw; a Python float when ``size`` is None.
+
+        A block draw of ``size``, an int or a tuple of ints, is an array of
+        that shape, a view of the tape when the tape holds every draw it
+        needs."""
         if size is None:
+            pos = self._pos
+            self._pos = pos + 1
             try:
-                return next(self._read)
-            except StopIteration:
-                self._tape = self._rng.standard_normal(TAPE).tolist()
-                self._read = iter(self._tape)
-                return next(self._read)
-        left = self._read.__length_hint__()  # variates left in the tape
-        if not left:
-            return self._rng.standard_normal(size)
-        n = int(np.prod(size))
-        head = self.normals(min(n, left))
-        return np.reshape(np.concatenate((head, self._rng.standard_normal(n - len(head)))), size)
+                return self._tape.item(pos)
+            except IndexError:  # the tape is spent: refill it
+                self._tape, self._pos = self._rng.standard_normal(TAPE), 1
+                return self._tape.item(0)
+        shape = size if isinstance(size, tuple) else (operator.index(size),)
+        n = math.prod(shape)
+        pos, tape = self._pos, self._tape
+        left = len(tape) - pos  # variates left in the tape
+        if n <= left:
+            self._pos = pos + n
+            block = tape[pos:pos + n]
+        elif not left:
+            return self._rng.standard_normal(shape)
+        else:
+            self._pos = len(tape)
+            block = np.concatenate((tape[pos:], self._rng.standard_normal(n - left)))
+        return block if len(shape) == 1 else block.reshape(shape)
 
     def normals(self, k: int) -> list:
         """k standard normal draws as a list of Python floats.
 
         Equal to k calls of :meth:`normal` and leaves the tape as they would.
         """
-        tape, read = self._tape, self._read
-        start = len(tape) - read.__length_hint__()
-        end = start + k
+        pos, tape = self._pos, self._tape
+        end = pos + k
         if end <= len(tape):
-            read.__setstate__(end)  # a list iterator's pickle hook: move it to index end
-            return tape[start:end]
-        out = tape[start:]
+            self._pos = end
+            return tape[pos:end].tolist()
         need = end - len(tape)
-        fresh = self._rng.standard_normal(-(-need // TAPE) * TAPE).tolist()
-        out += fresh[:need]
-        self._tape = fresh[need:]
-        self._read = iter(self._tape)
-        return out
+        fresh = self._rng.standard_normal(-(-need // TAPE) * TAPE)
+        self._tape, self._pos = fresh, need
+        return tape[pos:].tolist() + fresh[:need].tolist()
 
     def __repr__(self):
         return f"NoiseSource(seed={self.seed})"

@@ -6,8 +6,9 @@ affine-map composition for the sampler chains' output laws, and plain
 two-pass statistics.  The ``reference_*`` functions keep earlier versions of
 the simulator, sampler and learner steps (a reward call and two draws per
 simulator step, numpy scalars, a draw and a check per Langevin step, column
-sums of a (K, 3) matrix for the offline score step), against which the
-current ones are checked bit for bit.
+sums of a (K, 3) matrix for the offline score step), or state a step's
+closed form written out on its own (an affine Langevin stretch), against
+which the current ones are checked bit for bit.
 """
 
 import math
@@ -20,7 +21,7 @@ from cqsm.offline import _feature_matrix
 from cqsm.online import DIVERGENCE_LIMIT, LearnState
 from cqsm.policy import grad_a_q, psi_features
 from cqsm.samplers import make_linear_schedule
-from cqsm.sde import SimulationError
+from cqsm.sde import TAPE, SimulationError
 
 
 def central_diff(f, x: float, h: float = 1e-5) -> float:
@@ -105,14 +106,16 @@ def two_pass_mean_std(stack: np.ndarray):
 
 
 class SequenceNoise:
-    """Noise stub yielding a fixed sequence of scalars, then zeros."""
+    """Noise stub yielding a fixed sequence of scalars, then zeros; a block
+    draw of ``size`` takes the next values in C order."""
 
     def __init__(self, values):
         self._values = list(values)
 
     def normal(self, size=None):
         if size is not None:
-            raise ValueError("SequenceNoise only supports scalar draws")
+            values = [self.normal() for _ in range(np.empty(size).size)]
+            return np.array(values, dtype=float).reshape(size)
         return self._values.pop(0) if self._values else 0.0
 
     def normals(self, k):
@@ -187,6 +190,55 @@ def reference_langevin_sample(score, x: float, a0: float, dt: float, n_steps: in
     return a
 
 
+def reference_langevin_closed_form(slope: float, v1: float, v2: float, x: float, a0, dt: float,
+                                   n_steps: int, noise, stretch: int):
+    """The Langevin chain of the affine score slope a + v1 x + v2 from a0, a
+    float or an array of lockstep chains, in stretches of at most ``stretch``
+    steps whose variates are drawn as one block of shape (n,) + shape(a0).
+
+    With gain rho = 1 + slope dt in (-1, 1], a stretch of n steps maps a to
+
+        rho^n a + c (1 - rho^n) / (1 - rho)
+                + sqrt(2 dt) (rho^(n-1) z_0 + ... + rho z_(n-2) + z_(n-1)),
+
+    c = (v1 x + v2) dt, with n c for the middle term at rho = 1; the weights
+    are numpy powers of rho and their sum is one dot product with the block,
+    taken over its first axis.  A stretch at any other gain, or whose end is
+    not finite, runs step by step from its start on the same draws, with a
+    finiteness check per step.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
+    score = lambda x, a: slope * a + v1 * x + v2
+    scalar = not isinstance(a0, np.ndarray)
+    a = float(a0) if scalar else np.array(a0, dtype=float, copy=True)
+    root = math.sqrt(2.0 * dt)
+    rho, c = 1.0 + slope * dt, (v1 * x + v2) * dt
+    for first in range(0, n_steps, stretch):
+        n = min(stretch, n_steps - first)
+        z = noise.normal((n,) + np.shape(a))
+        if -1.0 < rho <= 1.0:
+            decay = rho ** n
+            mean = decay * a + (n * c if rho == 1.0 else c * (1.0 - decay) / (1.0 - rho))
+            weights = rho ** np.arange(n - 1.0, -1.0, -1.0)
+            if scalar:
+                end = mean + root * float(np.dot(weights, z))
+            else:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    end = mean + root * np.dot(weights, z.reshape(n, -1)).reshape(a.shape)
+            if np.all(np.isfinite(end)):
+                a = end
+                continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, zk in enumerate(z.tolist() if scalar else z, first):
+                a = a + score(x, a) * dt + root * zk
+                if not np.all(np.isfinite(a)):
+                    raise SimulationError(f"sampler fault: non-finite action at step {k}")
+    return a
+
+
 def reference_langevin_batch(score, x: float, a0, dt: float, n_steps: int, noise):
     """Chains in lockstep: one array draw and one finiteness check per step."""
     if dt <= 0:
@@ -214,12 +266,11 @@ def _ref_psi(v, x, a):
 def reference_sample_action(cfg, v, x, noise) -> float:
     """A fresh action at x from the configured langevin or ddpm sampler."""
     slope, v1, v2 = float(-np.exp(v[0])), float(v[1]), float(v[2])
-    score = lambda x, a: slope * a + v1 * x + v2
     if cfg.sampler == "ddpm":
         schedule = make_linear_schedule(cfg.ddpm_steps, cfg.ddpm_beta_start, cfg.ddpm_beta_end)
-        return reference_ddpm_sample(score, x, schedule, noise)
-    return reference_langevin_sample(score, x, cfg.a0, cfg.langevin_dt, cfg.langevin_steps,
-                                     noise)
+        return reference_ddpm_sample(lambda x, a: slope * a + v1 * x + v2, x, schedule, noise)
+    return reference_langevin_closed_form(slope, v1, v2, x, cfg.a0, cfg.langevin_dt,
+                                          cfg.langevin_steps, noise, TAPE)
 
 
 def reference_cqsm_step(state, cfg, env, noise):

@@ -1,4 +1,5 @@
 import functools
+import math
 import os
 import re
 import warnings
@@ -434,9 +435,13 @@ def test_all_seeds_divergent_raises(tmp_path, monkeypatch):
         run_experiment(cfg)
 
 
-def test_parallel_matches_serial(tmp_path):
-    cfg_a = parse_config(SMALL_CONFIG.format(out=tmp_path / "serial"))
-    cfg_b = parse_config(SMALL_CONFIG.format(out=tmp_path / "parallel"))
+# pool workers and the parent process give equal bytes for every sampler,
+# the BLAS dot product of a closed-form Langevin stretch included
+@pytest.mark.parametrize("sampler", learner.SAMPLERS)
+def test_parallel_matches_serial(tmp_path, sampler):
+    extra = f"algo.sampler = {sampler}\n"
+    cfg_a = parse_config(SMALL_CONFIG.format(out=tmp_path / "serial") + extra)
+    cfg_b = parse_config(SMALL_CONFIG.format(out=tmp_path / "parallel") + extra)
     run_experiment(cfg_a, parallel=1)
     run_experiment(cfg_b, parallel=2)
     for name in ("seed_0.csv", "seed_1.csv", "summary.csv"):
@@ -819,41 +824,49 @@ def test_cli_sample_actions_langevin_target_is_the_chain_law(tmp_path, capsys):
     assert out.splitlines()[3].endswith("(target 0.221842)")
 
 
-# at the reference config, actions of order 1e300 hold a finite mean, but
-# their squared deviations overflow
+# at the reference config, ten actions near -3e307 (--x 1e308) sum past the
+# largest float, so their mean is not finite
 @pytest.mark.parametrize("sampler", ["langevin", "ddpm"])
-def test_cli_sample_actions_non_finite_variance_is_a_numerical_failure(tmp_path, capsys, sampler):
+def test_cli_sample_actions_non_finite_mean_is_a_numerical_failure(tmp_path, capsys, sampler):
     path = tmp_path / "reference.cfg"
     path.write_text(REFERENCE)
     out = tmp_path / "samples.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy overflow warning either
         code = cli_main(["sample-actions", "--config", str(path), "--sampler", sampler,
-                         "--n", "5", "--x", "1e300", "--out", str(out)])
+                         "--n", "10", "--x", "1e308", "--out", str(out)])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("numerical failure: estimator fault: non-finite sample variance "
-                            "over 5 samples\n")
+    assert captured.err == ("numerical failure: estimator fault: non-finite sample mean "
+                            "over 10 samples\n")
     assert not out.exists()
 
 
-# at the reference config, actions near -3.3e307 (ddpm, --x 1e308) or -3.0e15
-# (langevin, --x 1e16) are spaced wider than the draw's law spreads, so every
-# sample rounds to a few values
+# at the reference config, actions near -3.3e307 (ddpm, --x 1e308), of order
+# 1e299 (--x 1e300) or near -3.0e15 (langevin, --x 1e16) are spaced wider than
+# the draw's law spreads, so every sample rounds to a few values; their
+# offsets from the first sample keep the variance finite where the samples'
+# own squared deviations overflow
 @pytest.mark.parametrize("sampler, x, message", [
     ("ddpm", "1e308", "float spacing 4.9896e+291 at the sample mean -3.33392e+307 is not "
                       "below the target standard deviation 0.124008"),
     ("langevin", "1e16", "float spacing 0.5 at the sample mean -2.9679e+15 is not below "
                          "the target standard deviation 0.468905"),
-], ids=["ddpm", "langevin"])
+    ("ddpm", "1e300", "float spacing 3.71754e+283 at the sample mean -3.33392e+299 is not "
+                      "below the target standard deviation 0.124008"),
+    ("langevin", "1e300", "float spacing 3.71754e+283 at the sample mean -2.9679e+299 is not "
+                          "below the target standard deviation 0.468905"),
+], ids=["ddpm", "langevin", "ddpm-1e300", "langevin-1e300"])
 def test_cli_sample_actions_coarser_than_the_target_spread_is_a_numerical_failure(
         tmp_path, capsys, sampler, x, message):
     path = tmp_path / "reference.cfg"
     path.write_text(REFERENCE)
     out = tmp_path / "samples.csv"
-    code = cli_main(["sample-actions", "--config", str(path), "--sampler", sampler,
-                     "--n", "5", "--x", x, "--out", str(out)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        code = cli_main(["sample-actions", "--config", str(path), "--sampler", sampler,
+                         "--n", "5", "--x", x, "--out", str(out)])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -931,7 +944,44 @@ def test_cli_sample_actions_finer_than_the_target_spread_runs(tmp_path, capsys):
     assert cli_main(["sample-actions", "--config", str(path), "--sampler", "ddpm",
                      "--n", "200", "--x", "1e15"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[3] == "empirical var  = 0.0156446   (target 0.0153781)"
+    assert lines[3] == "empirical var  = 0.0150321   (target 0.0153781)"
+
+
+# at --x 1e16 the Euler step's actions, near -1.5e15, are spaced 0.25 apart:
+# the variance of their offsets from the first sample stays on the target
+# 0.2, where the samples' own squared deviations took on the sample mean's
+# rounding (about 0.40)
+def test_cli_sample_actions_variance_holds_at_a_huge_mean(tmp_path, capsys):
+    path = tmp_path / "reference.cfg"
+    path.write_text(REFERENCE)
+    variances = []
+    for seed in range(20):
+        assert cli_main(["sample-actions", "--config", str(path), "--sampler", "direct_sde",
+                         "--n", "50", "--x", "1e16", "--seed", str(seed)]) == 0
+        line = capsys.readouterr().out.splitlines()[3]
+        variances.append(float(re.fullmatch(r"empirical var  = (\S+)   \(target 0.2\)",
+                                            line).group(1)))
+    # a sample variance of 50 normal draws has standard deviation 0.2 sqrt(2 / 49)
+    se = 0.2 * math.sqrt(2.0 / 49) / math.sqrt(len(variances))
+    assert abs(np.mean(variances) - 0.2) < 3 * se
+
+
+# argparse reads a value that starts with "-" as an option unless it is a
+# plain decimal: a negative value in scientific notation takes the "=" form
+@pytest.mark.parametrize("argv", [
+    ["sample-actions", "--n", "50", "--x=-1e3"],
+    ["check-martingale", "--traj", "4", "--horizon", "1", "--offset=-1e-3"],
+], ids=["x", "offset"])
+def test_cli_negative_scientific_values_take_the_equals_form(tmp_path, capsys, argv):
+    path = tmp_path / "reference.cfg"
+    path.write_text(REFERENCE)
+    assert cli_main(argv + ["--config", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    flag, value = argv[-1].split("=")
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(argv[:-1] + [flag, value, "--config", str(path)])
+    assert exit_info.value.code == 1
+    assert capsys.readouterr().err.endswith(f": error: argument {flag}: expected one argument\n")
 
 
 # every draw is one learner draw on the score_fn closure of the optimum, so

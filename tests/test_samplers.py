@@ -14,7 +14,8 @@ from cqsm.samplers import (NoiseSchedule, ddpm_law, ddpm_sample, langevin_law,
                            langevin_sample, make_linear_schedule)
 from cqsm.sde import BLOCK, TAPE, NoiseSource, SimulationError
 from _oracles import (SequenceNoise, ddpm_affine_law, langevin_affine_law, reference_ddpm_sample,
-                      reference_langevin_batch, reference_langevin_sample)
+                      reference_langevin_batch, reference_langevin_closed_form,
+                      reference_langevin_sample)
 
 SLOPE_LIMIT = -math.exp(EXP_LIMIT)  # the steepest slope learner.score_at lets through
 
@@ -251,6 +252,18 @@ def _scores(kind, slope, v1, v2):
     return strict
 
 
+def _reference(kind, slope, v1, v2, stretch=TAPE):
+    """The bitwise reference of langevin_sample for a score of ``kind``: the
+    closed-form stretches for a score_fn closure, the per-step chain (float
+    or lockstep) for any other score."""
+    if kind == "score_fn":
+        return lambda score, x, a0, dt, n_steps, noise: reference_langevin_closed_form(
+            slope, v1, v2, x, a0, dt, n_steps, noise, stretch)
+    return lambda score, x, a0, dt, n_steps, noise: (
+        reference_langevin_batch if isinstance(a0, np.ndarray) else reference_langevin_sample)(
+        score, x, a0, dt, n_steps, noise)
+
+
 @given(kind=st.sampled_from(["score_fn", "lambda", "strict"]),
        slope=st.one_of(st.floats(-50.0, -1e-3), st.floats(SLOPE_LIMIT, 0.999 * SLOPE_LIMIT),
                        st.floats(allow_nan=True, allow_infinity=True)),
@@ -279,12 +292,13 @@ def _scores(kind, slope, v1, v2):
 @settings(max_examples=300, deadline=None)
 def test_langevin_sample_bitwise_equals_per_step_reference(kind, slope, v1, v2, x, a0, dt,
                                                            n_steps, used, seed):
+    # a score_fn closure takes its stable stretches in closed form
     score = _scores(kind, slope, v1, v2)
     got_noise, want_noise = NoiseSource(seed), NoiseSource(seed)
     for noise in (got_noise, want_noise):
         noise.normal(used)  # start from a partly drained tape (or a fresh one)
     got = _outcome(langevin_sample, score, x, a0, dt, n_steps, got_noise)
-    want = _outcome(reference_langevin_sample, score, x, a0, dt, n_steps, want_noise)
+    want = _outcome(_reference(kind, slope, v1, v2), score, x, a0, dt, n_steps, want_noise)
     assert got == want
     if isinstance(want, bytes) or dt <= 0 or n_steps < 1:
         assert got_noise.normal() == want_noise.normal()
@@ -310,8 +324,62 @@ def test_langevin_affine_path_runs_on_the_coefficients(n_steps):
     uncallable.coefficients = score.coefficients
     for seed in range(3):
         got = langevin_sample(uncallable, 0.7, 0.0, 0.01, n_steps, NoiseSource(seed))
-        want = reference_langevin_sample(score, 0.7, 0.0, 0.01, n_steps, NoiseSource(seed))
+        want = reference_langevin_closed_form(-4.6, -1.5, -3.6, 0.7, 0.0, 0.01, n_steps,
+                                              NoiseSource(seed), TAPE)
+        assert type(got) is float
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        # the closed form is the per-step chain up to rounding
+        steps = reference_langevin_sample(score, 0.7, 0.0, 0.01, n_steps, NoiseSource(seed))
+        assert got == pytest.approx(steps, rel=0.0, abs=1e-13)
+
+
+# a unit draw e_j in a stretch of n steps adds sqrt(2 h) rho^(n-1-j): from a
+# zero start under a zero shift the chain is exactly that weighted draw, for
+# a float chain and for column 1 of three lockstep chains
+@pytest.mark.parametrize("slope", [-4.6, -150.0], ids=["rho=0.954", "rho=-0.5"])
+@pytest.mark.parametrize("n, j", [(1, 0), (50, 0), (50, 17), (50, 49)])
+@pytest.mark.parametrize("a0", [0.0, np.zeros(3)], ids=["float", "array"])
+def test_langevin_unit_draw_adds_its_weight(slope, n, j, a0):
+    h = 0.01
+    rho, width = 1.0 + slope * h, np.size(a0)
+    column = 1 if width > 1 else 0
+    noise = SequenceNoise([0.0] * (j * width + column) + [1.0])
+    got = langevin_sample(score_fn(slope, 0.0, 0.0), 0.4, a0, h, n, noise)
+    want = np.zeros(width)
+    want[column] = math.sqrt(2.0 * h) * rho ** (n - 1 - j)
+    np.testing.assert_allclose(np.ravel(got), want, rtol=1e-13, atol=0.0)
+
+
+# a gain that rounds to rho = 1 (slope h = -1e-19) and a negative gain (slope h
+# = -1.5, rho = -0.5): 20000 float chains of 50 steps land on langevin_law
+@pytest.mark.parametrize("slope", [-1e-17, -150.0], ids=["rho=1", "rho=-0.5"])
+def test_langevin_closed_form_lands_on_the_law(slope):
+    h, n, a0, x, draws = 0.01, 50, 0.3, 0.4, 20000
+    c0 = -1.5 * x - 3.6
+    score, noise = score_fn(slope, -1.5, -3.6), NoiseSource(21)
+    samples = np.array([langevin_sample(score, x, a0, h, n, noise) for _ in range(draws)])
+    mean, var = langevin_law(h, n, a0, slope, c0)
+    np.testing.assert_allclose([mean, var], langevin_affine_law(h, n, a0, slope, c0),
+                               rtol=1e-12, atol=0.0)
+    if slope == -1e-17:
+        assert 1.0 + slope * h == 1.0 and (mean, var) == (a0 + n * (c0 * h), 2.0 * h * n)
+    assert abs(samples.mean() - mean) < 3 * math.sqrt(var / draws)
+    assert abs(samples.var(ddof=1) - var) < 3 * var * math.sqrt(2 / (draws - 1))
+
+
+# an unstable gain, rho = 1 - 2.5 = -1.5, runs per step: the chain overflows in
+# its second stretch of TAPE steps and names the step the per-step chain names
+@pytest.mark.parametrize("a0", [0.3, np.full(4, 0.3)], ids=["float", "array"])
+def test_langevin_unstable_gain_faults_at_the_per_step_step(a0):
+    score = score_fn(-250.0, -1.5, -3.6)
+    with pytest.raises(SimulationError) as got:
+        langevin_sample(score, 0.4, a0, 0.01, 3 * TAPE, NoiseSource(2))
+    reference = reference_langevin_batch if np.ndim(a0) else reference_langevin_sample
+    with pytest.raises(SimulationError) as want, np.errstate(over="ignore", invalid="ignore"):
+        reference(score, 0.4, a0, 0.01, 3 * TAPE, NoiseSource(2))
+    k = int(str(want.value).rsplit(" ", 1)[1])
+    assert TAPE < k < 2 * TAPE
+    assert str(got.value) == str(want.value) == f"sampler fault: non-finite action at step {k}"
 
 
 class _CountingNoise(NoiseSource):
@@ -338,8 +406,8 @@ def test_langevin_long_chain_draws_one_stretch_at_a_time(kind):
     n_steps = 2 * TAPE + 7
     noise = _CountingNoise(4)
     got = langevin_sample(score, 0.2, 0.0, 0.01, n_steps, noise)
-    assert noise.requests == [TAPE, TAPE, 7]
-    want = reference_langevin_sample(score, 0.2, 0.0, 0.01, n_steps, NoiseSource(4))
+    assert noise.shapes == [(TAPE,), (TAPE,), (7,)] and noise.requests == []
+    want = _reference(kind, -4.6, -1.5, -3.6)(score, 0.2, 0.0, 0.01, n_steps, NoiseSource(4))
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
@@ -363,9 +431,11 @@ def test_langevin_sample_array_a0_bitwise_equals_lockstep_reference(kind, slope,
         got = langevin_sample(score, 0.4, a0, dt, n_steps, got_noise).tobytes()
     except (SimulationError, ValueError) as exc:
         got = type(exc), str(exc)
+    stretch = min(TAPE, BLOCK // a0.size)
+    reference = _reference(kind, slope, -1.5, -3.6, stretch)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            want = reference_langevin_batch(score, 0.4, a0, dt, n_steps, want_noise).tobytes()
+            want = reference(score, 0.4, a0, dt, n_steps, want_noise).tobytes()
     except (SimulationError, ValueError) as exc:
         want = type(exc), str(exc)
     assert got == want
@@ -375,7 +445,6 @@ def test_langevin_sample_array_a0_bitwise_equals_lockstep_reference(kind, slope,
         # after a fault at step k the kernel has used the draws through the end
         # of k's stretch of BLOCK // a0.size steps; the reference stopped at the fault
         k = int(want[1].rsplit(" ", 1)[1])
-        stretch = min(TAPE, BLOCK // a0.size)
         drawn = min(n_steps, (k // stretch + 1) * stretch) * a0.size
         assert got_noise.normal() == np.random.default_rng(8).standard_normal(drawn + 1)[-1]
 
@@ -432,6 +501,7 @@ def test_langevin_array_chains_draw_one_stretch_at_a_time(kind, width, n_steps, 
     got = langevin_sample(score, 0.4, a0, 0.01, n_steps, noise)
     assert noise.shapes == shapes
     assert max(math.prod(shape) for shape in noise.shapes) <= max(width, BLOCK)
-    want = reference_langevin_batch(score, 0.4, a0, 0.01, n_steps, NoiseSource(9))
+    want = _reference(kind, -4.6, -1.5, -3.6, shapes[0][0])(score, 0.4, a0, 0.01, n_steps,
+                                                             NoiseSource(9))
     assert got.tobytes() == want.tobytes()
     assert noise.normal() == NoiseSource(9).normal(width * n_steps + 1)[-1]

@@ -237,6 +237,16 @@ def test_noise_source_normals_equal_k_scalar_draws(k, used):
         assert lists.normal(size).tobytes() == scalars.normal(size).tobytes()
 
 
+def test_block_draw_the_tape_holds_is_a_view_of_the_tape():
+    # no copy: two blocks from one refill share the tape as their base
+    noise = NoiseSource(14)
+    noise.normal()  # fills the tape
+    first, second = noise.normal((3, 4)), noise.normal(5)
+    assert first.base is not None and first.base is second.base
+    assert not np.shares_memory(first, second)
+    assert first.shape == (3, 4) and second.shape == (5,)
+
+
 @pytest.mark.parametrize("extra", [-7, -1, 0, 1, 3 * TAPE])
 def test_block_draw_drains_the_tape_and_reads_the_rest_from_the_generator(extra):
     # a block smaller than, equal to or larger than what the tape holds takes
