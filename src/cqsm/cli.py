@@ -3,7 +3,7 @@
 Subcommands: ``run`` (multi-seed experiment), ``solve-lq`` (closed-form
 coefficients and optimal parameters), ``check-martingale`` (orthogonality
 diagnostic of the analytic optimum), ``sample-actions`` (moments of ``--n``
-independent learner draws ``learner.next_action`` at a fixed state from
+independent learner draws of one ``learner.action_draw`` at a fixed state from
 ``algo.a0``, for any of ``learner.SAMPLERS``, against the exact law of one
 draw, ``learner.action_law``; an unstable chain is refused before any draw).
 Both diagnostics run on one ``policy.score_fn`` closure of the optimal score,
@@ -22,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from .experiment import load_config, run_experiment
-from .learner import SAMPLERS, action_law, next_action
+from .learner import SAMPLERS, action_draw, action_law
 from .lq_analytic import coefficient_residuals, k_to_optimal_params, solve_lq
 from .martingale import constant_test, orthogonality_residual
 from .policy import q_theta, score_fn
@@ -188,8 +188,10 @@ def _cmd_sample(args) -> int:
     # chain is a config error
     gain, shift, target_var = action_law(algo, score, x, algo.a0, x)
     target_mean = gain * algo.a0 + shift
-    samples = np.fromiter((next_action(algo, score, x, algo.a0, x, noise)
-                           for _ in range(args.n)), float, count=args.n)
+    # one draw bound for every sample, so the Langevin chain reuses its weights
+    draw, (slope, v1, v2) = action_draw(algo), score.coefficients
+    samples = np.fromiter((draw(slope, v1, v2, x, algo.a0, x, noise) for _ in range(args.n)),
+                          float, count=args.n)
     # the variance of the offsets from the first sample: at a huge mean the
     # samples' own squared deviations would carry the sample mean's rounding
     with np.errstate(over="ignore", invalid="ignore"):

@@ -2,8 +2,8 @@
 
 Both learn the quadratic value model and the affine score Psi under one
 :class:`AlgoConfig` and return a :class:`LearningRecord`; both take the
-score closure of v from :func:`score_at` and draw actions through the one
-sampler dispatch, :func:`next_action`, whose law :func:`action_law` states.
+score slope of v from :func:`score_slope` and draw actions through the one
+sampler dispatch, :func:`action_draw`, whose law :func:`action_law` states.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .lq import LqParams
 from .policy import score_fn
-from .samplers import ddpm_law, ddpm_sample, langevin_law, langevin_sample, make_linear_schedule
+from .samplers import ddpm_law, ddpm_sample, langevin_draw, langevin_law, make_linear_schedule
 from .sde import NoiseSource, SimulationError
 
 SAMPLERS = ("direct_sde", "langevin", "ddpm")
@@ -144,8 +144,8 @@ def lr_schedule(t: float) -> float:
     return 1.0 / max(1.0, math.sqrt(math.log(t)))
 
 
-def score_at(v0: float, v1: float, v2: float, step: int | None = None):
-    """The score slope -exp(v0) and the score closure of v = (v0, v1, v2).
+def score_slope(v0: float, step: int | None = None) -> float:
+    """The score slope -exp(v0) of v = (v0, v1, v2).
 
     Raises DivergenceError, before any sampling, when exp(v0) overflows; the
     message names ``step`` when one is given.
@@ -153,7 +153,12 @@ def score_at(v0: float, v1: float, v2: float, step: int | None = None):
     if v0 > EXP_LIMIT:
         at = "" if step is None else f" at step {step}"
         raise DivergenceError(f"score slope -exp(v0) overflows{at} (v0 = {v0:.6g})")
-    slope = float(-np.exp(v0))
+    return float(-np.exp(v0))
+
+
+def score_at(v0: float, v1: float, v2: float, step: int | None = None):
+    """The score slope of :func:`score_slope` and the score closure of v = (v0, v1, v2)."""
+    slope = score_slope(v0, step)
     return slope, score_fn(slope, v1, v2)
 
 
@@ -162,20 +167,35 @@ def score_of(v):
     return score_at(*np.asarray(v, dtype=float).tolist())
 
 
-def next_action(cfg: AlgoConfig, score, x: float, a: float, x_next: float,
-                noise: NoiseSource) -> float:
-    """The sampler's next action once the pair (x, a) has moved the state to x_next.
+def action_draw(cfg: AlgoConfig):
+    """The run's action draw, bound once: ``draw(slope, v1, v2, x, a, x_next,
+    noise)`` is the sampler's next action under the score slope a + v1 x + v2
+    once the pair (x, a) has moved the state to x_next.
 
     "direct_sde" steps the action SDE by Euler-Maruyama at (x, a).  A Langevin
     chain restarts from cfg.a0 at x_next, which bounds how far one environment
     step can carry the action while the score is poorly fitted; DDPM denoises
-    a fresh draw there.
+    a fresh draw there.  The sampler is chosen, and sqrt(2 dt) and
+    :func:`samplers.langevin_draw`'s chain are bound, here rather than at
+    every draw; the Langevin chain keeps the weights of its last gain.
     """
     if cfg.sampler == "direct_sde":
-        return a + score(x, a) * cfg.dt + math.sqrt(2.0 * cfg.dt) * noise.normal()
+        dt, root = cfg.dt, math.sqrt(2.0 * cfg.dt)
+        return lambda slope, v1, v2, x, a, x_next, noise: (
+            a + (slope * a + v1 * x + v2) * dt + root * noise.normal())
     if cfg.sampler == "ddpm":
-        return ddpm_sample(score, x_next, cfg.ddpm_schedule, noise)
-    return langevin_sample(score, x_next, cfg.a0, cfg.langevin_dt, cfg.langevin_steps, noise)
+        schedule = cfg.ddpm_schedule
+        return lambda slope, v1, v2, x, a, x_next, noise: ddpm_sample(
+            score_fn(slope, v1, v2), x_next, schedule, noise)
+    chain = langevin_draw(cfg.langevin_dt, cfg.langevin_steps, cfg.a0)
+    return lambda slope, v1, v2, x, a, x_next, noise: chain(slope, v1, v2, x_next, noise)
+
+
+def next_action(cfg: AlgoConfig, score, x: float, a: float, x_next: float,
+                noise: NoiseSource) -> float:
+    """:func:`action_draw`'s draw of cfg on a :func:`policy.score_fn`
+    closure's coefficients."""
+    return action_draw(cfg)(*score.coefficients, x, a, x_next, noise)
 
 
 def action_law(cfg: AlgoConfig, score, x: float, a: float,

@@ -59,20 +59,32 @@ def lq_reward(p: LqParams, x, a):
     return -(0.5 * p.M * x * x + p.R * x * a + 0.5 * p.N * a * a + p.P * x + p.Pp * a)
 
 
-def env_step(p: LqParams, x: float, a: float, dt: float, noise: NoiseSource):
-    """Advance the state one Euler-Maruyama step and return (x', reward rate).
+def euler_step(p: LqParams, dt: float, noise: NoiseSource):
+    """The state step of one run, bound once: ``step(x, a)`` advances the
+    state one Euler-Maruyama step and returns (x', reward rate).
 
-    x' = x + (A x + B a) dt + (C x + D a) sqrt(dt) z with z standard normal.
-    The returned reward is the instantaneous rate (the caller multiplies by dt
-    where a per-step contribution is needed).
+    x' = x + (A x + B a) dt + (C x + D a) sqrt(dt) z with z standard normal
+    from ``noise``.  The returned reward is the instantaneous rate (the
+    caller multiplies by dt where a per-step contribution is needed).  dt is
+    checked, and sqrt(dt) taken, here rather than at every step.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    z = noise.normal()
-    x_next = x + (p.A * x + p.B * a) * dt + (p.C * x + p.D * a) * math.sqrt(dt) * z
-    if not math.isfinite(x_next):
-        raise SimulationError(f"environment fault: non-finite state from x={x}, a={a}")
-    return x_next, lq_reward(p, x, a)
+    A, B, C, D, root = p.A, p.B, p.C, p.D, math.sqrt(dt)
+
+    def step(x: float, a: float):
+        z = noise.normal()
+        x_next = x + (A * x + B * a) * dt + (C * x + D * a) * root * z
+        if not math.isfinite(x_next):
+            raise SimulationError(f"environment fault: non-finite state from x={x}, a={a}")
+        return x_next, lq_reward(p, x, a)
+
+    return step
+
+
+def env_step(p: LqParams, x: float, a: float, dt: float, noise: NoiseSource):
+    """One step of :func:`euler_step`: (x', reward rate) from (x, a)."""
+    return euler_step(p, dt, noise)(x, a)
 
 
 def lq_dynamics(p: LqParams, score) -> DynamicsSpec:

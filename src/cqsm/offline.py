@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .learner import (AlgoConfig, DivergenceError, LearningRecord, checked_params,
-                      initial_action, learning_record, lr_schedule, score_of)
+                      initial_action, learning_record, lr_schedule, score_of, score_slope)
 from .lq import LqParams, lq_dynamics, lq_reward_fn
 from .martingale import discount_weights, return_gaps
 from .policy import grad_a_q, psi_features, q_features, q_theta
@@ -59,31 +59,35 @@ def offline_update(ep: Episode, theta, v, cfg: AlgoConfig, episode_index: int):
     does not follow its own gap-weighted sensitivities, because that rule
     drifts away from the critic's action-gradient fit when started far from
     it.  ``episode_index`` is the 1-based episode counter feeding the
-    learning-rate schedule.
+    learning-rate schedule.  Psi is evaluated once, over the episode's K + 1
+    points, and the score step reuses its first K values.
     """
     theta = np.asarray(theta, dtype=float)
     v = np.asarray(v, dtype=float)
     traj = ep.trajectory
     _, score = score_of(v)
+    psi = score(traj.states, traj.actions)
     gaps = return_gaps(ep.discount_weights, traj.reward_rates,
-                       q_theta(theta, traj.states, traj.actions),
-                       score(traj.states, traj.actions), traj.dt, cfg.lam)
+                       q_theta(theta, traj.states, traj.actions), psi, traj.dt, cfg.lam)
     grads = _feature_matrix(q_features(traj.states[:-1], traj.actions[:-1]), len(gaps))
     lr = lr_schedule(float(episode_index))
     theta_next = theta + lr * cfg.alpha_theta * (traj.dt * grads.T @ gaps)
     if not np.isfinite(theta_next).all():
         raise DivergenceError(f"offline update diverged at episode {episode_index}")
-    v_next = v + lr * cfg.alpha_v * score_gradient_residual(theta_next, v, cfg.lam, ep)
+    v_next = v + lr * cfg.alpha_v * score_gradient_residual(theta_next, v, cfg.lam, ep,
+                                                            psi[:-1])
     if not np.isfinite(v_next).all():
         raise DivergenceError(f"offline score update diverged at episode {episode_index}")
     return theta_next, v_next
 
 
-def score_gradient_residual(theta, v, lam: float, ep: Episode) -> np.ndarray:
+def score_gradient_residual(theta, v, lam: float, ep: Episode, psi=None) -> np.ndarray:
     """Discounted integral of (grad_a Q - lam Psi) dPsi/dv along the episode.
 
     Vanishes identically when the score reproduces the value model's scaled
-    action gradient; otherwise its sign points back toward that fit.
+    action gradient; otherwise its sign points back toward that fit.  ``psi``
+    is Psi of v at the episode's first K points, where the caller has it;
+    without it the score closure of v evaluates it.
 
     The three sensitivities dPsi/dv are the contiguous rows of a (3, K)
     array, and each component's sum runs left to right over the episode,
@@ -92,12 +96,16 @@ def score_gradient_residual(theta, v, lam: float, ep: Episode) -> np.ndarray:
     so the bits are those of that sum; the ``+ 0.0`` is its +0.0 start,
     which turns a row of -0.0 products into +0.0.
     """
-    slope, score = score_of(v)
     traj = ep.trajectory
     xs = traj.states[:-1]
     as_ = traj.actions[:-1]
     w = ep.discount_weights[:-1]
-    gap = grad_a_q(theta, xs, as_) - lam * score(xs, as_)
+    if psi is None:
+        slope, score = score_of(v)
+        psi = score(xs, as_)
+    else:
+        slope = score_slope(float(v[0]))
+    gap = grad_a_q(theta, xs, as_) - lam * psi
     sens = np.empty((3, len(xs)))
     sens[0], sens[1], sens[2] = psi_features(slope, xs, as_)
     return traj.dt * (np.add.accumulate((w * gap) * sens, axis=1)[:, -1] + 0.0)

@@ -4,9 +4,9 @@ Each iteration observes one environment transition, forms the one-step
 temporal difference of the discounted value model, updates the critic along
 the model's parameter gradient, and nudges the score toward the critic's
 scaled action gradient.  The learner core's one dispatch,
-:func:`learner.next_action`, draws the next action from the configured
-sampler: a denoising chain, a Langevin chain, or an Euler-Maruyama step of
-the action's own SDE ("direct_sde").
+:func:`learner.action_draw`, binds the run's draw of the next action from
+the configured sampler: a denoising chain, a Langevin chain, or an
+Euler-Maruyama step of the action's own SDE ("direct_sde").
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .learner import (AlgoConfig, DivergenceError, LearningRecord, checked_params,
-                      initial_action, learning_record, lr_schedule, next_action, score_at,
-                      score_of)
-from .lq import LqParams, env_step, lq_reward
+from .learner import (AlgoConfig, DivergenceError, LearningRecord, action_draw, checked_params,
+                      initial_action, learning_record, lr_schedule, score_of, score_slope)
+from .lq import LqParams, euler_step, lq_reward
 from .policy import grad_a_q, psi_features, q_features, q_theta
 from .sde import NoiseSource, SimulationError
 
@@ -55,20 +54,23 @@ def _td(q_here, q_next, psi, r, dt, beta, lam):
     return q_next - q_here + r * dt - 0.5 * lam * psi * psi * dt - beta * q_here * dt
 
 
-def _step(theta: list, v: list, x: float, a: float, step: int, cfg: AlgoConfig, env,
+def _step(theta: list, v: list, x: float, a: float, step: int, cfg: AlgoConfig, env, draw,
           noise: NoiseSource):
     """The step formula on Python floats: (theta', v', x', a', r) after ``step`` steps.
 
     theta and v are lists of 6 and 3 floats; the returned ones are new lists.
-    exp(v0) is taken once, and one score closure gives Psi(x, a) and drives
-    the sampler.  Each update is written per coordinate, as
-    ``p + rate * (g * err)`` over the unpacked parameters and features,
-    because a comprehension would run in a frame of its own.
+    ``draw`` is cfg's :func:`learner.action_draw`.  exp(v0) is taken once,
+    and the score's coefficients (slope, v1, v2) give Psi(x, a), by the
+    formula of :func:`policy.score_fn`, and drive the draw.  Each update
+    is written per coordinate, as ``p + rate * (g * err)`` over the unpacked
+    parameters and features, because a comprehension would run in a frame
+    of its own.
     """
-    slope, score = score_at(*v, step)
-    psi = score(x, a)
+    w0, w1, w2 = v
+    slope = score_slope(w0, step)
+    psi = slope * a + w1 * x + w2
     x_next, r = env(x, a)
-    a_next = next_action(cfg, score, x, a, x_next, noise)
+    a_next = draw(slope, w1, w2, x, a, x_next, noise)
 
     delta = _td(q_theta(theta, x, a), q_theta(theta, x_next, a_next), psi,
                 r, cfg.dt, cfg.beta, cfg.lam)
@@ -81,7 +83,6 @@ def _step(theta: list, v: list, x: float, a: float, step: int, cfg: AlgoConfig, 
                   t4 + rate_theta * (g4 * delta), t5 + rate_theta * (g5 * delta)]
     mismatch = grad_a_q(theta, x, a) / cfg.lam - psi
     rate_v = lr * cfg.alpha_v
-    w0, w1, w2 = v
     h0, h1, h2 = psi_features(slope, x, a)
     v_next = [w0 + rate_v * (mismatch * h0), w1 + rate_v * (mismatch * h1),
               w2 + rate_v * (mismatch * h2)]
@@ -100,11 +101,12 @@ def cqsm_step(state: LearnState, cfg: AlgoConfig, env, noise: NoiseSource) -> Le
     then the action noise).  The transition pair (x', a') becomes the next
     iterate's (x, a), so each action is sampled once and reused.
 
-    A wrapper of the float step that :func:`run_cqsm` runs: it unpacks the
-    state's arrays and packs the result into a new ``LearnState``.
+    A wrapper of the float step that :func:`run_cqsm` runs: it binds cfg's
+    draw, unpacks the state's arrays and packs the result into a new
+    ``LearnState``.
     """
     theta, v, x, a, r = _step(state.theta.tolist(), state.v.tolist(), state.x, state.a,
-                              state.step, cfg, env, noise)
+                              state.step, cfg, env, action_draw(cfg), noise)
     return LearnState(np.array(theta), np.array(v), x, a, state.step + 1,
                       state.cumulative_reward + r * cfg.dt)
 
@@ -121,14 +123,14 @@ def run_cqsm(cfg: AlgoConfig, p: LqParams, theta0, v0) -> LearningRecord:
     theta, v = (arr.tolist() for arr in checked_params(theta0, v0))
 
     noise = NoiseSource(cfg.seed)
-    env = lambda x, a: env_step(p, x, a, cfg.dt, noise)
+    env, draw = euler_step(p, cfg.dt, noise), action_draw(cfg)
     try:
         x, a = cfg.x0, float(initial_action(cfg, v, cfg.x0, noise))
         cum = 0.0
         rows = [(0, theta, v, float(lq_reward(p, x, a)), 0.0)]
 
         for done in range(1, cfg.n_steps + 1):
-            theta, v, x, a, r = _step(theta, v, x, a, done - 1, cfg, env, noise)
+            theta, v, x, a, r = _step(theta, v, x, a, done - 1, cfg, env, draw, noise)
             prev_cum, cum = cum, cum + r * cfg.dt
             if done % cfg.record_every == 0 or done == cfg.n_steps:
                 rows.append((done, theta, v, (cum - prev_cum) / cfg.dt, cum / (done * cfg.dt)))

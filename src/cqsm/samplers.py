@@ -149,21 +149,22 @@ def langevin_sample(score, x: float, a0, dt: float, n_steps: int, noise: NoiseSo
     rho = 1 + slope dt lies in (-1, 1], each stretch of n steps is taken in
     closed form, the mean map of :func:`langevin_law` plus the stretch's
     draws weighted by sqrt(2 dt) (rho^(n-1), ..., rho, 1) in one dot
-    product, and finiteness is checked once, on its end.  Any other score,
-    an unstable gain, and the replay of a stretch whose closed form is not
-    finite are called at every step with a check per step, which names the
-    first non-finite step.  An array chain runs under one ``np.errstate``
-    that silences overflow, and so does each stretch of that per-step loop,
-    so a fault ends in that SimulationError, never a numpy warning, even
-    where a float chain's score returns numpy scalars.  A float chain's
-    closed-form stretch enters none: its weights are bounded by 1, and its
-    sum is a Python float, which overflows to inf silently.
+    product, and finiteness is checked once, on its end.  A float chain of
+    such a score is :func:`langevin_draw`'s.  Any other score, an unstable
+    gain, and the replay of a stretch whose closed form is not finite are
+    called at every step with a check per step, which names the first
+    non-finite step.  An array chain runs under one ``np.errstate`` that
+    silences overflow, and so does each stretch of that per-step loop, so a
+    fault ends in that SimulationError, never a numpy warning, even where a
+    float chain's score returns numpy scalars.  A float chain's closed-form
+    stretch enters none: its weights are bounded by 1, and its sum is a
+    Python float, which overflows to inf silently.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
+    _check_chain(dt, n_steps)
     if not isinstance(a0, np.ndarray):
+        coefficients = getattr(score, "coefficients", None)
+        if coefficients is not None:
+            return langevin_draw(dt, n_steps, a0)(*coefficients, x, noise)
         return _langevin_run(score, x, float(a0), dt, n_steps, TAPE, noise, math.isfinite)
     a = np.asarray(a0, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -171,18 +172,80 @@ def langevin_sample(score, x: float, a0, dt: float, n_steps: int, noise: NoiseSo
                              noise, lambda values: np.isfinite(values).all())
 
 
+def _check_chain(dt: float, n_steps: int):
+    """ValueError unless dt > 0 and n_steps >= 1."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
+
+
+def langevin_draw(dt: float, n_steps: int, a0: float):
+    """The float chain of :func:`langevin_sample` from a0 for an affine score,
+    bound once: ``draw(slope, v1, v2, x, noise)`` is ``langevin_sample(
+    policy.score_fn(slope, v1, v2), x, a0, dt, n_steps, noise)``, bit for bit.
+
+    The checks of dt and n_steps, sqrt(2 dt), the stretch lengths and their
+    slices of ``POWERS`` are fixed here, once.  A stable stretch of n steps
+    ends at :func:`_affine_mean` plus sqrt(2 dt) times the dot product of
+    its weights (rho^(n-1), ..., rho, 1) with its draws.  The draw keeps the
+    weights of the last stable rho it met, a one-entry cache: a weight is
+    rho ** POWERS[k], a function of rho alone, so a draw whose rho equals
+    the previous draw's, as every draw at a fixed score has, takes no
+    power.  An unstable rho takes no weights and leaves the cache as it
+    is.  The per-step replay evaluates the score's formula inline, on the
+    same floats as the closure.  The stretch loop is a ``while`` and its
+    length a conditional expression: ``range`` and ``min`` would add about
+    0.2 us to a 50-step chain of about 3 us.
+    """
+    _check_chain(dt, n_steps)
+    a0, root = float(a0), math.sqrt(2.0 * dt)
+    full = min(n_steps, TAPE)  # the length of every stretch but the last
+    last = (n_steps - 1) % TAPE + 1  # the length of the last stretch
+    full_powers, last_powers = POWERS[TAPE - full:], POWERS[TAPE - last:]
+    cache = (math.nan, None, None)  # (rho, weights of a full stretch, of the last)
+
+    def draw(slope, v1, v2, x, noise):
+        nonlocal cache
+        rho, shift = 1.0 + slope * dt, (v1 * x + v2) * dt
+        stable = -1.0 < rho <= 1.0
+        if stable:
+            key, full_weights, last_weights = cache
+            if rho != key:
+                full_weights = rho ** full_powers
+                last_weights = full_weights if last == full else rho ** last_powers
+                cache = rho, full_weights, last_weights
+        a, first = a0, 0
+        while first < n_steps:
+            n = n_steps - first if n_steps - first < TAPE else TAPE
+            draws = noise.normal((n,))
+            if stable:
+                weights = last_weights if n == last else full_weights
+                end = _affine_mean(rho, n, a, shift) + root * float(weights.dot(draws))
+                if math.isfinite(end):
+                    a = end
+                    first += n
+                    continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k, z in enumerate(draws.tolist(), first):
+                    a = a + (slope * a + v1 * x + v2) * dt + root * z
+                    if not math.isfinite(a):
+                        raise SimulationError(f"sampler fault: non-finite action at step {k}")
+            first += n
+        return a
+
+    return draw
+
+
 def _langevin_run(score, x: float, a, dt: float, n_steps: int, stretch: int,
                   noise: NoiseSource, finite):
-    """The chain of :func:`langevin_sample` from ``a``, a float or an array,
-    in stretches of at most ``stretch`` steps, with ``finite(a)`` as the
-    fault check.
+    """The chain of :func:`langevin_sample` from ``a``, an array, or a float
+    whose score carries no coefficients, in stretches of at most ``stretch``
+    steps, with ``finite(a)`` as the fault check.
 
     A stable affine stretch of n steps ends at :func:`_affine_mean` plus
     sqrt(2 dt) times the dot product of its weights (rho^(n-1), ..., rho, 1)
-    with its draws along their first axis: a float for a float ``a``.  The
-    loop is a ``while`` and the stretch length a conditional expression:
-    ``range`` and ``min`` would add about 0.2 us to a 50-step float chain of
-    about 3 us.
+    with its draws along their first axis.
     """
     root = math.sqrt(2.0 * dt)
     shape = getattr(a, "shape", ())  # () for a float
@@ -197,11 +260,8 @@ def _langevin_run(score, x: float, a, dt: float, n_steps: int, stretch: int,
         draws = noise.normal((n,) + shape)
         if -1.0 < rho <= 1.0:
             weights = rho ** POWERS[TAPE - n:]
-            if shape:
-                end = (_affine_mean(rho, n, a, shift)
-                       + root * weights.dot(draws.reshape(n, -1)).reshape(shape))
-            else:
-                end = _affine_mean(rho, n, a, shift) + root * float(weights.dot(draws))
+            end = (_affine_mean(rho, n, a, shift)
+                   + root * weights.dot(draws.reshape(n, -1)).reshape(shape))
             if finite(end):
                 a = end
                 first += n

@@ -984,25 +984,32 @@ def test_cli_negative_scientific_values_take_the_equals_form(tmp_path, capsys, a
     assert capsys.readouterr().err.endswith(f": error: argument {flag}: expected one argument\n")
 
 
-# every draw is one learner draw on the score_fn closure of the optimum, so
-# the samplers take the coefficient stretch the learner takes
+# every draw is a draw of one learner draw, bound once per command, on the
+# coefficients of the optimum's score_fn closure, so the samplers take the
+# coefficient stretch the learner takes
 @pytest.mark.parametrize("sampler", learner.SAMPLERS)
 def test_cli_sample_actions_draws_on_the_optimal_score_coefficients(
         tmp_path, capsys, monkeypatch, sampler):
     path = tmp_path / "reference.cfg"
     path.write_text(REFERENCE)
-    seen = []
+    bound, seen = [], []
 
-    def spy(*args, real=cli.next_action):
-        seen.append(getattr(args[1], "coefficients", None))
-        return real(*args)
+    def spy(algo, real=cli.action_draw):
+        bound.append(algo.sampler)
+        draw = real(algo)
 
-    monkeypatch.setattr(cli, "next_action", spy)
+        def recorded(*args):
+            seen.append(args[:3])
+            return draw(*args)
+        return recorded
+
+    monkeypatch.setattr(cli, "action_draw", spy)
     assert cli_main(["sample-actions", "--config", str(path), "--sampler", sampler,
                      "--n", "30", "--x", "-1.5"]) == 0
     cfg = experiment.load_config(path)
     k, lam = solve_lq(cfg.lq), cfg.lq.lam
     expected = (k.k2 / lam, k.k4 / lam, k.k3 / lam)  # slope, x coefficient, constant
+    assert bound == [sampler]
     assert seen == [expected] * 30
 
 

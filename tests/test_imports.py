@@ -334,11 +334,11 @@ def test_sampler_reads_are_found():
                                      ("<module>", 9)]
 
 
-# the one dispatch from the sampler setting to the next action and, beside
-# the draw, its law, the config's own check, the first action's "direct_sde
-# keeps a0" rule, and the CLI's ``--sampler`` flag, which it hands to
-# next_action and action_law and prints
-SAMPLER_READERS = {"learner.py: AlgoConfig.__post_init__", "learner.py: next_action",
+# the one dispatch from the sampler setting to the bound action draw and,
+# beside the draw, its law, the config's own check, the first action's
+# "direct_sde keeps a0" rule, and the CLI's ``--sampler`` flag, which it
+# hands to action_draw and action_law and prints
+SAMPLER_READERS = {"learner.py: AlgoConfig.__post_init__", "learner.py: action_draw",
                    "learner.py: action_law", "learner.py: initial_action",
                    "cli.py: _cmd_sample"}
 
@@ -351,7 +351,7 @@ def test_the_sampler_is_read_only_by_the_one_dispatch():
 
 
 def test_the_cli_reaches_the_samplers_only_through_the_learner():
-    # sample-actions draws and states its target through learner.next_action
+    # sample-actions draws and states its target through learner.action_draw
     # and learner.action_law, so it samples what the learner samples
     source = (SRC / "cli.py").read_text(encoding="utf-8")
     assert [f"line {line}: {name}" for line, module, name in module_imports(source)

@@ -289,6 +289,23 @@ def test_run_cqsm_bitwise_equals_reference_loop(lq_ref, sampler):
     assert _bits(rec.running_avg[1:]) == _bits(np.array(cums[1:]) / (rec.steps[1:] * cfg.dt))
 
 
+# at rates 0 the score never moves, so every Langevin draw after the first
+# meets the gain of the draw before it and reuses its chain's weights
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_frozen_run_cqsm_bitwise_equals_reference_loop(lq_ref, opt_params, sampler):
+    cfg = AlgoConfig(dt=0.1, n_steps=300, seed=5, sampler=sampler, record_every=1,
+                     langevin_steps=50, x0=0.3, a0=-0.2, alpha_theta=0.0, alpha_v=0.0)
+    theta0, v0 = opt_params
+    rec = run_cqsm(cfg, lq_ref, theta0, v0)
+
+    cums = np.array([state.cumulative_reward
+                     for state in _reference_states(cfg, lq_ref, theta0, v0)])
+    assert _bits(rec.thetas) == _bits([theta0] * (cfg.n_steps + 1))
+    assert _bits(rec.vs) == _bits([v0] * (cfg.n_steps + 1))
+    assert _bits(rec.reward_rates[1:]) == _bits(np.diff(cums, prepend=0.0) / cfg.dt)
+    assert _bits(rec.running_avg[1:]) == _bits(cums / (rec.steps[1:] * cfg.dt))
+
+
 @pytest.mark.parametrize("sampler", SAMPLERS)
 def test_run_cqsm_divergence_message_equals_reference_loop(lq_ref, sampler):
     # alpha 1 at seed 7 diverges a few steps in, where an off-by-one in the

@@ -11,7 +11,7 @@ from cqsm.learner import EXP_LIMIT
 from cqsm.lq_analytic import optimal_score
 from cqsm.policy import score_fn
 from cqsm.samplers import (NoiseSchedule, ddpm_law, ddpm_sample, langevin_law,
-                           langevin_sample, make_linear_schedule)
+                           langevin_draw, langevin_sample, make_linear_schedule)
 from cqsm.sde import BLOCK, TAPE, NoiseSource, SimulationError
 from _oracles import (SequenceNoise, ddpm_affine_law, langevin_affine_law, reference_ddpm_sample,
                       reference_langevin_batch, reference_langevin_closed_form,
@@ -409,6 +409,34 @@ def test_langevin_long_chain_draws_one_stretch_at_a_time(kind):
     assert noise.shapes == [(TAPE,), (TAPE,), (7,)] and noise.requests == []
     want = _reference(kind, -4.6, -1.5, -3.6)(score, 0.2, 0.0, 0.01, n_steps, NoiseSource(4))
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+# one bound chain draws at gains rho = 1 + slope dt in turn: a miss, a hit at
+# another state and score shift (the weights depend on rho alone), a miss at a
+# new gain, a miss after a hit as the first gain returns, an unstable gain
+# (rho = -1.5, no weights), and a hit on the weights the unstable draw left
+@pytest.mark.parametrize("n_steps", [50, 2 * TAPE + 7])
+def test_langevin_draw_reuses_weights_only_at_an_equal_gain(n_steps):
+    draw = langevin_draw(0.01, n_steps, 0.3)
+    calls = [(-4.6, -1.5, -3.6, 0.4), (-4.6, 2.0, 0.5, -1.1), (-150.0, -1.5, -3.6, 0.4),
+             (-4.6, -1.5, -3.6, 0.7), (-250.0, -1.5, -3.6, 0.4), (-4.6, 0.3, -0.2, 0.0)]
+    got_noise, fresh_noise, want_noise = NoiseSource(6), NoiseSource(6), NoiseSource(6)
+    for slope, v1, v2, x in calls:
+        got = _outcome(draw, slope, v1, v2, x, got_noise)
+        fresh = _outcome(langevin_sample, score_fn(slope, v1, v2), x, 0.3, 0.01, n_steps,
+                         fresh_noise)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _outcome(reference_langevin_closed_form, slope, v1, v2, x, 0.3, 0.01,
+                            n_steps, want_noise, TAPE)
+        assert got == fresh == want
+        assert got_noise.normal() == fresh_noise.normal() == want_noise.normal()
+    # the unstable chain runs per step: 50 steps stay finite, a longer chain
+    # overflows and names the step the per-step chain names
+    unstable = _outcome(draw, -250.0, -1.5, -3.6, 0.4, NoiseSource(2))
+    per_step = _outcome(reference_langevin_sample, score_fn(-250.0, -1.5, -3.6), 0.4, 0.3,
+                        0.01, n_steps, NoiseSource(2))
+    assert unstable == per_step
+    assert isinstance(unstable, bytes) == (n_steps == 50)
 
 
 @pytest.mark.parametrize("kind", ["score_fn", "lambda"])
